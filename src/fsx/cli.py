@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all", help="suite name or 'all'")
     v.add_argument("--dim", type=int, default=2)
     v.add_argument("--bandlimit", type=int, default=32)
-    v.add_argument("--oversample", type=int, default=4)
     v.add_argument("--seed", type=int, default=42)
     v.add_argument("--size", type=int, default=8, help="corpus size")
     v.add_argument("--p", default="1.333,2,4", help="integrability exponents")
@@ -92,7 +91,6 @@ def _cmd_verify(args) -> int:
     cfg = SuiteConfig(
         dim=args.dim,
         bandlimit=args.bandlimit,
-        oversample=args.oversample,
         seed=args.seed,
         corpus_size=args.size,
         p_list=_parse_floats(args.p),

@@ -193,9 +193,7 @@ def interp_norm_from_curve(curve: KCurve, theta: float, q: float) -> float:
         return float(weighted.max())
     logt = np.log(t)
     integrand = weighted**q
-    body = np.trapezoid(integrand, logt) if hasattr(np, "trapezoid") else np.trapz(
-        integrand, logt
-    )
+    body = np.trapezoid(integrand, logt)
     # Euler-Maclaurin endpoint correction with the envelope's limiting slopes:
     # K ~ t below the grid (integrand slope (1-theta) q) and K ~ const above
     # (slope -theta q)

@@ -3,11 +3,12 @@
 The continuum is modeled by the torus [0, L)^n with default L = 2*pi, so mode
 k carries the frequency xi = (2*pi/L) * k and every Fourier multiplier acts
 exactly on the finitely many stored modes.  Quadrature error only enters via
-oversampled grids.
+sampled grids, and only where no grid is exact (see exact_grid).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
@@ -56,8 +57,8 @@ def make_lattice(n: int, K: int, L: float = TWO_PI) -> Lattice:
         raise InvalidParameter(f"dimension must be >= 1, got {n}")
     if K < 1:
         raise InvalidParameter(f"bandlimit must be >= 1, got {K}")
-    if not (L > 0):
-        raise InvalidParameter(f"period must be positive, got {L}")
+    if not (math.isfinite(L) and L > 0):
+        raise InvalidParameter(f"period must be positive and finite, got {L}")
     return Lattice(int(n), int(K), float(L))
 
 
@@ -65,6 +66,31 @@ def default_oversample(lat: Lattice, factor: int = 4) -> int:
     """Samples per axis: factor * 2K rounded up to a power of two."""
     target = max(factor * 2 * lat.K, 2 * lat.K + 2)
     return 1 << (target - 1).bit_length()
+
+
+def exact_grid(lat: Lattice, p: float, whole: bool = True) -> int:
+    """Samples per axis for the rectangle rule of the integral of |u|^p.
+
+    For even integer p on the whole torus, |u|^p = (u conj(u))^(p/2) is
+    band-limited at pK, so the rectangle rule is exact on every M > pK; this
+    returns the smallest 2*3*5-smooth such M that is also at least 2K+2, the
+    floor of sample_grid.  Every other exponent, and the strip's half
+    interval (whole=False), has no exact grid and gets default_oversample.
+    """
+    if not (whole and math.isfinite(p) and p % 2 == 0):
+        return default_oversample(lat)
+    M = max(int(p) * lat.K + 1, 2 * lat.K + 2)
+    while not _is_smooth(M):
+        M += 1
+    return M
+
+
+def _is_smooth(m: int) -> bool:
+    """True when m has no prime factor above 5 (a fast FFT length)."""
+    for f in (2, 3, 5):
+        while m % f == 0:
+            m //= f
+    return m == 1
 
 
 @lru_cache(maxsize=128)
@@ -334,7 +360,7 @@ def field_from_dict(data: dict) -> Field:
     try:
         lat = make_lattice(int(data["n"]), int(data["K"]), float(data["L"]))
         modes = data["modes"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidParameter) as exc:
         raise IoError(f"malformed field data: {exc}") from exc
     u = zero_field(lat)
     seen = set()
@@ -347,7 +373,10 @@ def field_from_dict(data: dict) -> Field:
         seen.add(k)
         if any(abs(c) > lat.K for c in k):
             raise IoError(f"mode {k} outside bandlimit {lat.K}")
-        u.coef[tuple(c + lat.K for c in k)] = complex(float(row[-2]), float(row[-1]))
+        amp = complex(float(row[-2]), float(row[-1]))
+        if not cmath.isfinite(amp):
+            raise IoError(f"mode {k} has a non-finite amplitude {amp}")
+        u.coef[tuple(c + lat.K for c in k)] = amp
     return u
 
 

@@ -1,11 +1,14 @@
 """Norm functionals: Lebesgue, Besov, Sobolev (potential), Triebel-type, and
 the frequency-block duality pairing.
 
-All L^p quadrature uses the rectangle rule on the oversampled grid, which is
-exact for band-limited integrands on the full torus.  Half-space norms
-restrict the quadrature to the strip 0 <= x_n < L/2.  Identities needing
-exact integrals over the strip (pairings of band-limited products) go through
-spectral half-period weights instead.
+Each L^p quadrature is chosen by exactness.  On the whole torus the p = 2
+norm is the Plancherel mode sum and samples no grid.  For other even integer
+p, |u|^p (and the square function's g^p) is band-limited at pK, so the
+rectangle rule on the smallest grid with M > pK (lattice.exact_grid) is
+exact.  Every other p, and the half-space strip 0 <= x_n < L/2, keep the
+rectangle rule on the oversampled grid, the one approximate quadrature.
+Identities needing exact integrals over the strip (pairings of band-limited
+products) go through spectral half-period weights instead.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .lattice import (
     Field,
     Lattice,
     default_oversample,
+    exact_grid,
     is_homogeneous_admissible,
     sample_grid,
 )
@@ -48,6 +52,8 @@ class SpaceSpec:
             raise InvalidParameter(f"unknown family {self.family!r}")
         if self.domain not in DOMAINS:
             raise InvalidParameter(f"unknown domain {self.domain!r}")
+        if not math.isfinite(self.s):
+            raise InvalidParameter(f"s must be finite, got {self.s}")
         _check_exponent(self.p, "p")
         if self.family in ("B", "Bdot"):
             _check_exponent(self.q, "q")
@@ -94,28 +100,30 @@ def get_family(lat: Lattice) -> DyadicFamily:
 # ---------------------------------------------------------------------------
 
 
-def _domain_values(u: Field, domain: str, M: int | None) -> tuple[np.ndarray, float, int]:
-    lat = u.lattice
-    M = M or default_oversample(lat)
-    values = sample_grid(u, M).values
-    if domain == "halfspace":
-        values = values[..., : M // 2]
-    weight = (lat.L / M) ** lat.n
-    return values, weight, M
-
-
 def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> float:
-    """Rectangle-rule L^p norm over the torus or the strip 0 <= x_n < L/2."""
+    """L^p norm over the torus or the strip 0 <= x_n < L/2.
+
+    "halfspace_zero" (zero-extended functions) is the whole-torus norm.  On
+    the whole torus, p = 2 without an explicit M is the Plancherel sum
+    L^(n/2) sqrt(sum |c_k|^2).  Otherwise the rectangle rule runs on M
+    samples per axis, by default lattice.exact_grid: exact for even integer
+    p on the whole torus, oversampled for every other p and on the strip.
+    """
     _check_exponent(p, "p")
     if domain not in DOMAINS:
         raise InvalidParameter(f"unknown domain {domain!r}")
-    if domain == "halfspace_zero":
-        domain = "whole"  # induced norm of zero-extended functions
-    values, weight, _ = _domain_values(u, domain, M)
+    lat = u.lattice
+    whole = domain != "halfspace"
+    if whole and p == 2.0 and M is None:
+        return float(lat.L ** (lat.n / 2.0) * np.linalg.norm(u.coef.ravel()))
+    M = M or exact_grid(lat, p, whole)
+    values = sample_grid(u, M).values
+    if not whole:
+        values = values[..., : M // 2]
     mags = np.abs(values)
     if math.isinf(p):
         return float(mags.max()) if mags.size else 0.0
-    return float((weight * np.sum(mags**p)) ** (1.0 / p))
+    return float(((lat.L / M) ** lat.n * np.sum(mags**p)) ** (1.0 / p))
 
 
 def halfspace_product_integral(
@@ -220,19 +228,24 @@ def sobolev_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
 
 def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
                  M: int | None = None) -> float:
-    """Square-function norm: pointwise l2 over scales of 2^{js} blocks, then L^p."""
+    """Square-function norm: pointwise l2 over scales of 2^{js} blocks, then L^p.
+
+    The grid is lattice.exact_grid, as in lp_norm: g^p is band-limited at pK
+    for even integer p, so its rectangle rule on the whole torus is exact.
+    """
     _check_exponent(p, "p")
     _require_admissible(u, "square-function norm")
     lat = u.lattice
     fam = get_family(lat)
-    M = M or default_oversample(lat)
+    whole = domain != "halfspace"
+    M = M or exact_grid(lat, p, whole)
     agg = None
     for j in fam.j_range:
         vals = sample_grid(delta_dot(u, j, fam), M).values
         term = 4.0 ** (j * s) * np.abs(vals) ** 2
         agg = term if agg is None else agg + term
     g = np.sqrt(agg)
-    if domain == "halfspace":
+    if not whole:
         g = g[..., : M // 2]
     if math.isinf(p):
         return float(g.max())

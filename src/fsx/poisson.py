@@ -146,9 +146,7 @@ def poisson_besov_norm(
         return float(max(weighted.max(), tgrid[0] ** s * g0))
     integrand = weighted**q
     logt = np.log(tgrid)
-    body = np.trapezoid(integrand, logt) if hasattr(np, "trapezoid") else np.trapz(
-        integrand, logt
-    )
+    body = np.trapezoid(integrand, logt)
     # Euler-Maclaurin endpoint correction: at the lower edge the integrand
     # still behaves like t^(sq) (log-derivative s q), at the upper edge it is
     # exponentially dead

@@ -47,7 +47,7 @@ from .lattice import (
     xi_norm_sq,
     zero_field,
 )
-from .multipliers import derivative, gradient, laplacian
+from .multipliers import derivative, fractional_laplacian, gradient, laplacian
 from .norms import (
     SpaceSpec,
     besov_norm,
@@ -77,7 +77,6 @@ TWO_PI = 2.0 * math.pi
 class SuiteConfig:
     dim: int = 2
     bandlimit: int = 32
-    oversample: int = 4
     seed: int = 42
     period: float = TWO_PI
     corpus_size: int = 8
@@ -89,8 +88,6 @@ class SuiteConfig:
             raise ConfigError("dim and bandlimit must be positive")
         if self.corpus_size < 1:
             raise ConfigError("corpus size must be >= 1")
-        if self.oversample < 1:
-            raise ConfigError("oversample factor must be >= 1")
 
     def lattice(self) -> Lattice:
         return make_lattice(self.dim, self.bandlimit, self.period)
@@ -102,7 +99,6 @@ def _report(name: str, cfg: SuiteConfig, verifies: list[str]) -> Report:
         params={
             "dim": cfg.dim,
             "bandlimit": cfg.bandlimit,
-            "oversample": cfg.oversample,
             "seed": cfg.seed,
             "corpus_size": cfg.corpus_size,
         },
@@ -221,6 +217,7 @@ def suite_plancherel(cfg: SuiteConfig) -> Report:
     lat = cfg.lattice()
     corpus = _random_corpus(cfg)
     r2 = xi_norm_sq(lat)
+    M = default_oversample(lat)
     for s in cfg.s_list:
         worst_pl, worst_grad = 0.0, 0.0
         for u in corpus.fields:
@@ -229,7 +226,9 @@ def suite_plancherel(cfg: SuiteConfig) -> Report:
             plancherel = math.sqrt(
                 lat.L**lat.n * float(np.sum(mass[mask] * r2[mask] ** s))
             )
-            direct = sobolev_norm(u, SpaceSpec("Hdot", s=s, p=2.0))
+            # sobolev_norm at p=2 is itself a mode sum; an explicit M makes
+            # lp_norm sample the grid, so the rectangle rule is what is checked
+            direct = lp_norm(fractional_laplacian(u, s), 2.0, M=M)
             worst_pl = max(worst_pl, abs(direct - plancherel) / plancherel)
             grad_sq = sum(
                 sobolev_norm(d, SpaceSpec("Hdot", s=s, p=2.0)) ** 2 for d in gradient(u)
@@ -527,6 +526,13 @@ def suite_strichartz_indicator(cfg: SuiteConfig) -> Report:
     return rep
 
 
+def _strip_wave(lat: Lattice, r: int, odd: bool) -> Field:
+    """exp(i x_1) sin(r x_n) if odd, else exp(i x_1) cos(r x_n), in any dimension."""
+    up = plane_wave(lat, (1,) + (0,) * (lat.n - 2) + (r,)).coef
+    down = plane_wave(lat, (1,) + (0,) * (lat.n - 2) + (-r,)).coef
+    return Field(lat, up / 2j - down / 2j if odd else (up + down) / 2.0)
+
+
 def _one_sided_bump(lat: Lattice, lower: bool = False) -> Field:
     center = lat.L / 4.0
     return bump_field(lat, -center if lower else center, DEFAULT_BUMP_SIGMA)
@@ -569,22 +575,16 @@ def suite_reflection(cfg: SuiteConfig) -> Report:
         worst = max(worst, err - 10.0 * res)
     rep.add_case("restriction_identity", worst, 1e-10, worst <= 1e-10)
 
-    sine = make_half_field(
-        Field(lat, plane_wave(lat, (1, 2)).coef / 2j - plane_wave(lat, (1, -2)).coef / 2j)
-    )
+    sine = make_half_field(_strip_wave(lat, 2, odd=True))
     _, res_odd = reflect_parity(sine, "odd")
-    cosine = make_half_field(
-        Field(lat, (plane_wave(lat, (1, 1)).coef + plane_wave(lat, (1, -1)).coef) / 2.0)
-    )
+    cosine = make_half_field(_strip_wave(lat, 1, odd=False))
     _, res_even = reflect_parity(cosine, "even")
     rep.add_case("parity_exact_on_series", max(res_odd, res_even), 1e-12,
                  max(res_odd, res_even) <= 1e-12)
 
     _, res_mismatch_main = reflect_parity(cosine, "odd")
     big = make_lattice(cfg.dim, 2 * cfg.bandlimit, cfg.period)
-    cos_big = make_half_field(
-        Field(big, (plane_wave(big, (1, 1)).coef + plane_wave(big, (1, -1)).coef) / 2.0)
-    )
+    cos_big = make_half_field(_strip_wave(big, 1, odd=False))
     _, res_mismatch_big = reflect_parity(cos_big, "odd")
     rep.constants["odd_of_cosine_residual_main"] = res_mismatch_main
     rep.constants["odd_of_cosine_residual_big"] = res_mismatch_big
@@ -924,12 +924,8 @@ def suite_bvp(cfg: SuiteConfig) -> Report:
     rep.add_case("energy_accretive", a.real, math.inf, ok)
     from .norms import halfspace_product_integral
 
-    u1 = make_half_field(
-        Field(lat, plane_wave(lat, (1, 1)).coef / 2j - plane_wave(lat, (1, -1)).coef / 2j)
-    )
-    v1 = make_half_field(
-        Field(lat, plane_wave(lat, (1, 2)).coef / 2j - plane_wave(lat, (1, -2)).coef / 2j)
-    )
+    u1 = make_half_field(_strip_wave(lat, 1, odd=True))
+    v1 = make_half_field(_strip_wave(lat, 2, odd=True))
     lhs = energy_form(u1, v1)
     rhs = halfspace_product_integral(-1.0 * laplacian(u1.field), v1.field, conjugate=True)
     err = abs(lhs - rhs)

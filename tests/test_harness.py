@@ -178,3 +178,34 @@ class TestCli:
         rc = cli_main(["norm", "--input", str(tmp_path / "missing.json"),
                        "--space", "Lp:p=2"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "K": 4, "L": math.inf, "modes": [[1, 0, 1.0, 0.0]]},
+            {"n": 2, "K": 4, "L": 2 * math.pi, "modes": [[1, 0, math.nan, 0.0]]},
+        ],
+    )
+    def test_nonfinite_field_file_refused(self, tmp_path, capsys, data):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))  # json writes Infinity / NaN literals
+        rc = cli_main(["norm", "--input", str(path), "--space", "Lp:p=2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "zero-mean" not in err
+
+    def test_nan_regularity_refused(self, tmp_path, capsys):
+        lat = make_lattice(2, 8)
+        path = str(tmp_path / "u.json")
+        save_field(field_from_modes(lat, {(1, 1): 1.0}), path)
+        rc = cli_main(["norm", "--input", path, "--space", "Hdot:s=nan,p=2"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("suite", ["reflection", "bvp"])
+    def test_half_space_suites_run_in_dim3(self, tmp_path, capsys, suite):
+        out = str(tmp_path / "rep.json")
+        rc = cli_main(["verify", "--suite", suite, "--dim", "3", "--bandlimit", "8",
+                       "--size", "1", "--out", out])
+        assert rc in (0, 1)
+        assert read_report(out)["params"]["dim"] == 3

@@ -6,9 +6,11 @@ import pytest
 
 from fsx.errors import AliasingRisk, BandlimitExceeded, InvalidParameter, IoError
 from fsx.lattice import (
+    default_oversample,
     dilate,
     evaluate,
     evaluate_points,
+    exact_grid,
     field_from_dict,
     field_from_modes,
     field_to_dict,
@@ -55,7 +57,9 @@ class TestMakeLattice:
         lat = make_lattice(3, 8, 2 * TWO_PI)
         assert lat.freq_scale == pytest.approx(0.5, abs=0)
 
-    @pytest.mark.parametrize("bad", [(0, 4, TWO_PI), (2, 0, TWO_PI), (2, 4, -1.0)])
+    @pytest.mark.parametrize(
+        "bad", [(0, 4, TWO_PI), (2, 0, TWO_PI), (2, 4, -1.0), (2, 4, math.inf), (2, 4, math.nan)]
+    )
     def test_invalid(self, bad):
         with pytest.raises(InvalidParameter):
             make_lattice(*bad)
@@ -265,3 +269,49 @@ class TestFieldIO:
         data = {"n": 1, "K": 2, "L": TWO_PI, "modes": [[5, 1.0, 0.0]]}
         with pytest.raises(IoError):
             field_from_dict(data)
+
+    @pytest.mark.parametrize("L", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_period_rejected(self, L):
+        data = {"n": 2, "K": 4, "L": L, "modes": [[1, 0, 1.0, 0.0]]}
+        with pytest.raises(IoError):
+            field_from_dict(data)
+
+    @pytest.mark.parametrize("re, im", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_nonfinite_amplitude_rejected(self, re, im):
+        data = {"n": 2, "K": 4, "L": TWO_PI, "modes": [[1, 0, re, im]]}
+        with pytest.raises(IoError):
+            field_from_dict(data)
+
+
+class TestExactGrid:
+    @staticmethod
+    def smooth(m):
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        return m == 1
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("K", [1, 2, 7, 8, 16, 31, 32, 64])
+    def test_smallest_smooth_grid_above_pK(self, K, p):
+        lat = make_lattice(2, K)
+        M = exact_grid(lat, p)
+        assert self.smooth(M)
+        assert M > p * K and M >= 2 * K + 2
+        assert not any(
+            self.smooth(m) for m in range(max(int(p) * K + 1, 2 * K + 2), M)
+        )
+
+    def test_desk_sizes(self):
+        lat = make_lattice(2, 32)
+        assert exact_grid(lat, 4.0) == 135
+        assert exact_grid(lat, 2.0) == 72
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0, math.inf])
+    def test_no_exact_grid_falls_back(self, p):
+        lat = make_lattice(2, 32)
+        assert exact_grid(lat, p) == default_oversample(lat)
+
+    def test_strip_falls_back(self):
+        lat = make_lattice(2, 32)
+        assert exact_grid(lat, 4.0, whole=False) == default_oversample(lat)

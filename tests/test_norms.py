@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import fsx.norms as fsx_norms
 from fsx.dyadic import annulus_values
-from fsx.errors import HomogeneousDCViolation, InvalidExponent, InvalidParameter
+from fsx.errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from fsx.lattice import (
+    Field,
+    default_oversample,
     field_from_modes,
     make_lattice,
     plane_wave,
@@ -72,6 +75,62 @@ class TestLpNorm:
         lat = make_lattice(1, 2)
         with pytest.raises(InvalidExponent):
             lp_norm(plane_wave(lat, (1,)), 0.5)
+
+
+def random_field(lat, seed):
+    """Dense random field, DC mode included."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape)
+    return Field(lat, coef)
+
+
+def rectangle_rule(u, p, M):
+    values = sample_grid(u, M).values
+    return float(((u.lattice.L / M) ** u.lattice.n * np.sum(np.abs(values) ** p)) ** (1 / p))
+
+
+class TestExactQuadrature:
+    @pytest.mark.parametrize("n, K", [(2, 16), (2, 32), (3, 6)])
+    def test_plancherel_matches_rectangle_rule(self, n, K):
+        lat = make_lattice(n, K)
+        for seed in range(3):
+            u = random_field(lat, seed)
+            want = rectangle_rule(u, 2.0, default_oversample(lat))
+            for domain in ("whole", "halfspace_zero"):
+                assert lp_norm(u, 2.0, domain) == pytest.approx(want, rel=1e-13)
+
+    def test_plancherel_samples_no_grid(self, monkeypatch):
+        lat = make_lattice(2, 16)
+        u = random_field(lat, 1)
+        want = lp_norm(u, 2.0)
+
+        def refuse(*args):
+            raise AssertionError("p=2 on the whole torus sampled a grid")
+
+        monkeypatch.setattr(fsx_norms, "sample_grid", refuse)
+        assert lp_norm(u, 2.0) == want
+
+    @pytest.mark.parametrize("p", [4.0, 6.0])
+    def test_even_p_exact_grid_matches_fine_grid(self, p):
+        lat = make_lattice(2, 32)
+        for seed in range(3):
+            u = random_field(lat, seed)
+            assert lp_norm(u, p) == pytest.approx(lp_norm(u, p, M=256), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_triebel_exact_grid_matches_fine_grid(self, p):
+        lat = make_lattice(2, 32)
+        for seed in range(3):
+            u, _ = random_zero_dc(lat, seed, count=40)
+            for s in (-0.5, 0.7):
+                fine = triebel_norm(u, s, p, M=256)
+                assert triebel_norm(u, s, p) == pytest.approx(fine, rel=1e-12)
+
+    def test_explicit_coarse_grid_still_refused(self):
+        lat = make_lattice(2, 16)
+        u = random_field(lat, 2)
+        with pytest.raises(AliasingRisk):
+            lp_norm(u, 2.0, M=2 * lat.K + 1)
 
 
 class TestSeqNorm:
@@ -304,6 +363,11 @@ class TestSpecParsing:
     def test_bad_family(self):
         with pytest.raises(InvalidParameter):
             parse_space_spec("Xdot:s=1,p=2")
+
+    @pytest.mark.parametrize("text", ["Hdot:s=nan,p=2", "Bdot:s=inf,p=2,q=1"])
+    def test_nonfinite_regularity(self, text):
+        with pytest.raises(InvalidParameter):
+            parse_space_spec(text)
 
     def test_space_norm_dispatch(self):
         lat = make_lattice(2, 16)
