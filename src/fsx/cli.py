@@ -16,7 +16,7 @@ import sys
 
 from .errors import ConfigError, FsxError
 from .halfspace import make_half_field
-from .lattice import Lattice, load_field, save_field
+from .lattice import load_field, save_field
 from .norms import parse_space_spec, space_norm
 from .report import Report, write_report
 from .solvers import (
@@ -158,11 +158,8 @@ def _cmd_solve(args) -> int:
             },
         )
     else:
-        lat = None
-        if f is None and g is not None:
-            lat = Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)
         solver = bvp_dirichlet if args.problem.startswith("dirichlet") else bvp_neumann
-        sol = solver(make_half_field(f) if f is not None else None, g, lat=lat)
+        sol = solver(make_half_field(f) if f is not None else None, g)
         mat, residual = sol.materialize()
         save_field(
             mat.field,

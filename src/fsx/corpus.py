@@ -48,63 +48,64 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
 
 
-def _decay_weights(lat: Lattice, d: float) -> np.ndarray:
-    return (1.0 + xi_norm(lat) / lat.freq_scale) ** (-d)
+# Algebraic decay exponent of every random amplitude: |c_k| ~ (1 + |k|)^-DECAY.
+DECAY = 2.0
 
 
-def random_field(
-    lat: Lattice, rng: np.random.Generator, decay: float = 2.0, zero_dc: bool = True
-) -> Field:
-    shape = lat.mode_shape
-    coef = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    coef *= _decay_weights(lat, decay)
-    if zero_dc:
-        coef[(lat.K,) * lat.n] = 0.0
+def _decay_weights(lat: Lattice) -> np.ndarray:
+    return (1.0 + xi_norm(lat) / lat.freq_scale) ** (-DECAY)
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+
+
+def random_field(lat: Lattice, rng: np.random.Generator) -> Field:
+    """Zero-mean field with independent complex-normal, decaying amplitudes."""
+    coef = _complex_normal(rng, lat.mode_shape)
+    coef *= _decay_weights(lat)
+    coef[(lat.K,) * lat.n] = 0.0
     return Field(lat, coef)
 
 
-def sine_strip_field(
-    lat: Lattice, rng: np.random.Generator, decay: float = 2.0
-) -> Field:
-    """Sum of sin(m x_n) * exp(i xi' . x') modes; vanishes at x_n in {0, L/2}."""
+def _strip_series(lat: Lattice, rng: np.random.Generator, odd: bool) -> Field:
+    """Sum over m of sin(m x_n) (odd) or cos(m x_n) times a random x'-profile.
+
+    Each m draws its profile in turn, m = 1..K for sines and m = 0..K for
+    cosines; the cosine series has its mean removed.
+    """
     u = zero_field(lat)
     K = lat.K
     horiz = lat.mode_shape[:-1]
-    for m in range(1, K + 1):
-        amp = (rng.standard_normal(horiz) + 1j * rng.standard_normal(horiz)) / math.sqrt(2)
-        kprime_sq = np.zeros(horiz)
-        for a in range(lat.n - 1):
-            shape = [1] * (lat.n - 1)
-            shape[a] = 2 * K + 1
-            kprime_sq = kprime_sq + (k_axis(K).astype(float) ** 2).reshape(shape)
-        weight = (1.0 + np.sqrt(kprime_sq + m * m)) ** (-decay)
-        u.coef[..., K + m] += amp * weight / 2j
-        u.coef[..., K - m] -= amp * weight / 2j
-    return u
-
-
-def cosine_strip_field(
-    lat: Lattice, rng: np.random.Generator, decay: float = 2.0
-) -> Field:
-    """Sum of cos(m x_n) * exp(i xi' . x') modes; zero normal derivative at x_n = 0."""
-    u = zero_field(lat)
-    K = lat.K
-    horiz = lat.mode_shape[:-1]
-    for m in range(0, K + 1):
-        amp = (rng.standard_normal(horiz) + 1j * rng.standard_normal(horiz)) / math.sqrt(2)
-        kprime_sq = np.zeros(horiz)
-        for a in range(lat.n - 1):
-            shape = [1] * (lat.n - 1)
-            shape[a] = 2 * K + 1
-            kprime_sq = kprime_sq + (k_axis(K).astype(float) ** 2).reshape(shape)
-        weight = (1.0 + np.sqrt(kprime_sq + m * m)) ** (-decay)
-        if m == 0:
-            u.coef[..., K] += amp * weight
+    kprime_sq = np.zeros(horiz)
+    for a in range(lat.n - 1):
+        shape = [1] * (lat.n - 1)
+        shape[a] = 2 * K + 1
+        kprime_sq = kprime_sq + (k_axis(K).astype(float) ** 2).reshape(shape)
+    for m in range(1 if odd else 0, K + 1):
+        amp = _complex_normal(rng, horiz)
+        c = amp * (1.0 + np.sqrt(kprime_sq + m * m)) ** (-DECAY)
+        if odd:
+            u.coef[..., K + m] += c / 2j
+            u.coef[..., K - m] -= c / 2j
+        elif m == 0:
+            u.coef[..., K] += c
         else:
-            u.coef[..., K + m] += amp * weight / 2
-            u.coef[..., K - m] += amp * weight / 2
-    u.coef[(K,) * lat.n] = 0.0  # zero mean, so inverse-Laplacian problems are solvable
+            u.coef[..., K + m] += c / 2
+            u.coef[..., K - m] += c / 2
+    if not odd:
+        u.coef[(K,) * lat.n] = 0.0  # zero mean, so inverse-Laplacian problems are solvable
     return u
+
+
+def sine_strip_field(lat: Lattice, rng: np.random.Generator) -> Field:
+    """Sum of sin(m x_n) * exp(i xi' . x') modes; vanishes at x_n in {0, L/2}."""
+    return _strip_series(lat, rng, odd=True)
+
+
+def cosine_strip_field(lat: Lattice, rng: np.random.Generator) -> Field:
+    """Sum of cos(m x_n) * exp(i xi' . x') modes; zero normal derivative at x_n = 0."""
+    return _strip_series(lat, rng, odd=False)
 
 
 def gaussian_bump_profile(lat: Lattice, center: float, sigma: float) -> np.ndarray:
@@ -166,16 +167,12 @@ def corpus_bump_sigma(lat: Lattice) -> float:
     return max(DEFAULT_BUMP_SIGMA, 6.5 / (lat.freq_scale * (lat.K + 1)))
 
 
-def boundary_bump_field(
-    lat: Lattice, rng: np.random.Generator, decay: float = 2.0
-) -> Field:
+def boundary_bump_field(lat: Lattice, rng: np.random.Generator) -> Field:
     """Even vertical bump at x_n = +-L/8 times a zero-mean horizontal profile."""
     horiz = None
     if lat.n > 1:
-        shape = lat.mode_shape[:-1]
-        horiz = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-        blat = Lattice(lat.n - 1, lat.K, lat.L)
-        horiz *= (1.0 + xi_norm(blat) / lat.freq_scale) ** (-decay)
+        horiz = _complex_normal(rng, lat.mode_shape[:-1])
+        horiz *= _decay_weights(lat.boundary())
         horiz[(lat.K,) * (lat.n - 1)] = 0.0
     return bump_field(lat, lat.L / 8.0, corpus_bump_sigma(lat), horizontal=horiz, even=True)
 
@@ -191,9 +188,7 @@ def _plane_wave_field(lat: Lattice, rng: np.random.Generator, taken: set) -> Fie
     return u
 
 
-def generate_corpus(
-    seed: int, kind: str, size: int, lat: Lattice, decay: float = 2.0
-) -> Corpus:
+def generate_corpus(seed: int, kind: str, size: int, lat: Lattice) -> Corpus:
     """Deterministic corpus; identical (seed, kind, size, lattice) give identical fields."""
     if size < 1:
         raise InvalidParameter(f"corpus size must be >= 1, got {size}")
@@ -204,13 +199,13 @@ def generate_corpus(
     for i in range(size):
         rng = _rng(seed, i)
         if kind == "random_bandlimited":
-            fields.append(random_field(lat, rng, decay))
+            fields.append(random_field(lat, rng))
         elif kind == "sine_strip":
-            fields.append(sine_strip_field(lat, rng, decay))
+            fields.append(sine_strip_field(lat, rng))
         elif kind == "cosine_strip":
-            fields.append(cosine_strip_field(lat, rng, decay))
+            fields.append(cosine_strip_field(lat, rng))
         elif kind == "boundary_bump":
-            fields.append(boundary_bump_field(lat, rng, decay))
+            fields.append(boundary_bump_field(lat, rng))
         else:
             fields.append(_plane_wave_field(lat, rng, taken))
     return Corpus(seed, kind, size, lat, fields)

@@ -16,24 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyadic import smooth_cut
-from .errors import (
-    FsxError,
-    HomogeneousDCViolation,
-    IllConditioned,
-    InvalidParameter,
-    LeakageTooLarge,
-)
+from .errors import FsxError, IllConditioned, InvalidParameter, LeakageTooLarge
 from .lattice import (
     Field,
     Lattice,
     default_oversample,
-    is_homogeneous_admissible,
     project_bandlimited,
     sample_grid,
     sample_slices,
     SampleGrid,
 )
-from .norms import SpaceSpec, lp_norm, space_norm
+from .norms import SpaceSpec, lp_norm, norm_ignoring_mean
 
 MAX_REFLECTION_ORDER = 8
 MOMENT_TOL = 1e-9
@@ -94,17 +87,20 @@ def shifted_coefficients(rc: ReflectionCoeffs, ell: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HalfField:
-    """Field together with the declared half-domain and far-boundary leakage.
+    """Field declared as data on the upper half {0 <= x_n <= L/2}.
 
-    side "upper" declares data on {0 <= x_n <= L/2}; "lower" (internal, used
-    by the zero-boundary projection) declares data on {-L/2 <= x_n <= 0}.
     leakage is the absolute sup of |u| over the band of width L/16 hugging
-    the far face of the declared half.
+    the far face x_n = L/2, where the declared data should have died out.
     """
 
     field: Field
     leakage: float
-    side: str = "upper"
+
+
+def _samples(u: Field) -> tuple[int, np.ndarray]:
+    """The half-space grid size M and the (writable) samples of u on it."""
+    M = default_oversample(u.lattice)
+    return M, sample_grid(u, M).values
 
 
 def _signed_vertical(M: int, L: float) -> np.ndarray:
@@ -114,32 +110,21 @@ def _signed_vertical(M: int, L: float) -> np.ndarray:
     return np.where(j > M // 2, s - L, s)
 
 
-def _leakage_of_values(values: np.ndarray, M: int, side: str) -> float:
+def _leakage_of_values(values: np.ndarray, M: int) -> float:
     band = max(int(M * LEAKAGE_BAND), 1)
-    if side == "upper":
-        cols = np.arange(M // 2 - band, M // 2 + 1)
-    else:
-        cols = np.arange(M // 2, M // 2 + band + 1)
-    return float(np.max(np.abs(values[..., cols % M])))
-
-
-def make_half_field(f: Field, side: str = "upper", M: int | None = None) -> HalfField:
-    if side not in ("upper", "lower"):
-        raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
-    M = M or default_oversample(f.lattice)
-    values = sample_grid(f, M).values
-    return HalfField(f, _leakage_of_values(values, M, side), side)
-
-
-def half_peak(u: HalfField, M: int | None = None) -> float:
-    """Sup of |u| over the declared half (grid estimate)."""
-    M = M or default_oversample(u.field.lattice)
-    values = sample_grid(u.field, M).values
-    if u.side == "upper":
-        cols = np.arange(0, M // 2 + 1)
-    else:
-        cols = np.concatenate(([0], np.arange(M // 2, M)))
+    cols = np.arange(M // 2 - band, M // 2 + 1)
     return float(np.max(np.abs(values[..., cols])))
+
+
+def make_half_field(f: Field) -> HalfField:
+    M, values = _samples(f)
+    return HalfField(f, _leakage_of_values(values, M))
+
+
+def half_peak(u: HalfField) -> float:
+    """Sup of |u| over the upper half (grid estimate)."""
+    M, values = _samples(u.field)
+    return float(np.max(np.abs(values[..., : M // 2 + 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -163,77 +148,64 @@ def _check_leakage(u: HalfField, max_leakage: float | None) -> None:
         )
 
 
+def _mirror_sum(u: Field, coeffs: np.ndarray, heights: np.ndarray, M: int) -> np.ndarray:
+    """sum_j coeffs[j] u(x', -heights / (j+1)) on the x'-grid, heights on the last axis.
+
+    One exact slice evaluation per coefficient.
+    """
+    acc = None
+    for j, a in enumerate(coeffs):
+        slices = sample_slices(u, -heights / (j + 1), M)  # (T, M^{n-1})
+        part = a * np.moveaxis(slices, 0, -1) if u.lattice.n > 1 else a * slices
+        acc = part if acc is None else acc + part
+    return acc
+
+
 def extend_reflect(
     u: HalfField,
     m: int,
-    side: str = "upper",
     window: bool = False,
     ell: int = 0,
-    M: int | None = None,
     max_leakage: float | None = None,
 ) -> tuple[Field, float]:
-    """Higher-order reflection extension of half-domain data to the torus.
+    """Higher-order reflection extension of upper-half data to the torus.
 
-    side "upper" extends data on {x_n >= 0} downward; "lower" extends data on
-    {x_n <= 0} upward.  window multiplies the reflected part by a smooth
+    The lower half -L/2 < x_n < 0 is overwritten by the order-m combination
+    of mirrored samples.  window multiplies the reflected part by a smooth
     cutoff vanishing before the far face, suppressing the periodic seam.
     ell rescales the coefficients for the vertical-derivative commutation.
     Returns the projected field and the projection residual.
     """
-    if side not in ("upper", "lower"):
-        raise InvalidParameter(f"side must be 'upper' or 'lower', got {side!r}")
     _check_leakage(u, max_leakage)
     rc = reflection_coefficients(m)
     coeffs = shifted_coefficients(rc, ell) if ell else rc.alpha
     lat = u.field.lattice
-    M = M or default_oversample(lat)
+    M, values = _samples(u.field)
     sn = _signed_vertical(M, lat.L)
-    values = sample_grid(u.field, M).values.copy()
-
-    if side == "upper":
-        target = np.nonzero(sn < 0.0)[0]
-    else:
-        target = np.nonzero(sn > 0.0)[0]
-    base = sn[target]
-    acc = None
-    for j, a in enumerate(coeffs):
-        pts = -base / (j + 1)  # mirrored into the data half
-        slices = sample_slices(u.field, pts, M)  # (T, M^{n-1})
-        part = a * np.moveaxis(slices, 0, -1) if lat.n > 1 else a * slices
-        acc = part if acc is None else acc + part
+    lower = np.nonzero(sn < 0.0)[0]
+    acc = _mirror_sum(u.field, coeffs, sn[lower], M)
     if window:
-        acc = acc * _window_weights(sn[target], lat.L)
-    values[..., target] = acc
-    field, residual = project_bandlimited(SampleGrid(lat, M, values), lat)
-    return field, residual
+        acc = acc * _window_weights(sn[lower], lat.L)
+    values[..., lower] = acc
+    return project_bandlimited(SampleGrid(lat, M, values), lat)
 
 
 def reflect_parity(
-    u: HalfField,
-    parity: str,
-    M: int | None = None,
-    max_leakage: float | None = None,
+    u: HalfField, parity: str, max_leakage: float | None = None
 ) -> tuple[Field, float]:
     """Odd or even reflection across x_n = 0 (pure grid flip, then project)."""
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
     _check_leakage(u, max_leakage)
     lat = u.field.lattice
-    M = M or default_oversample(lat)
-    values = sample_grid(u.field, M).values.copy()
+    M, values = _samples(u.field)
     sign = -1.0 if parity == "odd" else 1.0
-    sn = _signed_vertical(M, lat.L)
-    if u.side == "upper":
-        target = np.nonzero(sn < 0.0)[0]
-    else:
-        target = np.nonzero(sn > 0.0)[0]
-    source = (M - target) % M  # grid point at the mirrored coordinate
-    values[..., target] = sign * values[..., source]
-    field, residual = project_bandlimited(SampleGrid(lat, M, values), lat)
-    return field, residual
+    lower = np.nonzero(_signed_vertical(M, lat.L) < 0.0)[0]
+    values[..., lower] = sign * values[..., M - lower]  # the mirrored grid point
+    return project_bandlimited(SampleGrid(lat, M, values), lat)
 
 
-def project_zero(u: Field, m: int, M: int | None = None) -> Field:
+def project_zero(u: Field, m: int) -> Field:
     """Projection onto fields vanishing on the open lower half -L/2 < x_n < 0.
 
     Subtracts the order-m reflection extension of the lower-half content:
@@ -242,30 +214,21 @@ def project_zero(u: Field, m: int, M: int | None = None) -> Field:
     """
     rc = reflection_coefficients(m)
     lat = u.lattice
-    M = M or default_oversample(lat)
+    M, values = _samples(u)
     sn = _signed_vertical(M, lat.L)
-    values = sample_grid(u, M).values.copy()
-    lower = np.nonzero(sn < 0.0)[0]
-    upper = np.nonzero(sn >= 0.0)[0]
-    acc = None
-    for j, a in enumerate(rc.alpha):
-        pts = -sn[upper] / (j + 1)  # in the closed lower half
-        slices = sample_slices(u, pts, M)
-        part = a * np.moveaxis(slices, 0, -1) if lat.n > 1 else a * slices
-        acc = part if acc is None else acc + part
-    values[..., upper] = values[..., upper] - acc
+    lower = sn < 0.0
+    upper = np.nonzero(~lower)[0]
+    acc = _mirror_sum(u, rc.alpha, sn[upper], M)
+    values[..., upper] -= acc
     values[..., lower] = 0.0
     field, _ = project_bandlimited(SampleGrid(lat, M, values), lat)
     return field
 
 
-def lower_half_defect(p0u: Field, M: int | None = None) -> float:
+def lower_half_defect(p0u: Field) -> float:
     """Sup of |v| over the open lower half; the projection's vanishing defect."""
-    lat = p0u.lattice
-    M = M or default_oversample(lat)
-    sn = _signed_vertical(M, lat.L)
-    values = sample_grid(p0u, M).values
-    return float(np.max(np.abs(values[..., sn < 0.0])))
+    M, values = _samples(p0u)
+    return float(np.max(np.abs(values[..., _signed_vertical(M, p0u.lattice.L) < 0.0])))
 
 
 def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
@@ -289,26 +252,14 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 
-def _strip_dc(f: Field) -> Field:
-    g = f.copy()
-    g.coef[(f.lattice.K,) * f.lattice.n] = 0.0
-    return g
-
-
-def _candidate_norm(f: Field, spec: SpaceSpec) -> float:
-    if spec.family in ("Hdot", "Bdot", "Fdot") and not is_homogeneous_admissible(f):
-        f = _strip_dc(f)  # homogeneous norms ignore additive constants
-    return space_norm(f, spec)
-
-
 def extension_candidates(
     u: HalfField, orders: tuple[int, ...] = (0, 1, 2, 3, 4)
 ) -> dict[str, tuple[Field, float]]:
     """Witness set of extensions: plain and windowed reflections, parities."""
     out: dict[str, tuple[Field, float]] = {}
     for m in orders:
-        out[f"E{m}"] = extend_reflect(u, m, side=u.side)
-        out[f"E{m}w"] = extend_reflect(u, m, side=u.side, window=True)
+        out[f"E{m}"] = extend_reflect(u, m)
+        out[f"E{m}w"] = extend_reflect(u, m, window=True)
     out["ED"] = reflect_parity(u, "odd")
     out["EN"] = reflect_parity(u, "even")
     return out
@@ -329,14 +280,9 @@ def restriction_norm(
     best = math.inf
     witness = ""
     for name, (cand, _res) in extension_candidates(u, orders).items():
-        try:
-            val = _candidate_norm(cand, whole)
-        except HomogeneousDCViolation:
-            continue
+        val = norm_ignoring_mean(cand, whole)
         if val < best:
             best, witness = val, name
-    if not witness:
-        raise HomogeneousDCViolation("no admissible extension candidate")
     if spec.family == "Lp":
         lower = lp_norm(u.field, spec.p, domain="halfspace")
         if best < lower * (1.0 - 1e-9):

@@ -17,8 +17,9 @@ import numpy as np
 
 from .dyadic import lowpass_values
 from .errors import FsxError, InvalidParameter, NotHilbertCouple, ZeroField
-from .lattice import Field, Lattice, xi_norm, xi_norm_sq
-from .norms import SpaceSpec, get_family, sobolev_norm, space_norm
+from .lattice import Field, Lattice, xi_norm_sq
+from .multipliers import potential_weight
+from .norms import SpaceSpec, get_family, norm_ignoring_mean, sobolev_norm
 
 T_EXPONENT = 20
 T_POINTS = 81
@@ -66,18 +67,10 @@ def _space_s(spec: SpaceSpec) -> float:
     return 0.0 if spec.family == "Lp" else spec.s
 
 
-def _strip_dc(u: Field) -> Field:
-    v = u.copy()
-    v.coef[(u.lattice.K,) * u.lattice.n] = 0.0
-    return v
-
-
 def _part_norm(part: Field, spec: SpaceSpec, ref_peak: float) -> float:
     if part.peak() <= 1e-14 * ref_peak:
         return 0.0
-    if spec.family in ("Hdot", "Bdot", "Fdot"):
-        part = _strip_dc(part)  # DC is invisible to homogeneous norms
-    return space_norm(part, spec)
+    return norm_ignoring_mean(part, spec)
 
 
 def split_candidates(u: Field, c: Couple) -> list[tuple[float, float, str]]:
@@ -107,14 +100,6 @@ def split_candidates(u: Field, c: Couple) -> list[tuple[float, float, str]]:
     return out
 
 
-def k_functional_upper(u: Field, c: Couple, t: float) -> float:
-    """Upper bound on K(t, u) from the candidate split set."""
-    if t <= 0:
-        raise InvalidParameter(f"t must be positive, got {t}")
-    cands = split_candidates(u, c)
-    return min(a + t * b for a, b, _ in cands)
-
-
 def k_curve_upper(u: Field, c: Couple, tgrid: np.ndarray | None = None) -> KCurve:
     tgrid = default_tgrid() if tgrid is None else np.asarray(tgrid, dtype=float)
     cands = split_candidates(u, c)
@@ -132,13 +117,8 @@ def _hilbert_weights(spec: SpaceSpec, lat: Lattice) -> np.ndarray:
         raise NotHilbertCouple(f"exact split functional needs p = 2, got p={spec.p}")
     if spec.family == "Lp":
         return np.ones(lat.mode_shape)
-    if spec.family == "Hdot":
-        r = xi_norm(lat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(r == 0.0, 0.0, r) ** spec.s
-        return np.where(r == 0.0, 0.0, w)
-    if spec.family == "H":
-        return (1.0 + xi_norm_sq(lat)) ** (0.5 * spec.s)
+    if spec.family in ("Hdot", "H"):
+        return potential_weight(xi_norm_sq(lat), spec.s, bessel=spec.family == "H")
     raise NotHilbertCouple(f"family {spec.family!r} is not a p=2 potential space")
 
 
@@ -159,18 +139,25 @@ def k_curve_exact_hilbert(
     return KCurve(tgrid, values, "exact_hilbert")
 
 
-def k_functional_exact_hilbert(u: Field, c: Couple, t: float) -> float:
-    if t <= 0:
-        raise InvalidParameter(f"t must be positive, got {t}")
-    curve = k_curve_exact_hilbert(u, c, np.array([t]))
-    return float(curve.values[0])
-
-
 def best_k_curve(u: Field, c: Couple, tgrid: np.ndarray | None = None) -> KCurve:
     try:
         return k_curve_exact_hilbert(u, c, tgrid)
     except NotHilbertCouple:
         return k_curve_upper(u, c, tgrid)
+
+
+def log_grid_integral(
+    t: np.ndarray, f: np.ndarray, slope_lo: float, slope_hi: float
+) -> float:
+    """Integral of f dt/t over a geometric grid t, by the trapezoid rule in log t.
+
+    The Euler-Maclaurin end correction uses the log-slopes of f at the two
+    ends (f ~ t^slope_lo at t[0], f ~ t^slope_hi at t[-1]).
+    """
+    logt = np.log(t)
+    body = np.trapezoid(f, logt)
+    h = (logt[-1] - logt[0]) / (len(logt) - 1)
+    return float(body - (h * h / 12.0) * (slope_hi * float(f[-1]) - slope_lo * float(f[0])))
 
 
 def interp_norm_from_curve(curve: KCurve, theta: float, q: float) -> float:
@@ -191,16 +178,8 @@ def interp_norm_from_curve(curve: KCurve, theta: float, q: float) -> float:
     weighted = t ** (-theta) * v
     if math.isinf(q):
         return float(weighted.max())
-    logt = np.log(t)
-    integrand = weighted**q
-    body = np.trapezoid(integrand, logt)
-    # Euler-Maclaurin endpoint correction with the envelope's limiting slopes:
-    # K ~ t below the grid (integrand slope (1-theta) q) and K ~ const above
-    # (slope -theta q)
-    h = (logt[-1] - logt[0]) / (len(logt) - 1)
-    body -= (h * h / 12.0) * (
-        (-theta * q) * float(integrand[-1]) - (1.0 - theta) * q * float(integrand[0])
-    )
+    # the envelope's limiting slopes: K ~ t below the grid, K ~ const above
+    body = log_grid_integral(t, weighted**q, (1.0 - theta) * q, -theta * q)
     t1, t2 = float(t[0]), float(t[-1])
     k1, k2 = float(v[0]), float(v[-1])
     lower = (k1**q) * t1 ** (-theta * q) / ((1.0 - theta) * q)

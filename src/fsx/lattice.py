@@ -184,12 +184,6 @@ def zero_field(lat: Lattice) -> Field:
     return Field(lat, np.zeros(lat.mode_shape, dtype=complex))
 
 
-def constant_field(lat: Lattice, value: complex) -> Field:
-    u = zero_field(lat)
-    u.coef[(lat.K,) * lat.n] = value
-    return u
-
-
 def plane_wave(lat: Lattice, k: tuple[int, ...], amp: complex = 1.0) -> Field:
     """Single mode amp * exp(i xi_k . x)."""
     k = tuple(int(c) for c in k)
@@ -211,6 +205,13 @@ def field_from_modes(lat: Lattice, modes: dict[tuple[int, ...], complex]) -> Fie
     return u
 
 
+def without_mean(u: Field) -> Field:
+    """u with its zero mode removed."""
+    v = u.copy()
+    v.coef[(u.lattice.K,) * u.lattice.n] = 0.0
+    return v
+
+
 def is_homogeneous_admissible(u: Field, tol: float = DC_TOL) -> bool:
     """Zero-DC surrogate for distributions with vanishing low-frequency part."""
     return abs(u.dc) <= tol * u.peak()
@@ -228,20 +229,6 @@ def evaluate(u: Field, x) -> complex:
         phase = np.exp(1j * xi * x[a])
         v = np.tensordot(v, phase, axes=([0], [0]))
     return complex(v)
-
-
-def evaluate_points(u: Field, pts: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate over an (m, n) array of points."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    n = u.lattice.n
-    letters = "abcdefgh"[:n]
-    spec = letters + "," + ",".join("m" + c for c in letters) + "->m"
-    phases = [
-        np.exp(1j * np.outer(pts[:, a], xi)) for a, xi in enumerate(xi_axes(u.lattice))
-    ]
-    return np.einsum(spec, u.coef, *phases)
 
 
 def sample_slices(u: Field, xn_values: np.ndarray, M: int) -> np.ndarray:
@@ -344,6 +331,9 @@ def dilate(u: Field, m: int) -> Field:
 
 AMPLITUDE_FLOOR = 1e-300
 
+# Largest mode count (2K+1)^n a field file may declare: 64 MiB of coefficients.
+MAX_FILE_MODES = 1 << 22
+
 
 def field_to_dict(u: Field) -> dict:
     lat = u.lattice
@@ -356,12 +346,29 @@ def field_to_dict(u: Field) -> dict:
     return {"n": lat.n, "K": lat.K, "L": lat.L, "modes": modes}
 
 
+def _whole_number(data: dict, key: str) -> int:
+    value = data[key]
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return whole
+
+
 def field_from_dict(data: dict) -> Field:
     try:
-        lat = make_lattice(int(data["n"]), int(data["K"]), float(data["L"]))
+        lat = make_lattice(
+            _whole_number(data, "n"), _whole_number(data, "K"), float(data["L"])
+        )
         modes = data["modes"]
     except (KeyError, TypeError, ValueError, OverflowError, InvalidParameter) as exc:
         raise IoError(f"malformed field data: {exc}") from exc
+    count = 1
+    for _ in range(lat.n):  # stops early: a huge n must not build a huge integer
+        count *= lat.modes_per_axis
+        if count > MAX_FILE_MODES:
+            raise IoError(
+                f"lattice n={lat.n}, K={lat.K} has more than {MAX_FILE_MODES} modes"
+            )
     u = zero_field(lat)
     seen = set()
     for row in modes:

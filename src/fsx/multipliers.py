@@ -9,28 +9,10 @@ otherwise the offending modes are zeroed.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import HomogeneousDCViolation, InvalidParameter, SpectrumHit
 from .lattice import DC_TOL, Field, Lattice, xi_axes, xi_norm, xi_norm_sq
-
-
-@dataclass(frozen=True)
-class Symbol:
-    """Fourier multiplier m(xi) with an explicit singular set.
-
-    fn maps the tuple of broadcastable frequency-component arrays to the
-    symbol values on the mode grid.  singular (optional) marks frequencies
-    where the symbol is undefined; None means defined everywhere.
-    """
-
-    fn: Callable[[tuple[np.ndarray, ...]], np.ndarray]
-    singular: Callable[[tuple[np.ndarray, ...]], np.ndarray] | None = None
-    name: str = "symbol"
 
 
 def _xi_components(lat: Lattice) -> tuple[np.ndarray, ...]:
@@ -56,33 +38,30 @@ def _apply_values(u: Field, values: np.ndarray, singular_mask, opname: str) -> F
     return Field(u.lattice, coef * values)
 
 
-def apply_symbol(u: Field, sym: Symbol) -> Field:
-    comps = _xi_components(u.lattice)
-    values = np.broadcast_to(np.asarray(sym.fn(comps)), u.lattice.mode_shape)
-    mask = None
-    if sym.singular is not None:
-        mask = np.broadcast_to(np.asarray(sym.singular(comps)), u.lattice.mode_shape)
-    return _apply_values(u, values, mask, sym.name)
+def potential_weight(rsq: np.ndarray, s: float, bessel: bool = False) -> np.ndarray:
+    """Per-mode weight of order s from the squared frequency radii rsq.
 
-
-def _zero_freq_mask(lat: Lattice) -> np.ndarray:
-    return xi_norm_sq(lat) == 0.0
+    Riesz |xi|^s is undefined where rsq = 0 and is set to 0 there, so the
+    caller must mask those modes; Bessel (1 + |xi|^2)^(s/2) is defined
+    everywhere.
+    """
+    if bessel:
+        return (1.0 + rsq) ** (0.5 * float(s))
+    zero = rsq == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(zero, 0.0, np.sqrt(rsq)) ** float(s)
+    return np.where(zero, 0.0, values)
 
 
 def fractional_laplacian(u: Field, s: float) -> Field:
     """(-Laplacian)^(s/2): multiplier |xi|^s, undefined at xi = 0."""
-    lat = u.lattice
-    r = xi_norm(lat)
-    mask = r == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(mask, 0.0, r) ** float(s)
-    values = np.where(mask, 0.0, values)
-    return _apply_values(u, values, mask, "fractional_laplacian")
+    rsq = xi_norm_sq(u.lattice)
+    return _apply_values(u, potential_weight(rsq, s), rsq == 0.0, "fractional_laplacian")
 
 
 def bessel_potential(u: Field, s: float) -> Field:
     """(I - Laplacian)^(s/2): multiplier (1 + |xi|^2)^(s/2), defined everywhere."""
-    values = (1.0 + xi_norm_sq(u.lattice)) ** (0.5 * float(s))
+    values = potential_weight(xi_norm_sq(u.lattice), s, bessel=True)
     return _apply_values(u, values, None, "bessel_potential")
 
 
@@ -111,6 +90,19 @@ def gradient(u: Field) -> list[Field]:
     return out
 
 
+def hessian(u: Field) -> list[Field]:
+    """All n^2 second derivatives d_a d_b u, row by row (mixed ones twice)."""
+    n = u.lattice.n
+    out = []
+    for a in range(n):
+        for b in range(n):
+            alpha = [0] * n
+            alpha[a] += 1
+            alpha[b] += 1
+            out.append(derivative(u, tuple(alpha)))
+    return out
+
+
 def horizontal_norm_sq(lat: Lattice) -> np.ndarray:
     """|xi'|^2 over the mode grid (all axes except the last, vertical one)."""
     comps = _xi_components(lat)
@@ -128,11 +120,7 @@ def horizontal_laplacian(u: Field) -> Field:
 def horizontal_fractional(u: Field, s: float) -> Field:
     """(-Laplacian')^(s/2): multiplier |xi'|^s, undefined on the plane xi' = 0."""
     rsq = horizontal_norm_sq(u.lattice)
-    mask = rsq == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(mask, 0.0, np.sqrt(rsq)) ** float(s)
-    values = np.where(mask, 0.0, values)
-    return _apply_values(u, values, mask, "horizontal_fractional")
+    return _apply_values(u, potential_weight(rsq, s), rsq == 0.0, "horizontal_fractional")
 
 
 def poisson_decay(u: Field, t: float) -> Field:
@@ -170,11 +158,3 @@ def resolvent_wholespace(f: Field, lam: complex) -> Field:
         )
     values = 1.0 / (lam + rsq)
     return _apply_values(f, values, None, "resolvent_wholespace")
-
-
-def sector_angle(lam: complex) -> float:
-    """|arg lam|; raises for lam = 0."""
-    lam = complex(lam)
-    if lam == 0:
-        raise InvalidParameter("lam = 0 has no argument")
-    return abs(cmath.phase(lam))

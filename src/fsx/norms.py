@@ -30,10 +30,12 @@ from .lattice import (
     exact_grid,
     is_homogeneous_admissible,
     sample_grid,
+    without_mean,
 )
 from .multipliers import bessel_potential, fractional_laplacian
 
 FAMILIES = ("Lp", "Hdot", "H", "Bdot", "B", "Fdot")
+HOMOGENEOUS = ("Hdot", "Bdot", "Fdot")
 DOMAINS = ("whole", "halfspace", "halfspace_zero")
 
 
@@ -126,23 +128,19 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
     return float(((lat.L / M) ** lat.n * np.sum(mags**p)) ** (1.0 / p))
 
 
-def halfspace_product_integral(
-    u: Field, v: Field, conjugate: bool = False, M: int | None = None
-) -> complex:
+def halfspace_product_integral(u: Field, v: Field, conjugate: bool = False) -> complex:
     """Exact integral of u * v (or u * conj v) over the strip 0 <= x_n < L/2.
 
     The product of two band-limited fields is band-limited at twice the
-    bandlimit, so its DFT on a grid with M >= 4K + 2 recovers the product's
-    modes exactly and the strip integral reduces to closed-form half-period
-    weights: L/2 at frequency zero, 0 at even vertical frequencies, and
-    i L / (pi r) at odd vertical frequency r.
+    bandlimit, so its DFT on the oversampled grid (M >= 8K >= 4K + 2)
+    recovers the product's modes exactly and the strip integral reduces to
+    closed-form half-period weights: L/2 at frequency zero, 0 at even
+    vertical frequencies, and i L / (pi r) at odd vertical frequency r.
     """
     lat = u.lattice
     if v.lattice != lat:
         raise InvalidParameter("fields live on different lattices")
-    M = M or default_oversample(lat)
-    if M < 4 * lat.K + 2:
-        raise InvalidParameter(f"M={M} too small for exact products (need 4K+2)")
+    M = default_oversample(lat)
     su = sample_grid(u, M).values
     sv = sample_grid(v, M).values
     prod = su * (np.conj(sv) if conjugate else sv)
@@ -162,25 +160,10 @@ def halfspace_product_integral(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WeightedSeq:
-    """Finitely supported nonnegative sequence with a dyadic weight exponent."""
-
-    entries: dict[int, float]
-    s: float = 0.0
-
-
-def seq_norm(a: Mapping[int, float] | WeightedSeq, s: float | None = None,
-             q: float = 2.0) -> float:
+def seq_norm(a: Mapping[int, float], s: float = 0.0, q: float = 2.0) -> float:
     """Weighted little-lp norm (sum_j (2^{js} a_j)^q)^(1/q), sup for q = inf."""
-    if isinstance(a, WeightedSeq):
-        entries = a.entries
-        s = a.s if s is None else s
-    else:
-        entries = dict(a)
-        s = 0.0 if s is None else s
     _check_exponent(q, "q")
-    terms = [2.0 ** (j * s) * float(v) for j, v in entries.items()]
+    terms = [2.0 ** (j * s) * float(v) for j, v in a.items()]
     if not terms:
         return 0.0
     if math.isinf(q):
@@ -303,3 +286,14 @@ def space_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
     if spec.family == "Fdot":
         return triebel_norm(u, spec.s, spec.p, spec.domain, M)
     raise InvalidParameter(f"unknown family {spec.family!r}")
+
+
+def norm_ignoring_mean(u: Field, spec: SpaceSpec) -> float:
+    """space_norm of u modulo constants for the homogeneous families.
+
+    Their norms do not see the zero mode, so it is removed rather than
+    refused; every other family sees u as it is.
+    """
+    if spec.family in HOMOGENEOUS:
+        u = without_mean(u)
+    return space_norm(u, spec)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionTooSmall, HomogeneousDCViolation, InvalidParameter
 from .halfspace import HalfField, _leakage_of_values
-from .interp import default_tgrid
+from .interp import default_tgrid, log_grid_integral
 from .lattice import (
     DC_TOL,
     Field,
@@ -27,6 +27,7 @@ from .lattice import (
     is_homogeneous_admissible,
     k_axis,
     project_bandlimited,
+    without_mean,
     xi_norm,
 )
 from .multipliers import fractional_laplacian, poisson_decay
@@ -67,30 +68,23 @@ def poisson_extend(g: Field) -> PoissonField:
     """Harmonic extension of zero-mean boundary data."""
     if not is_homogeneous_admissible(g, DC_TOL):
         raise HomogeneousDCViolation("harmonic extension needs zero-mean data")
-    h = g.copy()
-    h.coef[(g.lattice.K,) * g.lattice.n] = 0.0
-    return PoissonField(h)
+    return PoissonField(without_mean(g))
 
 
-def trace_poisson(pf: PoissonField) -> Field:
-    """Trace of the harmonic extension: recovers the boundary data exactly."""
-    return pf.slice_field(0.0)
-
-
-def materialize_poisson(
-    pf: PoissonField, lat: Lattice, M: int | None = None
-) -> tuple[HalfField, float]:
+def materialize_poisson(pf: PoissonField, lat: Lattice) -> tuple[HalfField, float]:
     """Sample the extension over the torus grid and project to the lattice.
 
-    The profile keeps decaying past x_n = L/2, so the far face carries leakage
-    of order exp(-(L/2) |xi'|) and the periodic seam at x_n = 0/L carries a
-    jump of order exp(-L |xi'|); both are reported (leakage on the HalfField,
-    seam damage in the projection residual).
+    The profile exp(-x_n |xi'|) is sampled over 0 <= x_n < L and keeps
+    decaying past x_n = L/2, so the far face carries leakage of order
+    exp(-(L/2) |xi'|), and the periodized profile jumps at the seam x_n = 0
+    by 1 - exp(-L |xi'|), its value at 0 less its value at L.  Both are
+    reported: leakage on the HalfField, seam damage in the projection
+    residual.
     """
     blat = pf.boundary.lattice
     if lat.n != blat.n + 1 or lat.K != blat.K or lat.L != blat.L:
         raise InvalidParameter("target lattice must extend the boundary lattice")
-    M = M or default_oversample(lat)
+    M = default_oversample(lat)
     xn = np.arange(M) * (lat.L / M)
     # (boundary modes..., M): amplitudes damped per height
     damped = pf.boundary.coef[..., None] * np.exp(
@@ -102,8 +96,7 @@ def materialize_poisson(
     axes = tuple(range(blat.n))
     values = np.fft.ifftn(padded, axes=axes) * float(M) ** blat.n
     field, residual = project_bandlimited(SampleGrid(lat, M, values), lat)
-    leakage = _leakage_of_values(values, M, "upper")
-    return HalfField(field, leakage, "upper"), residual
+    return HalfField(field, _leakage_of_values(values, M)), residual
 
 
 def poisson_besov_norm(
@@ -144,13 +137,8 @@ def poisson_besov_norm(
     weighted = tgrid**s * g
     if math.isinf(q):
         return float(max(weighted.max(), tgrid[0] ** s * g0))
-    integrand = weighted**q
-    logt = np.log(tgrid)
-    body = np.trapezoid(integrand, logt)
-    # Euler-Maclaurin endpoint correction: at the lower edge the integrand
-    # still behaves like t^(sq) (log-derivative s q), at the upper edge it is
-    # exponentially dead
-    h = (logt[-1] - logt[0]) / (len(logt) - 1)
-    body += (h * h / 12.0) * (s * q) * float(integrand[0])
+    # at the lower edge the integrand still behaves like t^(sq), at the upper
+    # edge it is exponentially dead
+    body = log_grid_integral(tgrid, weighted**q, s * q, 0.0)
     lower = (g0 * tgrid[0] ** s) ** q / (s * q)
     return float((body + lower) ** (1.0 / q))

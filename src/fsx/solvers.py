@@ -10,17 +10,17 @@ strip points.  Outward normal convention: nu = -e_n at x_n = 0.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, ZeroField
 from .halfspace import HalfField, half_peak, make_half_field, reflect_parity
-from .lattice import Field, Lattice, zero_field
+from .lattice import Field, Lattice, evaluate, without_mean, zero_field
 from .multipliers import (
     derivative,
     fractional_laplacian,
     gradient,
+    hessian,
     laplacian,
     resolvent_wholespace,
 )
@@ -37,34 +37,8 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
-@dataclass(frozen=True)
-class SectorPoint:
-    """Spectral shift lam inside the sector |arg z| < mu < pi."""
-
-    lam: complex
-    mu: float
-
-    def __post_init__(self):
-        if self.lam == 0:
-            raise InvalidParameter("lam must be nonzero")
-        if not (0.0 < self.mu < math.pi):
-            raise InvalidParameter(f"mu must lie in (0, pi), got {self.mu}")
-        if abs(cmath.phase(complex(self.lam))) >= self.mu:
-            raise InvalidParameter(
-                f"lam={self.lam} lies outside the sector of angle {self.mu}"
-            )
-
-
-def _lam_value(lam) -> complex:
-    return complex(lam.lam) if isinstance(lam, SectorPoint) else complex(lam)
-
-
 def resolvent_halfspace(
-    f: HalfField,
-    lam,
-    bc: str,
-    M: int | None = None,
-    max_leakage: float | None = None,
+    f: HalfField, lam: complex, bc: str, max_leakage: float | None = None
 ) -> tuple[HalfField, float]:
     """Solve (lam - Laplacian) u = f on the strip with the given condition.
 
@@ -73,13 +47,13 @@ def resolvent_halfspace(
     """
     bc = _check_bc(bc)
     parity = "odd" if bc == DIRICHLET else "even"
-    extended, residual = reflect_parity(f, parity, M=M, max_leakage=max_leakage)
-    u_full = resolvent_wholespace(extended, _lam_value(lam))
+    extended, residual = reflect_parity(f, parity, max_leakage=max_leakage)
+    u_full = resolvent_wholespace(extended, complex(lam))
     return make_half_field(u_full), residual
 
 
 def resolvent_estimate_check(
-    f: HalfField, lam, bc: str
+    f: HalfField, lam: complex, bc: str
 ) -> tuple[float, float, float]:
     """Scaled resolvent ratios (|lam| ||u||, |lam|^1/2 ||grad u||, ||grad2 u||) / ||f||.
 
@@ -87,23 +61,16 @@ def resolvent_estimate_check(
     """
     if half_peak(f) == 0.0:
         raise ZeroField("resolvent estimate undefined for zero source")
-    lam = _lam_value(lam)
+    lam = complex(lam)
     u, _ = resolvent_halfspace(f, lam, bc)
     norm_f = lp_norm(f.field, 2.0, "halfspace")
     n0 = lp_norm(u.field, 2.0, "halfspace")
     n1 = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in gradient(u.field)))
-    n2_sq = 0.0
-    n = u.field.lattice.n
-    for a in range(n):
-        for b in range(n):
-            alpha = [0] * n
-            alpha[a] += 1
-            alpha[b] += 1
-            n2_sq += lp_norm(derivative(u.field, tuple(alpha)), 2.0, "halfspace") ** 2
+    n2 = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in hessian(u.field)))
     return (
         abs(lam) * n0 / norm_f,
         math.sqrt(abs(lam)) * n1 / norm_f,
-        math.sqrt(n2_sq) / norm_f,
+        n2 / norm_f,
     )
 
 
@@ -123,12 +90,10 @@ class BvpSolution:
         return self.v.lattice
 
     def evaluate(self, x) -> complex:
-        from .lattice import evaluate as _eval
+        return evaluate(self.v, x) + self.w.evaluate(x)
 
-        return _eval(self.v, x) + self.w.evaluate(x)
-
-    def materialize(self, M: int | None = None) -> tuple[HalfField, float]:
-        mat, residual = materialize_poisson(self.w, self.lattice, M=M)
+    def materialize(self) -> tuple[HalfField, float]:
+        mat, residual = materialize_poisson(self.w, self.lattice)
         return make_half_field(self.v + mat.field), residual
 
     def interior_residual(self) -> float:
@@ -153,19 +118,37 @@ def _vertical_index(lat: Lattice) -> tuple[int, ...]:
     return tuple(alpha)
 
 
-def _drop_dc_dust(g: Field, scale: float) -> Field:
-    # the boundary corrections are exactly zero-mean by construction; strip
-    # floating-point dust so singular boundary multipliers stay happy, but
-    # leave genuine mean content in place for the precondition check
-    if abs(g.dc) > 1e-11 * max(scale, abs(g.dc)):
-        return g
-    out = g.copy()
-    out.coef[(g.lattice.K,) * g.lattice.n] = 0.0
-    return out
+def _bvp_inputs(
+    f: HalfField | None, g: Field | None, lat: Lattice | None
+) -> tuple[HalfField, Field]:
+    """Source and boundary data, a missing one taken as zero.
+
+    The lattice of a missing source is lat, or else the one that g is the
+    boundary of.
+    """
+    if f is None and g is None:
+        raise InvalidParameter("need at least one of f, g")
+    if f is None:
+        if lat is None:
+            lat = Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)
+        f = make_half_field(zero_field(lat))
+    if g is None:
+        g = zero_field(f.field.lattice.boundary())
+    return f, g
 
 
-def _as_boundary_zero(lat: Lattice) -> Field:
-    return zero_field(lat.boundary())
+def _boundary_defect(g: Field, got: Field, v: Field) -> Field:
+    """g - got with floating-point dust in its mean removed.
+
+    The defect is zero-mean by construction, and the singular boundary
+    multipliers refuse any mean, so dust is dropped; genuine mean content
+    is left in place for the precondition check.
+    """
+    d = g - got
+    scale = max(g.peak(), got.peak(), v.peak())
+    if abs(d.dc) > 1e-11 * max(scale, abs(d.dc)):
+        return d
+    return without_mean(d)
 
 
 def bvp_dirichlet(
@@ -177,22 +160,10 @@ def bvp_dirichlet(
     harmonic part corrects the boundary trace with a Poisson extension of
     g minus the particular trace (both zero-mean by construction/precondition).
     """
-    if f is None and g is None:
-        raise InvalidParameter("need at least one of f, g")
-    if f is None:
-        if lat is None:
-            if g is None:
-                raise InvalidParameter("need a lattice")
-            lat = Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)
-        f = make_half_field(zero_field(lat))
-    lat = f.field.lattice
-    if g is None:
-        g = _as_boundary_zero(lat)
+    f, g = _bvp_inputs(f, g, lat)
     extended, residual = reflect_parity(f, "odd")
     v = resolvent_wholespace(extended, 0.0)
-    tv = trace(v)
-    scale = max(g.peak(), tv.peak(), v.peak())
-    w = poisson_extend(_drop_dc_dust(g - tv, scale))
+    w = poisson_extend(_boundary_defect(g, trace(v), v))
     return BvpSolution(v, w, DIRICHLET, f, g, residual)
 
 
@@ -206,30 +177,17 @@ def bvp_neumann(
     particular normal derivative in closed form.  Both f (after even
     reflection) and g must be zero-mean.
     """
-    if f is None and g is None:
-        raise InvalidParameter("need at least one of f, g")
-    if f is None:
-        if lat is None:
-            if g is None:
-                raise InvalidParameter("need a lattice")
-            lat = Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)
-        f = make_half_field(zero_field(lat))
-    lat = f.field.lattice
-    if g is None:
-        g = _as_boundary_zero(lat)
+    f, g = _bvp_inputs(f, g, lat)
     extended, residual = reflect_parity(f, "even")
     v = resolvent_wholespace(extended, 0.0)  # raises if the source has mean
-    dn_v = -1.0 * trace(derivative(v, _vertical_index(lat)))
-    scale = max(g.peak(), dn_v.peak(), v.peak())
-    target = _drop_dc_dust(g - dn_v, scale)
-    h = fractional_laplacian(target, -1.0)
-    w = poisson_extend(h)
-    return BvpSolution(v, w, NEUMANN, f, g, residual)
+    dn_v = -1.0 * trace(derivative(v, _vertical_index(v.lattice)))
+    h = fractional_laplacian(_boundary_defect(g, dn_v, v), -1.0)
+    return BvpSolution(v, poisson_extend(h), NEUMANN, f, g, residual)
 
 
-def energy_form(u: HalfField, v: HalfField, M: int | None = None) -> complex:
+def energy_form(u: HalfField, v: HalfField) -> complex:
     """Sesquilinear Dirichlet form: exact strip integral of grad u . conj grad v."""
     total = 0.0 + 0.0j
     for du, dv in zip(gradient(u.field), gradient(v.field)):
-        total += halfspace_product_integral(du, dv, conjugate=True, M=M)
+        total += halfspace_product_integral(du, dv, conjugate=True)
     return total

@@ -43,11 +43,12 @@ from .lattice import (
     make_lattice,
     plane_wave,
     sample_grid,
+    without_mean,
     xi_norm,
     xi_norm_sq,
     zero_field,
 )
-from .multipliers import derivative, fractional_laplacian, gradient, laplacian
+from .multipliers import derivative, fractional_laplacian, gradient, hessian, laplacian
 from .norms import (
     SpaceSpec,
     besov_norm,
@@ -203,6 +204,11 @@ def suite_reconstruction(cfg: SuiteConfig) -> Report:
     return rep
 
 
+def _hdot2_norm(u: Field, s: float) -> float:
+    """Hdot^{s,2} norm of u less its mean: the Plancherel sum over xi != 0."""
+    return sobolev_norm(without_mean(u), SpaceSpec("Hdot", s=s, p=2.0))
+
+
 def suite_plancherel(cfg: SuiteConfig) -> Report:
     rep = _report(
         "plancherel",
@@ -216,18 +222,13 @@ def suite_plancherel(cfg: SuiteConfig) -> Report:
     t0 = time.perf_counter()
     lat = cfg.lattice()
     corpus = _random_corpus(cfg)
-    r2 = xi_norm_sq(lat)
     M = default_oversample(lat)
     for s in cfg.s_list:
         worst_pl, worst_grad = 0.0, 0.0
         for u in corpus.fields:
-            mass = np.abs(u.coef) ** 2
-            mask = r2 > 0
-            plancherel = math.sqrt(
-                lat.L**lat.n * float(np.sum(mass[mask] * r2[mask] ** s))
-            )
-            # sobolev_norm at p=2 is itself a mode sum; an explicit M makes
-            # lp_norm sample the grid, so the rectangle rule is what is checked
+            plancherel = _hdot2_norm(u, s)
+            # sobolev_norm at p=2 is the weighted mode sum; an explicit M
+            # makes lp_norm sample the grid, so the rectangle rule is checked
             direct = lp_norm(fractional_laplacian(u, s), 2.0, M=M)
             worst_pl = max(worst_pl, abs(direct - plancherel) / plancherel)
             grad_sq = sum(
@@ -476,15 +477,6 @@ def suite_interp_real(cfg: SuiteConfig) -> Report:
     return rep
 
 
-def _hdot2_tail_norm(u: Field, s: float) -> float:
-    r = xi_norm(u.lattice)
-    mask = r > 0
-    mass = np.abs(u.coef) ** 2
-    return math.sqrt(
-        u.lattice.L**u.lattice.n * float(np.sum(mass[mask] * r[mask] ** (2 * s)))
-    )
-
-
 def suite_strichartz_indicator(cfg: SuiteConfig) -> Report:
     rep = _report(
         "strichartz_indicator",
@@ -498,30 +490,29 @@ def suite_strichartz_indicator(cfg: SuiteConfig) -> Report:
     lat = cfg.lattice()
     corpus = _random_corpus(cfg, size=min(cfg.corpus_size, 5))
     big_lat = make_lattice(cfg.dim, 2 * cfg.bandlimit, cfg.period)
+    bounded, beyond = (-0.4, 0.0, 0.4), 0.9
 
-    def max_ratio(fields, target_lat, s):
-        worst = 0.0
-        for u in fields:
+    def max_ratios(target_lat):
+        """Largest norm ratio of cut to field, per s; each field is cut once."""
+        worst = dict.fromkeys(bounded + (beyond,), 0.0)
+        for u in corpus.fields:
             emb = zero_field(target_lat)
             sl = [slice(target_lat.K - lat.K, target_lat.K + lat.K + 1)] * lat.n
             emb.coef[tuple(sl)] = u.coef
             cut, _ = indicator_multiply(emb)
-            worst = max(worst, _hdot2_tail_norm(cut, s) / _hdot2_tail_norm(emb, s))
+            for s in worst:
+                worst[s] = max(worst[s], _hdot2_norm(cut, s) / _hdot2_norm(emb, s))
         return worst
 
-    for s in (-0.4, 0.0, 0.4):
-        c_main = max_ratio(corpus.fields, lat, s)
-        c_big = max_ratio(corpus.fields, big_lat, s)
-        rep.constants[f"indicator_ratio_s{s:g}_K{cfg.bandlimit}"] = c_main
-        rep.constants[f"indicator_ratio_s{s:g}_K{2 * cfg.bandlimit}"] = c_big
-        growth = c_big / c_main
+    main, big = max_ratios(lat), max_ratios(big_lat)
+    for s in bounded + (beyond,):
+        rep.constants[f"indicator_ratio_s{s:g}_K{cfg.bandlimit}"] = main[s]
+        rep.constants[f"indicator_ratio_s{s:g}_K{2 * cfg.bandlimit}"] = big[s]
+    for s in bounded:
+        growth = big[s] / main[s]
         rep.add_case(f"bounded_s{s:g}", growth, 1.5, growth <= 1.5, corpus.digest())
-    s = 0.9
-    c_main = max_ratio(corpus.fields, lat, s)
-    c_big = max_ratio(corpus.fields, big_lat, s)
-    rep.constants[f"indicator_ratio_s{s:g}_K{cfg.bandlimit}"] = c_main
-    rep.constants[f"indicator_ratio_s{s:g}_K{2 * cfg.bandlimit}"] = c_big
-    rep.add_case("grows_beyond_threshold", c_big / c_main, 1.0, c_big > c_main)
+    rep.add_case("grows_beyond_threshold", big[beyond] / main[beyond], 1.0,
+                 big[beyond] > main[beyond])
     rep.wall_time = time.perf_counter() - t0
     return rep
 
@@ -936,12 +927,7 @@ def suite_bvp(cfg: SuiteConfig) -> Report:
     gb = 0.3 * plane_wave(blat, (1,) + (0,) * (blat.n - 1))
     sol = bvp_dirichlet(f, gb)
     mat, _ = sol.materialize()
-    num = math.sqrt(
-        sum(
-            lp_norm(derivative(mat.field, a), 2.0, "halfspace") ** 2
-            for a in _second_orders(lat.n)
-        )
-    )
+    num = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in hessian(mat.field)))
     den = lp_norm(f.field, 2.0, "halfspace") + besov_norm(
         gb, SpaceSpec("Bdot", s=2.0 - 0.5, p=2.0, q=2.0)
     )
@@ -949,17 +935,6 @@ def suite_bvp(cfg: SuiteConfig) -> Report:
     rep.add_case("second_order_estimate", num / den, 50.0, num / den <= 50.0)
     rep.wall_time = time.perf_counter() - t0
     return rep
-
-
-def _second_orders(n: int):
-    out = []
-    for a in range(n):
-        for b in range(n):
-            alpha = [0] * n
-            alpha[a] += 1
-            alpha[b] += 1
-            out.append(tuple(alpha))
-    return out
 
 
 def suite_scaling(cfg: SuiteConfig) -> Report:

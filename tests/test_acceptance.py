@@ -6,7 +6,9 @@ with cross-lattice checks against K = 16 and K = 64 where required.
 """
 
 import cmath
+import json
 import math
+import os
 
 import numpy as np
 
@@ -479,10 +481,48 @@ def test_criterion_15_dilation_scaling():
               f"max_rel_dev={worst:.2e} (exponent s - n/2)")
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "run_all_corpus3.json")
+
+
+def _close(got: float, want: float) -> bool:
+    return abs(got - want) <= max(1e-9 * abs(want), 1e-12)
+
+
+def _golden_mismatches(reports) -> list[str]:
+    """Where the reports differ from the recorded run at the same config.
+
+    Case ids, verdicts and corpus digests must be equal; values and
+    constants may differ by round-off.
+    """
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)["suites"]
+    bad = []
+    if [r.suite for r in reports] != [g["suite"] for g in golden]:
+        return ["suite list"]
+    for rep, gold in zip(reports, golden):
+        got = [[c["case"], c["digest"], c["passed"]] for c in rep.cases]
+        if got != [c[:3] for c in gold["cases"]]:
+            bad.append(f"{rep.suite}: cases")
+            continue
+        for case, want in zip(rep.cases, gold["cases"]):
+            if not _close(case["value"], want[3]):
+                bad.append(f"{rep.suite}.{case['case']}")
+        if sorted(rep.constants) != sorted(gold["constants"]):
+            bad.append(f"{rep.suite}: constant names")
+            continue
+        for key, want in gold["constants"].items():
+            if not _close(rep.constants[key], want):
+                bad.append(f"{rep.suite}.{key}")
+    return bad
+
+
 def test_criterion_16_determinism():
     cfg = SuiteConfig(corpus_size=3)
-    first = [report_digest(r) for r in run_all(cfg)]
+    reports = run_all(cfg)
+    first = [report_digest(r) for r in reports]
     second = [report_digest(r) for r in run_all(cfg)]
-    ok = first == second
+    bad = _golden_mismatches(reports)
+    ok = first == second and not bad
     _announce(16, "identical seeds give identical reports", ok,
-              f"{len(first)} suite digests match modulo timing")
+              f"{len(first)} suite digests match modulo timing; "
+              f"recorded values differ at {bad or 'no case'}")

@@ -1,9 +1,15 @@
+import importlib
+import inspect
 import json
 import math
+import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import fsx
+import fsx.lattice
 from fsx.cli import main as cli_main, parse_lambda
 from fsx.corpus import generate_corpus
 from fsx.errors import ConfigError, InvalidParameter, UnknownSuite
@@ -195,6 +201,28 @@ class TestCli:
         assert "finite" in err
         assert "zero-mean" not in err
 
+    @pytest.mark.parametrize("key, value", [("K", 4.7), ("n", 2.9)])
+    def test_non_integral_lattice_refused(self, tmp_path, capsys, key, value):
+        data = {"n": 2, "K": 4, "L": 2 * math.pi, "modes": [[1, 0, 1.0, 0.0]]}
+        data[key] = value
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        rc = cli_main(["norm", "--input", str(path), "--space", "Lp:p=2"])
+        assert rc == 2
+        assert "integer" in capsys.readouterr().err
+
+    def test_oversized_lattice_refused_before_allocating(self, tmp_path, capsys, monkeypatch):
+        def no_allocation(lat):
+            raise AssertionError(f"allocated a field on {lat}")
+
+        monkeypatch.setattr(fsx.lattice, "zero_field", no_allocation)
+        data = {"n": 2, "K": 1000000000, "L": 2 * math.pi, "modes": [[1, 0, 1.0, 0.0]]}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(data))
+        rc = cli_main(["norm", "--input", str(path), "--space", "Lp:p=2"])
+        assert rc == 2
+        assert "modes" in capsys.readouterr().err
+
     def test_nan_regularity_refused(self, tmp_path, capsys):
         lat = make_lattice(2, 8)
         path = str(tmp_path / "u.json")
@@ -209,3 +237,22 @@ class TestCli:
                        "--size", "1", "--out", out])
         assert rc in (0, 1)
         assert read_report(out)["params"]["dim"] == 3
+
+
+def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
+    """Every lru_cache of fsx is reachable from the modules whose caches the
+    benchmark's desk_verify empties before each round, so no round of it
+    runs warm."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    desk = importlib.import_module("workloads").DeskVerify(0)
+    desk.load()
+    emptied = {id(clear.__self__) for clear in desk.caches}
+    caches = {
+        f"{mod.name}.{name}"
+        for mod in pkgutil.iter_modules(fsx.__path__)
+        for name, obj in inspect.getmembers(importlib.import_module(f"fsx.{mod.name}"))
+        if hasattr(obj, "cache_clear") and obj.__module__ == f"fsx.{mod.name}"
+        and id(obj) not in emptied
+    }
+    assert not caches, f"caches the benchmark leaves warm: {sorted(caches)}"

@@ -14,8 +14,7 @@ from fsx.interp import (
     interp_norm_from_curve,
     k_curve_exact_hilbert,
     k_curve_upper,
-    k_functional_exact_hilbert,
-    k_functional_upper,
+    log_grid_integral,
     real_interp_norm,
 )
 from fsx.lattice import field_from_modes, make_lattice, plane_wave, zero_field
@@ -25,6 +24,16 @@ TWO_PI = 2.0 * math.pi
 
 L2 = SpaceSpec("Lp", p=2.0)
 H1 = SpaceSpec("Hdot", s=1.0, p=2.0)
+
+
+def k_functional_upper(u, c, t):
+    """The dyadic-split bound on K(t, u) at one t."""
+    return float(k_curve_upper(u, c, np.array([t])).values[0])
+
+
+def k_functional_exact_hilbert(u, c, t):
+    """The quadratic-mean split functional at one t."""
+    return float(k_curve_exact_hilbert(u, c, np.array([t])).values[0])
 
 
 def random_zero_dc(lat, seed, count=20):
@@ -217,3 +226,16 @@ class TestBestCurve:
         assert best_k_curve(u, Couple(L2, H1)).kind == "exact_hilbert"
         c4 = Couple(SpaceSpec("Hdot", 0.0, 4.0), SpaceSpec("Hdot", 1.0, 4.0))
         assert best_k_curve(u, c4).kind == "upper_dyadic"
+
+
+class TestLogGridIntegral:
+    @pytest.mark.parametrize("a", [-0.7, 0.4, 1.5])
+    def test_power_with_exact_end_slopes(self, a):
+        # t^a dt/t integrates to (t2^a - t1^a) / a; with the exact end slopes
+        # the trapezoid rule's h^2 term cancels
+        t = np.logspace(-3, 3, 61, base=2.0)
+        want = (t[-1] ** a - t[0] ** a) / a
+        got = log_grid_integral(t, t**a, a, a)
+        plain = np.trapezoid(t**a, np.log(t))
+        assert got == pytest.approx(want, rel=1e-5)
+        assert abs(got - want) < 1e-2 * abs(plain - want)

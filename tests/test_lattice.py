@@ -9,7 +9,6 @@ from fsx.lattice import (
     default_oversample,
     dilate,
     evaluate,
-    evaluate_points,
     exact_grid,
     field_from_dict,
     field_from_modes,
@@ -103,15 +102,6 @@ class TestEvaluate:
         rhs = a * evaluate(u, x) + b * evaluate(v, x)
         assert abs(lhs - rhs) < 1e-13 * max(abs(rhs), 1.0)
 
-    def test_evaluate_points_matches_scalar(self):
-        lat = make_lattice(2, 8)
-        rng = np.random.default_rng(5)
-        u = field_from_modes(lat, random_sparse_modes(lat, rng, 8))
-        pts = rng.uniform(0, lat.L, size=(20, 2))
-        batch = evaluate_points(u, pts)
-        for i, x in enumerate(pts):
-            assert abs(batch[i] - evaluate(u, x)) < 1e-13
-
 
 class TestSampleGrid:
     def test_constant(self):
@@ -134,7 +124,7 @@ class TestSampleGrid:
         s = sample_grid(u, M)
         xs = np.arange(M) * (lat.L / M)
         pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-        direct = evaluate_points(u, pts).reshape(M, M)
+        direct = np.array([evaluate(u, x) for x in pts]).reshape(M, M)
         assert np.max(np.abs(s.values - direct)) < 1e-12 * max(np.abs(direct).max(), 1)
 
     def test_aliasing_guard(self):

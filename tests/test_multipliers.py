@@ -6,12 +6,11 @@ import pytest
 from fsx.errors import HomogeneousDCViolation, InvalidParameter, SpectrumHit
 from fsx.lattice import field_from_modes, make_lattice, plane_wave, xi_norm_sq
 from fsx.multipliers import (
-    Symbol,
-    apply_symbol,
     bessel_potential,
     derivative,
     fractional_laplacian,
     gradient,
+    hessian,
     horizontal_fractional,
     horizontal_laplacian,
     laplacian,
@@ -28,35 +27,6 @@ def random_zero_dc(lat, seed, count=12):
         if any(k):
             modes[k] = complex(rng.standard_normal(), rng.standard_normal())
     return field_from_modes(lat, modes), modes
-
-
-class TestApplySymbol:
-    def test_identity(self):
-        lat = make_lattice(2, 8)
-        u, _ = random_zero_dc(lat, 1)
-        sym = Symbol(fn=lambda comps: np.ones(()), name="one")
-        v = apply_symbol(u, sym)
-        assert np.max(np.abs(v.coef - u.coef)) == 0.0
-
-    def test_xi_squared_on_wave(self):
-        lat = make_lattice(2, 8)
-        u = plane_wave(lat, (3, 4))
-        sym = Symbol(fn=lambda comps: sum(c**2 for c in comps), name="|xi|^2")
-        v = apply_symbol(u, sym)
-        assert np.max(np.abs(v.coef - 25.0 * u.coef)) < 1e-13
-
-    def test_exp_decay_per_mode_oracle(self):
-        lat = make_lattice(2, 10)
-        u, modes = random_zero_dc(lat, 2)
-        sym = Symbol(
-            fn=lambda comps: np.exp(-np.sqrt(sum(c**2 for c in comps))),
-            name="exp(-|xi|)",
-        )
-        v = apply_symbol(u, sym)
-        for k, c in modes.items():
-            want = c * math.exp(-math.hypot(*k))
-            got = v.coef[tuple(ki + lat.K for ki in k)]
-            assert abs(got - want) < 1e-14 * max(abs(want), 1.0)
 
 
 class TestFractionalLaplacian:
@@ -226,6 +196,16 @@ class TestPoissonDecay:
         u = plane_wave(lat, (3, 4))
         v = poisson_decay(u, 0.2)
         assert np.max(np.abs(v.coef - math.exp(-1.0) * u.coef)) < 1e-14
+
+    def test_hessian_of_wave(self):
+        lat = make_lattice(2, 4)
+        k = (2, -1)
+        u = plane_wave(lat, k)
+        second = hessian(u)
+        assert len(second) == 4
+        for i, d in enumerate(second):
+            a, b = divmod(i, 2)
+            assert np.max(np.abs(d.coef + k[a] * k[b] * u.coef)) < 1e-14
 
     def test_gradient_components(self):
         lat = make_lattice(2, 4)

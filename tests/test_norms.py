@@ -17,11 +17,11 @@ from fsx.lattice import (
 )
 from fsx.norms import (
     SpaceSpec,
-    WeightedSeq,
     besov_norm,
     get_family,
     halfspace_product_integral,
     lp_norm,
+    norm_ignoring_mean,
     pairing,
     parse_space_spec,
     seq_norm,
@@ -146,8 +146,7 @@ class TestSeqNorm:
         assert got == pytest.approx(math.sqrt(want), rel=1e-14)
 
     def test_weighted_seq_object(self):
-        ws = WeightedSeq({0: 2.0, 1: 1.0}, s=1.0)
-        assert seq_norm(ws, q=math.inf) == pytest.approx(2.0, abs=0)
+        assert seq_norm({0: 2.0, 1: 1.0}, s=1.0, q=math.inf) == pytest.approx(2.0, abs=0)
 
 
 class TestBesovNorm:
@@ -224,6 +223,24 @@ class TestSobolevNorm:
         u = plane_wave(lat, (1, 1))
         got = sobolev_norm(u, SpaceSpec("H", s=2.0, p=2.0))
         assert got == pytest.approx(3.0 * TWO_PI, rel=1e-12)
+
+
+class TestNormIgnoringMean:
+    def test_homogeneous_families_drop_the_mean(self):
+        lat = make_lattice(2, 16)
+        u, _ = random_zero_dc(lat, 14)
+        shifted = u + field_from_modes(lat, {(0, 0): 5.0})
+        for spec in (SpaceSpec("Hdot", s=0.7, p=4.0), SpaceSpec("Bdot", s=0.3, q=1.0),
+                     SpaceSpec("Fdot", s=-0.5)):
+            with pytest.raises(HomogeneousDCViolation):
+                space_norm(shifted, spec)
+            assert norm_ignoring_mean(shifted, spec) == space_norm(u, spec)
+
+    def test_other_families_see_the_mean(self):
+        lat = make_lattice(2, 8)
+        u = field_from_modes(lat, {(0, 0): 1.0})
+        assert norm_ignoring_mean(u, SpaceSpec("Lp", p=2.0)) == pytest.approx(TWO_PI)
+        assert norm_ignoring_mean(u, SpaceSpec("H", s=1.0)) == pytest.approx(TWO_PI)
 
 
 class TestTriebelNorm:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fsx.corpus import cosine_strip_field, sine_strip_field
-from fsx.errors import InvalidParameter, ZeroField
+from fsx.errors import ZeroField
 from fsx.halfspace import make_half_field
 from fsx.lattice import (
     Field,
@@ -21,7 +21,6 @@ from fsx.poisson import trace
 from fsx.solvers import (
     DIRICHLET,
     NEUMANN,
-    SectorPoint,
     bvp_dirichlet,
     bvp_neumann,
     energy_form,
@@ -50,19 +49,6 @@ def strip_points(lat, rng, count=20, margin=0.05):
     pts[:, 0] = rng.uniform(0.0, lat.L, count)
     pts[:, 1] = rng.uniform(margin, lat.L / 2.0 - margin, count)
     return pts
-
-
-class TestSectorPoint:
-    def test_valid(self):
-        SectorPoint(1.0 + 1.0j, mu=math.pi / 2)
-
-    def test_rejects_zero(self):
-        with pytest.raises(InvalidParameter):
-            SectorPoint(0.0, mu=1.0)
-
-    def test_rejects_outside_sector(self):
-        with pytest.raises(InvalidParameter):
-            SectorPoint(-1.0 + 0.1j, mu=math.pi / 2)
 
 
 class TestResolventHalfspace:
