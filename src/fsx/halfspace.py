@@ -1,16 +1,30 @@
 """Half-space operators on the torus strip 0 <= x_n <= L/2.
 
-Higher-order reflection extensions sample the data at the rescaled mirror
-points -x_n/(j+1) (off-grid, evaluated exactly), combine them with moment
-coefficients solving a Vandermonde system, and project back to the lattice
-with an audited residual.  Parity reflections, the zero-boundary projection,
-sharp indicator multiplication, and a witness-set estimator for the quotient
-(restriction) norm build on the same sampling pipeline.
+Every operator here changes a field only as a function of the height x_n:
+on each vertical grid height it writes a fixed combination of the field's
+values at (possibly other) heights.  The horizontal modes therefore pass
+through untouched, and each operator acts on the column coef[k', :] of each
+horizontal mode k' through one table: the value its output takes at each of
+the M vertical grid heights j L/M, for each vertical mode, built from exact
+1-D evaluations of exp(i xi_k x).  One DFT of that table along x_n and a
+product with the columns give the output's modes; the discarded DFT rows
+give the audited projection residual (_apply_columns).  This is the
+sample, overwrite and project round trip on the M^n grid, with the
+horizontal transforms, which cancel, left out.
+
+Higher-order reflection extensions write, on the lower half, the data at
+the rescaled mirror points -x_n/(j+1) combined with moment coefficients
+solving a Vandermonde system.  Parity reflections, the zero-boundary
+projection and sharp indicator multiplication are other tables; a
+witness-set estimator for the quotient (restriction) norm uses the
+reflections.  Sups are read from exact slices at only the heights they
+cover.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,10 +35,9 @@ from .lattice import (
     Field,
     Lattice,
     default_oversample,
-    project_bandlimited,
-    sample_grid,
+    project_columns,
     sample_slices,
-    SampleGrid,
+    vertical_phases,
 )
 from .norms import SpaceSpec, lp_norm, norm_ignoring_mean
 
@@ -97,34 +110,49 @@ class HalfField:
     leakage: float
 
 
-def _samples(u: Field) -> tuple[int, np.ndarray]:
-    """The half-space grid size M and the (writable) samples of u on it."""
-    M = default_oversample(u.lattice)
-    return M, sample_grid(u, M).values
+def _grid_heights(M: int, L: float) -> np.ndarray:
+    """Height j L/M of each vertical grid index j."""
+    return np.arange(M) * (L / M)
 
 
 def _signed_vertical(M: int, L: float) -> np.ndarray:
     """Signed strip coordinate of each vertical grid index (in (-L/2, L/2])."""
     j = np.arange(M)
-    s = j * (L / M)
+    s = _grid_heights(M, L)
     return np.where(j > M // 2, s - L, s)
 
 
-def _leakage_of_values(values: np.ndarray, M: int) -> float:
+def far_band_heights(M: int, L: float) -> np.ndarray:
+    """Grid heights of the band of width L/16 hugging the far face x_n = L/2."""
     band = max(int(M * LEAKAGE_BAND), 1)
-    cols = np.arange(M // 2 - band, M // 2 + 1)
-    return float(np.max(np.abs(values[..., cols])))
+    return _grid_heights(M, L)[M // 2 - band : M // 2 + 1]
+
+
+def _sup_at(u: Field, heights: np.ndarray, M: int) -> float:
+    """Sup of |u| over the horizontal grid of size M^(n-1) at the given heights."""
+    return float(np.max(np.abs(sample_slices(u, heights, M))))
 
 
 def make_half_field(f: Field) -> HalfField:
-    M, values = _samples(f)
-    return HalfField(f, _leakage_of_values(values, M))
+    M = default_oversample(f.lattice)
+    return HalfField(f, _sup_at(f, far_band_heights(M, f.lattice.L), M))
 
 
 def half_peak(u: HalfField) -> float:
     """Sup of |u| over the upper half (grid estimate)."""
-    M, values = _samples(u.field)
-    return float(np.max(np.abs(values[..., : M // 2 + 1])))
+    M = default_oversample(u.field.lattice)
+    return _sup_at(u.field, _grid_heights(M, u.field.lattice.L)[: M // 2 + 1], M)
+
+
+def _apply_columns(coef: np.ndarray, table: np.ndarray, K: int) -> tuple[np.ndarray, float]:
+    """Modes |k| <= K of the columns coef @ table.T sampled at the M grid heights.
+
+    table[j, k] is what vertical mode k becomes at the grid height j L/M;
+    the output's modes are the kept DFT rows, with the relative l2 size of
+    the discarded rows as the projection residual.
+    """
+    spectral = np.fft.fft(table, axis=0) / table.shape[0]
+    return project_columns(coef @ spectral.T, K)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +176,24 @@ def _check_leakage(u: HalfField, max_leakage: float | None) -> None:
         )
 
 
-def _mirror_sum(u: Field, coeffs: np.ndarray, heights: np.ndarray, M: int) -> np.ndarray:
-    """sum_j coeffs[j] u(x', -heights / (j+1)) on the x'-grid, heights on the last axis.
+def _mirror_table(lat: Lattice, coeffs: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] exp(i xi_k (-h/(j+1))) for each height h (rows), mode k (columns)."""
+    return sum(a * vertical_phases(lat, -heights / (j + 1)) for j, a in enumerate(coeffs))
 
-    One exact slice evaluation per coefficient.
-    """
-    acc = None
-    for j, a in enumerate(coeffs):
-        slices = sample_slices(u, -heights / (j + 1), M)  # (T, M^{n-1})
-        part = a * np.moveaxis(slices, 0, -1) if u.lattice.n > 1 else a * slices
-        acc = part if acc is None else acc + part
-    return acc
+
+def _extension(u: Field, coeffs: np.ndarray, window: bool = False) -> tuple[Field, float]:
+    """Keep u on the upper half, write the mirror sum of coeffs on the lower half, project."""
+    lat = u.lattice
+    M = default_oversample(lat)
+    sn = _signed_vertical(M, lat.L)
+    lower = sn < 0.0
+    table = np.empty((M, lat.modes_per_axis), dtype=complex)
+    table[~lower] = vertical_phases(lat, sn[~lower])
+    table[lower] = _mirror_table(lat, coeffs, sn[lower])
+    if window:
+        table[lower] *= _window_weights(sn[lower], lat.L)[:, None]
+    coef, residual = _apply_columns(u.coef, table, lat.K)
+    return Field(lat, coef), residual
 
 
 def extend_reflect(
@@ -171,7 +206,7 @@ def extend_reflect(
     """Higher-order reflection extension of upper-half data to the torus.
 
     The lower half -L/2 < x_n < 0 is overwritten by the order-m combination
-    of mirrored samples.  window multiplies the reflected part by a smooth
+    of mirrored values.  window multiplies the reflected part by a smooth
     cutoff vanishing before the far face, suppressing the periodic seam.
     ell rescales the coefficients for the vertical-derivative commutation.
     Returns the projected field and the projection residual.
@@ -179,30 +214,18 @@ def extend_reflect(
     _check_leakage(u, max_leakage)
     rc = reflection_coefficients(m)
     coeffs = shifted_coefficients(rc, ell) if ell else rc.alpha
-    lat = u.field.lattice
-    M, values = _samples(u.field)
-    sn = _signed_vertical(M, lat.L)
-    lower = np.nonzero(sn < 0.0)[0]
-    acc = _mirror_sum(u.field, coeffs, sn[lower], M)
-    if window:
-        acc = acc * _window_weights(sn[lower], lat.L)
-    values[..., lower] = acc
-    return project_bandlimited(SampleGrid(lat, M, values), lat)
+    return _extension(u.field, coeffs, window)
 
 
 def reflect_parity(
     u: HalfField, parity: str, max_leakage: float | None = None
 ) -> tuple[Field, float]:
-    """Odd or even reflection across x_n = 0 (pure grid flip, then project)."""
+    """Odd or even reflection across x_n = 0 (mirror the upper half, then project)."""
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
     _check_leakage(u, max_leakage)
-    lat = u.field.lattice
-    M, values = _samples(u.field)
     sign = -1.0 if parity == "odd" else 1.0
-    lower = np.nonzero(_signed_vertical(M, lat.L) < 0.0)[0]
-    values[..., lower] = sign * values[..., M - lower]  # the mirrored grid point
-    return project_bandlimited(SampleGrid(lat, M, values), lat)
+    return _extension(u.field, np.array([sign]))
 
 
 def project_zero(u: Field, m: int) -> Field:
@@ -214,21 +237,19 @@ def project_zero(u: Field, m: int) -> Field:
     """
     rc = reflection_coefficients(m)
     lat = u.lattice
-    M, values = _samples(u)
+    M = default_oversample(lat)
     sn = _signed_vertical(M, lat.L)
-    lower = sn < 0.0
-    upper = np.nonzero(~lower)[0]
-    acc = _mirror_sum(u, rc.alpha, sn[upper], M)
-    values[..., upper] -= acc
-    values[..., lower] = 0.0
-    field, _ = project_bandlimited(SampleGrid(lat, M, values), lat)
-    return field
+    upper = sn >= 0.0
+    table = np.zeros((M, lat.modes_per_axis), dtype=complex)
+    table[upper] = vertical_phases(lat, sn[upper]) - _mirror_table(lat, rc.alpha, sn[upper])
+    coef, _ = _apply_columns(u.coef, table, lat.K)
+    return Field(lat, coef)
 
 
 def lower_half_defect(p0u: Field) -> float:
     """Sup of |v| over the open lower half; the projection's vanishing defect."""
-    M, values = _samples(p0u)
-    return float(np.max(np.abs(values[..., _signed_vertical(M, p0u.lattice.L) < 0.0])))
+    M = default_oversample(p0u.lattice)
+    return _sup_at(p0u, _grid_heights(M, p0u.lattice.L)[M // 2 + 1 :], M)
 
 
 def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
@@ -236,15 +257,21 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
 
     The output is projected to an enlarged lattice (bandlimit enlarge * K) to
     capture the slowly decaying tail the cut creates; the discarded-tail
-    residual is returned alongside.
+    residual is returned alongside.  The cut only acts along x_n, so the
+    output's horizontal modes stay those of u, |k'| <= K.
     """
+    if isinstance(enlarge, bool) or not isinstance(enlarge, numbers.Integral) or enlarge < 1:
+        raise InvalidParameter(f"enlarge must be an integer >= 1, got {enlarge!r}")
     lat = u.lattice
-    big = Lattice(lat.n, enlarge * lat.K, lat.L)
+    big = Lattice(lat.n, int(enlarge) * lat.K, lat.L)
     M = default_oversample(big, factor=2)
-    values = sample_grid(u, M).values.copy()
-    j = np.arange(M)
-    values[..., j >= M // 2] = 0.0
-    return project_bandlimited(SampleGrid(big, M, values), big)
+    table = vertical_phases(lat, _grid_heights(M, lat.L))
+    table[M // 2 :] = 0.0
+    coef, residual = _apply_columns(u.coef, table, big.K)
+    out = np.zeros(big.mode_shape, dtype=complex)
+    inner = slice(big.K - lat.K, big.K + lat.K + 1)
+    out[(inner,) * (lat.n - 1)] = coef
+    return Field(big, out), residual
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,19 @@ def evaluate(u: Field, x) -> complex:
     return complex(v)
 
 
+def vertical_phases(lat: Lattice, xn_values: np.ndarray) -> np.ndarray:
+    """exp(i xi_k x) for each height x (rows) and vertical mode k (columns).
+
+    Exact 1-D evaluation: the column of horizontal mode k' of a field at the
+    heights is coef[k', :] @ vertical_phases(lat, heights).T.
+    """
+    angle = np.outer(np.asarray(xn_values, dtype=float), xi_axes(lat)[-1])
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    return phases
+
+
 def sample_slices(u: Field, xn_values: np.ndarray, M: int) -> np.ndarray:
     """Values of u on (x'-grid of size M^(n-1)) x (arbitrary vertical points).
 
@@ -238,19 +251,23 @@ def sample_slices(u: Field, xn_values: np.ndarray, M: int) -> np.ndarray:
     last lattice axis; evaluation there is an exact trigonometric sum.
     """
     lat = u.lattice
-    xn_values = np.asarray(xn_values, dtype=float)
-    xi_n = xi_axes(lat)[-1]
-    # Contract the vertical axis: (modes', T)
-    phase = np.exp(1j * np.outer(xi_n, xn_values))
-    sliced = np.tensordot(u.coef, phase, axes=([lat.n - 1], [0]))
-    sliced = np.moveaxis(sliced, -1, 0)  # (T, modes')
+    columns = u.coef @ vertical_phases(lat, xn_values).T  # (modes', T)
+    return horizontal_samples(np.moveaxis(columns, -1, 0), lat, M)
+
+
+def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int) -> np.ndarray:
+    """Values on the x'-grid of size M^(n-1) of horizontal mode arrays.
+
+    sliced has shape (T, modes'), one horizontal mode array of the lattice
+    per height; the output has shape (T, M, ..., M), or (T,) when n = 1.
+    """
     if lat.n == 1:
         return sliced.reshape(-1)
     if M < 2 * lat.K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
-    shape = (len(xn_values),) + (M,) * (lat.n - 1)
-    padded = np.zeros(shape, dtype=complex)
-    idx = np.ix_(*([np.arange(len(xn_values))] + [k_axis(lat.K) % M] * (lat.n - 1)))
+    T = sliced.shape[0]
+    padded = np.zeros((T,) + (M,) * (lat.n - 1), dtype=complex)
+    idx = np.ix_(*([np.arange(T)] + [k_axis(lat.K) % M] * (lat.n - 1)))
     padded[idx] = sliced
     axes = tuple(range(1, lat.n))
     return np.fft.ifftn(padded, axes=axes) * float(M) ** (lat.n - 1)
@@ -289,7 +306,26 @@ def project_bandlimited(s: SampleGrid, target: Lattice) -> tuple[Field, float]:
     if M < 2 * target.K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * target.K + 2}")
     chat = np.fft.fftn(s.values) / float(M) ** target.n
-    idx = np.ix_(*([k_axis(target.K) % M] * target.n))
+    kept, residual = _split_tail(chat, np.ix_(*([k_axis(target.K) % M] * target.n)))
+    return Field(target, kept), residual
+
+
+def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:
+    """Truncate vertical DFT rows to the bandlimit K.
+
+    spectra holds, along its last axis, the M DFT bins (divided by M) of
+    columns sampled at the M vertical grid heights j L/M.  Returns the kept
+    rows |k| <= K in mode order and the relative l2 magnitude of the
+    discarded rows, as project_bandlimited does on a whole grid.
+    """
+    M = spectra.shape[-1]
+    if M < 2 * K + 2:
+        raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
+    return _split_tail(spectra.copy(), (..., k_axis(K) % M))
+
+
+def _split_tail(chat: np.ndarray, idx) -> tuple[np.ndarray, float]:
+    """chat[idx] and the relative l2 size of the rest; overwrites chat."""
     kept = chat[idx].copy()
     # sum the discarded bins directly; subtracting two near-equal totals would
     # drown small tails in cancellation noise
@@ -298,7 +334,7 @@ def project_bandlimited(s: SampleGrid, target: Lattice) -> tuple[Field, float]:
     retained = float(np.sum(np.abs(kept) ** 2))
     total = retained + tail
     residual = math.sqrt(tail / total) if total > 0.0 else 0.0
-    return Field(target, kept), residual
+    return kept, residual
 
 
 def dilate(u: Field, m: int) -> Field:

@@ -6,9 +6,12 @@ norm is the Plancherel mode sum and samples no grid.  For other even integer
 p, |u|^p (and the square function's g^p) is band-limited at pK, so the
 rectangle rule on the smallest grid with M > pK (lattice.exact_grid) is
 exact.  Every other p, and the half-space strip 0 <= x_n < L/2, keep the
-rectangle rule on the oversampled grid, the one approximate quadrature.
-Identities needing exact integrals over the strip (pairings of band-limited
-products) go through spectral half-period weights instead.
+rectangle rule on the oversampled grid, the one approximate quadrature.  On
+the strip at p = 2 that rule is summed per horizontal mode: Parseval on the
+horizontal grid is exact, so only the columns at the M/2 vertical grid
+heights are evaluated and no grid is sampled.  Identities needing exact
+integrals over the strip (pairings of band-limited products) go through
+closed-form half-period weights on the vertical mode pairs instead.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ from typing import Mapping
 import numpy as np
 
 from .dyadic import DyadicFamily, build_dyadic_family, delta_dot, delta_inhom
-from .errors import HomogeneousDCViolation, InvalidExponent, InvalidParameter
+from .errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from .lattice import (
     DC_TOL,
     Field,
     Lattice,
-    default_oversample,
     exact_grid,
     is_homogeneous_admissible,
+    k_axis,
     sample_grid,
+    vertical_phases,
     without_mean,
 )
 from .multipliers import bessel_potential, fractional_laplacian
@@ -110,6 +114,9 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
     L^(n/2) sqrt(sum |c_k|^2).  Otherwise the rectangle rule runs on M
     samples per axis, by default lattice.exact_grid: exact for even integer
     p on the whole torus, oversampled for every other p and on the strip.
+    The strip's p = 2 rule is (L/M)^n M^(n-1) sum |C[k', j]|^2 over the
+    columns C = coef @ vertical_phases(heights).T at the heights
+    j L/M < L/2, the same sum as on the sampled grid by horizontal Parseval.
     """
     _check_exponent(p, "p")
     if domain not in DOMAINS:
@@ -119,6 +126,12 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
     if whole and p == 2.0 and M is None:
         return float(lat.L ** (lat.n / 2.0) * np.linalg.norm(u.coef.ravel()))
     M = M or exact_grid(lat, p, whole)
+    if not whole and p == 2.0:
+        if M < 2 * lat.K + 2:
+            raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
+        columns = u.coef @ vertical_phases(lat, np.arange(M // 2) * (lat.L / M)).T
+        total = (lat.L / M) ** lat.n * float(M) ** (lat.n - 1) * np.sum(np.abs(columns) ** 2)
+        return float(math.sqrt(total))
     values = sample_grid(u, M).values
     if not whole:
         values = values[..., : M // 2]
@@ -131,28 +144,25 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
 def halfspace_product_integral(u: Field, v: Field, conjugate: bool = False) -> complex:
     """Exact integral of u * v (or u * conj v) over the strip 0 <= x_n < L/2.
 
-    The product of two band-limited fields is band-limited at twice the
-    bandlimit, so its DFT on the oversampled grid (M >= 8K >= 4K + 2)
-    recovers the product's modes exactly and the strip integral reduces to
-    closed-form half-period weights: L/2 at frequency zero, 0 at even
-    vertical frequencies, and i L / (pi r) at odd vertical frequency r.
+    Horizontal modes integrate to L^(n-1) on the pairs whose product is
+    constant in x', so the integral is
+        L^(n-1) sum_{k'} sum_{k, k2} a[k', k] b[k', k2] h(k - k2)
+    with a = coef(u), b = conj(coef(v)) (or coef(v) reversed in every axis,
+    pairing mode k with -k, when conjugate is False), and the closed-form
+    half-period weights h(r) = int_0^{L/2} exp(i xi_r x) dx: L/2 at r = 0,
+    0 at even r and i L / (pi r) at odd r.
     """
     lat = u.lattice
     if v.lattice != lat:
         raise InvalidParameter("fields live on different lattices")
-    M = default_oversample(lat)
-    su = sample_grid(u, M).values
-    sv = sample_grid(v, M).values
-    prod = su * (np.conj(sv) if conjugate else sv)
-    phat = np.fft.fftn(prod) / float(M) ** lat.n
-    vertical = phat[(0,) * (lat.n - 1)] if lat.n > 1 else phat
-    bins = np.arange(M)
-    r = ((bins + M // 2) % M) - M // 2
-    weights = np.zeros(M, dtype=complex)
+    b = np.conj(v.coef) if conjugate else np.flip(v.coef)
+    k = k_axis(lat.K)
+    r = k[:, None] - k[None, :]
+    weights = np.zeros(r.shape, dtype=complex)
     weights[r == 0] = lat.L / 2.0
     odd = (r % 2) != 0
     weights[odd] = 1j * lat.L / (math.pi * r[odd])
-    return complex(lat.L ** (lat.n - 1) * np.sum(vertical * weights))
+    return complex(lat.L ** (lat.n - 1) * np.sum((u.coef @ weights) * b))
 
 
 # ---------------------------------------------------------------------------

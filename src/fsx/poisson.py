@@ -15,18 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, HomogeneousDCViolation, InvalidParameter
-from .halfspace import HalfField, _leakage_of_values
+from .halfspace import HalfField, far_band_heights
 from .interp import default_tgrid, log_grid_integral
 from .lattice import (
     DC_TOL,
     Field,
     Lattice,
-    SampleGrid,
     default_oversample,
     evaluate,
+    horizontal_samples,
     is_homogeneous_admissible,
-    k_axis,
-    project_bandlimited,
+    project_columns,
     without_mean,
     xi_norm,
 )
@@ -72,31 +71,31 @@ def poisson_extend(g: Field) -> PoissonField:
 
 
 def materialize_poisson(pf: PoissonField, lat: Lattice) -> tuple[HalfField, float]:
-    """Sample the extension over the torus grid and project to the lattice.
+    """Sample the extension over the vertical grid and project to the lattice.
 
     The profile exp(-x_n |xi'|) is sampled over 0 <= x_n < L and keeps
     decaying past x_n = L/2, so the far face carries leakage of order
     exp(-(L/2) |xi'|), and the periodized profile jumps at the seam x_n = 0
     by 1 - exp(-L |xi'|), its value at 0 less its value at L.  Both are
-    reported: leakage on the HalfField, seam damage in the projection
-    residual.
+    reported: leakage on the HalfField (the sup of the sampled profile over
+    the far band), seam damage in the projection residual.  Each horizontal
+    mode's profile is projected by one DFT along x_n.
     """
     blat = pf.boundary.lattice
     if lat.n != blat.n + 1 or lat.K != blat.K or lat.L != blat.L:
         raise InvalidParameter("target lattice must extend the boundary lattice")
     M = default_oversample(lat)
-    xn = np.arange(M) * (lat.L / M)
-    # (boundary modes..., M): amplitudes damped per height
-    damped = pf.boundary.coef[..., None] * np.exp(
-        -pf.decay_rates[..., None] * xn
+
+    def profile(xn: np.ndarray) -> np.ndarray:
+        # (boundary modes..., heights): amplitudes damped per height
+        return pf.boundary.coef[..., None] * np.exp(-pf.decay_rates[..., None] * xn)
+
+    coef, residual = project_columns(
+        np.fft.fft(profile(np.arange(M) * (lat.L / M)), axis=-1) / M, lat.K
     )
-    padded = np.zeros((M,) * lat.n, dtype=complex)
-    idx = np.ix_(*([k_axis(blat.K) % M] * blat.n + [np.arange(M)]))
-    padded[idx] = damped
-    axes = tuple(range(blat.n))
-    values = np.fft.ifftn(padded, axes=axes) * float(M) ** blat.n
-    field, residual = project_bandlimited(SampleGrid(lat, M, values), lat)
-    return HalfField(field, _leakage_of_values(values, M)), residual
+    band = np.moveaxis(profile(far_band_heights(M, lat.L)), -1, 0)
+    leakage = float(np.max(np.abs(horizontal_samples(band, lat, M))))
+    return HalfField(Field(lat, coef), leakage), residual
 
 
 def poisson_besov_norm(

@@ -20,6 +20,7 @@ from .dyadic import annulus_values, build_dyadic_family, delta_dot, partition_va
 from .errors import ConfigError, UnknownSuite
 from .halfspace import (
     extend_reflect,
+    far_band_heights,
     indicator_multiply,
     lower_half_defect,
     make_half_field,
@@ -761,10 +762,8 @@ def suite_poisson(cfg: SuiteConfig) -> Report:
 
     g1 = plane_wave(blat, (1,) + (0,) * (blat.n - 1))
     hf, _ = materialize_poisson(poisson_extend(g1), lat)
-    M = default_oversample(lat)
-    band = max(int(M / 16), 1)
-    xn_min = (M // 2 - band) * (lat.L / M)
-    want_leak = math.exp(-xn_min)
+    # the sup of exp(-x_n) over the far band sits at its lowest height
+    want_leak = math.exp(-far_band_heights(default_oversample(lat), lat.L)[0])
     rep.add_case(
         "materialize_leakage_analytic",
         abs(hf.leakage - want_leak),

@@ -1,10 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fsx.halfspace as fsx_halfspace
+import fsx.lattice as fsx_lattice
+import fsx.norms as fsx_norms
+import fsx.poisson as fsx_poisson
 from fsx.corpus import bump_field, bump_truncation_error
-from fsx.errors import IllConditioned, InvalidParameter, LeakageTooLarge
+from fsx.dyadic import smooth_cut
+from fsx.errors import AliasingRisk, IllConditioned, InvalidParameter, LeakageTooLarge
 from fsx.halfspace import (
     extend_reflect,
     half_peak,
@@ -18,15 +26,22 @@ from fsx.halfspace import (
     shifted_coefficients,
 )
 from fsx.lattice import (
+    Field,
+    Lattice,
+    SampleGrid,
     default_oversample,
     evaluate,
     field_from_modes,
     make_lattice,
+    project_bandlimited,
     sample_grid,
+    sample_slices,
+    without_mean,
     zero_field,
 )
 from fsx.multipliers import derivative
-from fsx.norms import SpaceSpec, lp_norm, sobolev_norm
+from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm
+from fsx.poisson import PoissonField, materialize_poisson
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,6 +284,16 @@ class TestProjectZero:
 
 
 class TestIndicator:
+    @pytest.mark.parametrize("enlarge", [0, -1, 2.5, True, "4", None])
+    def test_enlarge_must_be_a_positive_integer(self, lat, enlarge):
+        with pytest.raises(InvalidParameter, match="enlarge"):
+            indicator_multiply(plane_wave_field(lat), enlarge)
+
+    @pytest.mark.parametrize("enlarge", [1, 2, np.int64(3)])
+    def test_integer_enlarge_sets_the_output_bandlimit(self, lat, enlarge):
+        cut, _ = indicator_multiply(plane_wave_field(lat), enlarge)
+        assert cut.lattice.K == int(enlarge) * lat.K
+
     def test_upper_bump_passes_through(self, lat):
         u = one_sided_bump(lat)
         cut, res = indicator_multiply(u)
@@ -314,6 +339,10 @@ class TestIndicator:
         assert r64 > r32
         # inside the multiplier range the ratio is stable
         assert hdot_ratio(u64, 0.4) <= 1.5 * hdot_ratio(u32, 0.4)
+
+
+def plane_wave_field(lat):
+    return field_from_modes(lat, {(1, 1): 1.0})
 
 
 def _plancherel_hdot(u, s):
@@ -382,3 +411,332 @@ class TestBumpQuality:
         far = np.abs(vals[..., M // 2]).max()
         assert boundary <= 1e-8 * u.peak()
         assert far <= 1e-8 * u.peak()
+
+
+# ---------------------------------------------------------------------------
+# Column kernels against the grid round trip
+# ---------------------------------------------------------------------------
+#
+# The references below are the sample -> overwrite -> project algorithm on the
+# whole M^n grid, written from the public sampling API.  The operators only
+# change values as a function of the vertical grid index, so the two must
+# agree to round-off.
+
+
+def signed_heights(M, L):
+    j = np.arange(M)
+    return np.where(j > M // 2, j * (L / M) - L, j * (L / M))
+
+
+def grid_mirror_sum(u, coeffs, heights, M):
+    """sum_j coeffs[j] u(x', -h/(j+1)) on the x'-grid, heights on the last axis."""
+    return sum(
+        a * np.moveaxis(sample_slices(u, -heights / (j + 1), M), 0, -1)
+        for j, a in enumerate(coeffs)
+    )
+
+
+def grid_extend(u, coeffs, window=False):
+    lat = u.lattice
+    M = default_oversample(lat)
+    values = sample_grid(u, M).values.copy()
+    sn = signed_heights(M, lat.L)
+    lower = np.nonzero(sn < 0.0)[0]
+    acc = grid_mirror_sum(u, coeffs, sn[lower], M)
+    if window:
+        acc = acc * smooth_cut((6.0 / lat.L) * np.abs(sn[lower]))
+    values[..., lower] = acc
+    return project_bandlimited(SampleGrid(lat, M, values), lat)
+
+
+def grid_parity(u, sign):
+    lat = u.lattice
+    M = default_oversample(lat)
+    values = sample_grid(u, M).values.copy()
+    lower = np.nonzero(signed_heights(M, lat.L) < 0.0)[0]
+    values[..., lower] = sign * values[..., M - lower]
+    return project_bandlimited(SampleGrid(lat, M, values), lat)
+
+
+def grid_project_zero(u, m):
+    lat = u.lattice
+    M = default_oversample(lat)
+    values = sample_grid(u, M).values.copy()
+    sn = signed_heights(M, lat.L)
+    upper = np.nonzero(sn >= 0.0)[0]
+    values[..., upper] -= grid_mirror_sum(u, reflection_coefficients(m).alpha, sn[upper], M)
+    values[..., sn < 0.0] = 0.0
+    return project_bandlimited(SampleGrid(lat, M, values), lat)[0]
+
+
+def grid_indicator(u, enlarge):
+    lat = u.lattice
+    big = Lattice(lat.n, enlarge * lat.K, lat.L)
+    M = default_oversample(big, factor=2)
+    values = sample_grid(u, M).values.copy()
+    values[..., M // 2 :] = 0.0
+    return project_bandlimited(SampleGrid(big, M, values), big)
+
+
+def grid_poisson(pf, lat):
+    """The profile sampled height by height on the x'-grid, projected; and its far-band sup."""
+    M = default_oversample(lat)
+    heights = np.arange(M) * (lat.L / M)
+    values = np.stack([sample_grid(pf.slice_field(h), M).values for h in heights], axis=-1)
+    band = max(int(M / 16), 1)
+    leakage = float(np.max(np.abs(values[..., M // 2 - band : M // 2 + 1])))
+    field, residual = project_bandlimited(SampleGrid(lat, M, values), lat)
+    return field, residual, leakage
+
+
+def grid_strip_l2(u, M=None):
+    M = M or default_oversample(u.lattice)
+    values = sample_grid(u, M).values[..., : M // 2]
+    return math.sqrt((u.lattice.L / M) ** u.lattice.n * np.sum(np.abs(values) ** 2))
+
+
+def grid_product_integral(u, v, conjugate):
+    """Strip integral from the DFT of the sampled product and half-period weights."""
+    lat = u.lattice
+    M = default_oversample(lat)
+    su = sample_grid(u, M).values
+    sv = sample_grid(v, M).values
+    phat = np.fft.fftn(su * (np.conj(sv) if conjugate else sv)) / float(M) ** lat.n
+    vertical = phat[(0,) * (lat.n - 1)]
+    r = ((np.arange(M) + M // 2) % M) - M // 2
+    weights = np.zeros(M, dtype=complex)
+    weights[r == 0] = lat.L / 2.0
+    odd = (r % 2) != 0
+    weights[odd] = 1j * lat.L / (math.pi * r[odd])
+    return complex(lat.L ** (lat.n - 1) * np.sum(vertical * weights))
+
+
+COEF_TOL = 1e-12  # relative to the larger peak of input and output
+RESIDUAL_TOL = 1e-13  # absolute
+
+
+def weight_growth(coeffs):
+    """How far the mirror weights sum |a_j| push round-off past the stated bounds.
+
+    Both paths sum mirrored values with these weights, so their round-off
+    grows with sum |a_j|.  At m = 4 (13569), against 40-digit arithmetic on
+    60 random n = 1 fields with K <= 4, the grid reference's residual is off
+    by up to 3.2e-13 and the column kernel's by up to 1.0e-13; their
+    coefficients by up to 5.0e-13 and 1.9e-13 of the peak.  Orders m <= 3
+    (sum at most 831) keep the bounds as stated.
+    """
+    return max(1.0, float(np.sum(np.abs(coeffs))) / 1000.0)
+
+
+def assert_same_field(got, want, given, residuals=None, growth=1.0):
+    assert got.lattice == want.lattice
+    scale = max(want.peak(), given.peak(), 1e-300)
+    assert np.max(np.abs(got.coef - want.coef)) <= COEF_TOL * growth * scale
+    if residuals is not None:
+        assert abs(residuals[0] - residuals[1]) <= RESIDUAL_TOL * growth
+
+
+@st.composite
+def random_fields(draw, min_n=1):
+    n = draw(st.integers(min_n, 3))
+    K = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    lat = make_lattice(n, K)
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape)
+    return Field(lat, coef * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+
+
+COLUMN_SETTINGS = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestColumnKernelsMatchGrid:
+    @COLUMN_SETTINGS
+    @given(random_fields(), st.integers(0, 4), st.booleans())
+    def test_extend_reflect(self, u, m, window):
+        alpha = reflection_coefficients(m).alpha
+        got, res = extend_reflect(make_half_field(u), m, window=window)
+        want, want_res = grid_extend(u, alpha, window)
+        assert_same_field(got, want, u, (res, want_res), weight_growth(alpha))
+
+    @COLUMN_SETTINGS
+    @given(random_fields(), st.integers(1, 4), st.booleans())
+    def test_extend_reflect_shifted(self, u, m, window):
+        got, res = extend_reflect(make_half_field(u), m, window=window, ell=1)
+        coeffs = shifted_coefficients(reflection_coefficients(m), 1)
+        want, want_res = grid_extend(u, coeffs, window)
+        assert_same_field(got, want, u, (res, want_res), weight_growth(coeffs))
+
+    @COLUMN_SETTINGS
+    @given(random_fields(), st.sampled_from(["odd", "even"]))
+    def test_reflect_parity(self, u, parity):
+        got, res = reflect_parity(make_half_field(u), parity)
+        want, want_res = grid_parity(u, -1.0 if parity == "odd" else 1.0)
+        assert_same_field(got, want, u, (res, want_res))
+
+    @COLUMN_SETTINGS
+    @given(random_fields(), st.integers(0, 4))
+    def test_project_zero(self, u, m):
+        growth = weight_growth(reflection_coefficients(m).alpha)
+        assert_same_field(project_zero(u, m), grid_project_zero(u, m), u, growth=growth)
+
+    @COLUMN_SETTINGS
+    @given(random_fields(), st.sampled_from([1, 4]))
+    def test_indicator_multiply(self, u, enlarge):
+        got, res = indicator_multiply(u, enlarge)
+        want, want_res = grid_indicator(u, enlarge)
+        assert_same_field(got, want, u, (res, want_res))
+
+    @COLUMN_SETTINGS
+    @given(random_fields(min_n=2))
+    def test_materialize_poisson(self, u):
+        g = without_mean(Field(u.lattice.boundary(), u.coef.sum(axis=-1)))
+        pf = PoissonField(g)
+        hf, res = materialize_poisson(pf, u.lattice)
+        want, want_res, want_leak = grid_poisson(pf, u.lattice)
+        assert_same_field(hf.field, want, g, (res, want_res))
+        assert hf.leakage == pytest.approx(want_leak, rel=1e-12, abs=1e-300)
+
+    @COLUMN_SETTINGS
+    @given(random_fields())
+    def test_strip_l2(self, u):
+        M = 2 * u.lattice.K + 2
+        assert lp_norm(u, 2.0, "halfspace") == pytest.approx(grid_strip_l2(u), rel=1e-12)
+        assert lp_norm(u, 2.0, "halfspace", M=M) == pytest.approx(grid_strip_l2(u, M), rel=1e-12)
+
+    @COLUMN_SETTINGS
+    @given(random_fields())
+    def test_sups(self, u):
+        M = default_oversample(u.lattice)
+        values = np.abs(sample_grid(u, M).values)
+        band = max(int(M / 16), 1)
+        hf = make_half_field(u)
+        assert hf.leakage == pytest.approx(
+            np.max(values[..., M // 2 - band : M // 2 + 1]), rel=1e-12
+        )
+        assert half_peak(hf) == pytest.approx(np.max(values[..., : M // 2 + 1]), rel=1e-12)
+        assert lower_half_defect(u) == pytest.approx(np.max(values[..., M // 2 + 1 :]), rel=1e-12)
+
+
+def extended_precision_extension(u, coeffs, window):
+    """The n = 1 extension's modes and residual in 40-digit arithmetic.
+
+    Same grid heights and window weights as the float paths, as inputs.
+    """
+    lat = u.lattice
+    M = default_oversample(lat)
+    sn = signed_heights(M, lat.L)
+    weights = smooth_cut((6.0 / lat.L) * np.abs(sn))
+    with mpmath.workdps(40):
+        c = [mpmath.mpc(complex(z)) for z in u.coef]
+        xi = [2 * mpmath.pi / mpmath.mpf(lat.L) * k for k in range(-lat.K, lat.K + 1)]
+
+        def value(x):
+            return mpmath.fsum(ck * mpmath.expj(xk * x) for ck, xk in zip(c, xi))
+
+        column = []
+        for s, w in zip(sn, weights):
+            h = mpmath.mpf(float(s))
+            if s >= 0.0:
+                column.append(value(h))
+            else:
+                mirror = mpmath.fsum(mpmath.mpf(a) * value(-h / (j + 1)) for j, a in enumerate(coeffs))
+                column.append(mirror * (mpmath.mpf(w) if window else 1))
+        spectrum = [
+            mpmath.fsum(v * mpmath.expj(-2 * mpmath.pi * q * j / M) for j, v in enumerate(column)) / M
+            for q in range(M)
+        ]
+        kept = [k % M for k in range(-lat.K, lat.K + 1)]
+        tail = mpmath.fsum(abs(spectrum[q]) ** 2 for q in range(M) if q not in kept)
+        total = tail + mpmath.fsum(abs(spectrum[q]) ** 2 for q in kept)
+        coef = np.array([complex(spectrum[q]) for q in kept])
+        return coef, float(mpmath.sqrt(tail / total))
+
+
+class TestExtendedPrecision:
+    """The order-4 column extension against 40-digit arithmetic, not another float path."""
+
+    @pytest.mark.parametrize("window", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_order_four_extension(self, seed, window):
+        lat = make_lattice(1, 2)
+        rng = np.random.default_rng(seed)
+        u = Field(lat, rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape))
+        alpha = reflection_coefficients(4).alpha
+        got, res = extend_reflect(make_half_field(u), 4, window=window)
+        coef, want_res = extended_precision_extension(u, alpha, window)
+        growth = weight_growth(alpha)
+        scale = max(np.max(np.abs(coef)), u.peak())
+        assert np.max(np.abs(got.coef - coef)) <= COEF_TOL * growth * scale
+        assert abs(res - want_res) <= RESIDUAL_TOL * growth
+
+
+class TestProductIntegralMatchesGrid:
+    @pytest.mark.parametrize("n,K", [(1, 6), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_closed_form_equals_grid_formula(self, n, K, conjugate):
+        lat = make_lattice(n, K)
+        rng = np.random.default_rng(17 + n)
+        for _ in range(3):
+            u, v = (
+                Field(lat, rng.standard_normal(lat.mode_shape)
+                      + 1j * rng.standard_normal(lat.mode_shape))
+                for _ in range(2)
+            )
+            want = grid_product_integral(u, v, conjugate)
+            got = halfspace_product_integral(u, v, conjugate=conjugate)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+class TestNoWholeGrid:
+    """The column operators sample no M^n grid and project none."""
+
+    @pytest.fixture
+    def grid_calls(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+        monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
+        for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson):
+            for name in ("sample_grid", "project_bandlimited"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        return calls
+
+    @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
+    def test_operators_stay_on_columns(self, grid_calls, n, K):
+        lat = make_lattice(n, K)
+        rng = np.random.default_rng(n)
+        u = Field(lat, rng.standard_normal(lat.mode_shape) + 0j)
+        v = Field(lat, rng.standard_normal(lat.mode_shape) + 0j)
+        hf = make_half_field(u)
+        half_peak(hf)
+        for m in (0, 2):
+            extend_reflect(hf, m, window=True, ell=1 if m else 0)
+            project_zero(u, m)
+        for parity in ("odd", "even"):
+            reflect_parity(hf, parity)
+        lower_half_defect(u)
+        indicator_multiply(u)
+        lp_norm(u, 2.0, "halfspace")
+        halfspace_product_integral(u, v)
+        restriction_norm(hf, SpaceSpec("Lp", p=2.0, domain="halfspace"))
+        g = without_mean(Field(lat.boundary(), u.coef.sum(axis=-1)))
+        materialize_poisson(PoissonField(g), lat)
+        M = default_oversample(lat)
+        assert not [c for c in grid_calls if c[0] in ("sample_grid", "project_bandlimited", "fftn")]
+        assert all(shape != (M,) * n for _, shape in grid_calls)
+
+    def test_strip_l2_still_refuses_an_aliasing_grid(self):
+        lat = make_lattice(2, 8)
+        with pytest.raises(AliasingRisk):
+            lp_norm(plane_wave_field(lat), 2.0, "halfspace", M=2 * lat.K)
