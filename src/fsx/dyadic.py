@@ -10,7 +10,7 @@ every nonzero frequency, which build_dyadic_family enforces at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -127,10 +127,6 @@ class BlockSeq:
 
     family: DyadicFamily
     blocks: dict[int, Field]
-    low: Field | None = field(default=None)
-
-    def block(self, j: int) -> Field | None:
-        return self.blocks.get(j)
 
 
 def decompose(u: Field, fam: DyadicFamily) -> BlockSeq:

@@ -49,10 +49,6 @@ class IllConditioned(FsxError):
     pass
 
 
-class LeakageTooLarge(FsxError):
-    """Field carries too much mass near the far face of the strip."""
-
-
 class DimensionTooSmall(FsxError):
     pass
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dyadic import smooth_cut
-from .errors import FsxError, IllConditioned, InvalidParameter, LeakageTooLarge
+from .errors import FsxError, IllConditioned, InvalidParameter
 from .lattice import (
     Field,
     Lattice,
@@ -165,17 +165,6 @@ def _window_weights(dist: np.ndarray, L: float) -> np.ndarray:
     return smooth_cut((6.0 / L) * np.abs(dist))
 
 
-def _check_leakage(u: HalfField, max_leakage: float | None) -> None:
-    if max_leakage is None:
-        return
-    scale = half_peak(u)
-    if scale > 0.0 and u.leakage > max_leakage * scale:
-        raise LeakageTooLarge(
-            f"far-boundary leakage {u.leakage:.3e} exceeds "
-            f"{max_leakage:.1e} x peak {scale:.3e}"
-        )
-
-
 def _mirror_table(lat: Lattice, coeffs: np.ndarray, heights: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] exp(i xi_k (-h/(j+1))) for each height h (rows), mode k (columns)."""
     return sum(a * vertical_phases(lat, -heights / (j + 1)) for j, a in enumerate(coeffs))
@@ -197,11 +186,7 @@ def _extension(u: Field, coeffs: np.ndarray, window: bool = False) -> tuple[Fiel
 
 
 def extend_reflect(
-    u: HalfField,
-    m: int,
-    window: bool = False,
-    ell: int = 0,
-    max_leakage: float | None = None,
+    u: HalfField, m: int, window: bool = False, ell: int = 0
 ) -> tuple[Field, float]:
     """Higher-order reflection extension of upper-half data to the torus.
 
@@ -211,19 +196,15 @@ def extend_reflect(
     ell rescales the coefficients for the vertical-derivative commutation.
     Returns the projected field and the projection residual.
     """
-    _check_leakage(u, max_leakage)
     rc = reflection_coefficients(m)
     coeffs = shifted_coefficients(rc, ell) if ell else rc.alpha
     return _extension(u.field, coeffs, window)
 
 
-def reflect_parity(
-    u: HalfField, parity: str, max_leakage: float | None = None
-) -> tuple[Field, float]:
+def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
     """Odd or even reflection across x_n = 0 (mirror the upper half, then project)."""
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
-    _check_leakage(u, max_leakage)
     sign = -1.0 if parity == "odd" else 1.0
     return _extension(u.field, np.array([sign]))
 
@@ -279,22 +260,18 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 
-def extension_candidates(
-    u: HalfField, orders: tuple[int, ...] = (0, 1, 2, 3, 4)
-) -> dict[str, tuple[Field, float]]:
-    """Witness set of extensions: plain and windowed reflections, parities."""
+def extension_candidates(u: HalfField) -> dict[str, tuple[Field, float]]:
+    """Witness set of extensions: plain and windowed reflections of orders 0-4,
+    and the odd reflection ED.  The even reflection is E0, so it is not repeated."""
     out: dict[str, tuple[Field, float]] = {}
-    for m in orders:
+    for m in range(5):
         out[f"E{m}"] = extend_reflect(u, m)
         out[f"E{m}w"] = extend_reflect(u, m, window=True)
     out["ED"] = reflect_parity(u, "odd")
-    out["EN"] = reflect_parity(u, "even")
     return out
 
 
-def restriction_norm(
-    u: HalfField, spec: SpaceSpec, orders: tuple[int, ...] = (0, 1, 2, 3, 4)
-) -> tuple[float, str]:
+def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:
     """Upper bound on the quotient norm inf {||U||_X : U|_half = u}.
 
     Minimizes the whole-space norm over the witness extension set and returns
@@ -306,7 +283,7 @@ def restriction_norm(
     whole = replace(spec, domain="whole")
     best = math.inf
     witness = ""
-    for name, (cand, _res) in extension_candidates(u, orders).items():
+    for name, (cand, _res) in extension_candidates(u).items():
         val = norm_ignoring_mean(cand, whole)
         if val < best:
             best, witness = val, name

@@ -139,11 +139,11 @@ def k_curve_exact_hilbert(
     return KCurve(tgrid, values, "exact_hilbert")
 
 
-def best_k_curve(u: Field, c: Couple, tgrid: np.ndarray | None = None) -> KCurve:
+def best_k_curve(u: Field, c: Couple) -> KCurve:
     try:
-        return k_curve_exact_hilbert(u, c, tgrid)
+        return k_curve_exact_hilbert(u, c)
     except NotHilbertCouple:
-        return k_curve_upper(u, c, tgrid)
+        return k_curve_upper(u, c)
 
 
 def log_grid_integral(
@@ -187,17 +187,11 @@ def interp_norm_from_curve(curve: KCurve, theta: float, q: float) -> float:
     return float((max(body, 0.0) + lower + upper) ** (1.0 / q))
 
 
-def real_interp_norm(
-    u: Field,
-    c: Couple,
-    theta: float,
-    q: float,
-    tgrid: np.ndarray | None = None,
-) -> float:
+def real_interp_norm(u: Field, c: Couple, theta: float, q: float) -> float:
     """Interpolation norm from the best available split-functional curve."""
     if u.peak() == 0.0:
         return 0.0
-    curve = best_k_curve(u, c, tgrid)
+    curve = best_k_curve(u, c)
     return interp_norm_from_curve(curve, theta, q)
 
 

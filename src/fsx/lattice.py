@@ -294,43 +294,24 @@ def sample_grid(u: Field, M: int) -> SampleGrid:
     return SampleGrid(lat, M, values)
 
 
-def project_bandlimited(s: SampleGrid, target: Lattice) -> tuple[Field, float]:
-    """Truncate the DFT of the samples to the target bandlimit.
-
-    Returns the projected field and the relative l2 magnitude of the
-    discarded tail (0 for exactly band-limited input).
-    """
-    if s.values.ndim != target.n:
-        raise InvalidParameter("sample grid dimension != target dimension")
-    M = s.M
-    if M < 2 * target.K + 2:
-        raise AliasingRisk(f"M={M} < 2K+2={2 * target.K + 2}")
-    chat = np.fft.fftn(s.values) / float(M) ** target.n
-    kept, residual = _split_tail(chat, np.ix_(*([k_axis(target.K) % M] * target.n)))
-    return Field(target, kept), residual
-
-
 def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:
     """Truncate vertical DFT rows to the bandlimit K.
 
     spectra holds, along its last axis, the M DFT bins (divided by M) of
     columns sampled at the M vertical grid heights j L/M.  Returns the kept
     rows |k| <= K in mode order and the relative l2 magnitude of the
-    discarded rows, as project_bandlimited does on a whole grid.
+    discarded rows (0 for exactly band-limited columns).
     """
     M = spectra.shape[-1]
     if M < 2 * K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
-    return _split_tail(spectra.copy(), (..., k_axis(K) % M))
-
-
-def _split_tail(chat: np.ndarray, idx) -> tuple[np.ndarray, float]:
-    """chat[idx] and the relative l2 size of the rest; overwrites chat."""
-    kept = chat[idx].copy()
+    idx = (..., k_axis(K) % M)
+    rest = spectra.copy()
+    kept = rest[idx]
     # sum the discarded bins directly; subtracting two near-equal totals would
     # drown small tails in cancellation noise
-    chat[idx] = 0.0
-    tail = float(np.sum(np.abs(chat) ** 2))
+    rest[idx] = 0.0
+    tail = float(np.sum(np.abs(rest) ** 2))
     retained = float(np.sum(np.abs(kept) ** 2))
     total = retained + tail
     residual = math.sqrt(tail / total) if total > 0.0 else 0.0

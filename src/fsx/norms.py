@@ -191,7 +191,7 @@ def _require_admissible(u: Field, what: str) -> None:
         raise HomogeneousDCViolation(f"{what} requires a zero-mean field")
 
 
-def besov_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
+def besov_norm(u: Field, spec: SpaceSpec) -> float:
     """Dyadic-block Besov norm, homogeneous (Bdot) or inhomogeneous (B)."""
     if spec.family not in ("B", "Bdot"):
         raise InvalidParameter(f"besov_norm got family {spec.family!r}")
@@ -200,14 +200,14 @@ def besov_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
     if spec.family == "Bdot":
         _require_admissible(u, "homogeneous Besov norm")
         for j in fam.j_range:
-            entries[j] = lp_norm(delta_dot(u, j, fam), spec.p, spec.domain, M)
+            entries[j] = lp_norm(delta_dot(u, j, fam), spec.p, spec.domain)
     else:
         for k in range(-1, fam.j_max + 1):
-            entries[k] = lp_norm(delta_inhom(u, k, fam), spec.p, spec.domain, M)
+            entries[k] = lp_norm(delta_inhom(u, k, fam), spec.p, spec.domain)
     return seq_norm(entries, spec.s, spec.q)
 
 
-def sobolev_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
+def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
     """Potential-norm Sobolev: Riesz (Hdot) or Bessel (H) multiplier then L^p."""
     if spec.family not in ("H", "Hdot"):
         raise InvalidParameter(f"sobolev_norm got family {spec.family!r}")
@@ -216,7 +216,7 @@ def sobolev_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
         potential = fractional_laplacian(u, spec.s)
     else:
         potential = bessel_potential(u, spec.s)
-    return lp_norm(potential, spec.p, spec.domain, M)
+    return lp_norm(potential, spec.p, spec.domain)
 
 
 def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
@@ -285,16 +285,16 @@ def pairing(u: Field, v: Field, domain: str = "whole") -> complex:
     return total
 
 
-def space_norm(u: Field, spec: SpaceSpec, M: int | None = None) -> float:
+def space_norm(u: Field, spec: SpaceSpec) -> float:
     """Dispatch on the space family."""
     if spec.family == "Lp":
-        return lp_norm(u, spec.p, spec.domain, M)
+        return lp_norm(u, spec.p, spec.domain)
     if spec.family in ("H", "Hdot"):
-        return sobolev_norm(u, spec, M)
+        return sobolev_norm(u, spec)
     if spec.family in ("B", "Bdot"):
-        return besov_norm(u, spec, M)
+        return besov_norm(u, spec)
     if spec.family == "Fdot":
-        return triebel_norm(u, spec.s, spec.p, spec.domain, M)
+        return triebel_norm(u, spec.s, spec.p, spec.domain)
     raise InvalidParameter(f"unknown family {spec.family!r}")
 
 

@@ -98,14 +98,7 @@ def materialize_poisson(pf: PoissonField, lat: Lattice) -> tuple[HalfField, floa
     return HalfField(Field(lat, coef), leakage), residual
 
 
-def poisson_besov_norm(
-    u: Field,
-    s: float,
-    alpha: float,
-    p: float,
-    q: float,
-    tgrid: np.ndarray | None = None,
-) -> float:
+def poisson_besov_norm(u: Field, s: float, alpha: float, p: float, q: float) -> float:
     """Semigroup characterization norm || t^s (-Lap)^(a/2) e^(-t sqrt(-Lap)) u ||.
 
     The outer norm is L^q(dt/t) over a geometric grid; the small-t tail uses
@@ -122,7 +115,7 @@ def poisson_besov_norm(
         raise HomogeneousDCViolation("semigroup norm needs a zero-mean field")
     if u.peak() == 0.0:
         return 0.0
-    tgrid = default_tgrid() if tgrid is None else np.asarray(tgrid, dtype=float)
+    tgrid = default_tgrid()
     lat = u.lattice
     base = fractional_laplacian(u, alpha)
     if math.isclose(p, 2.0):

@@ -28,15 +28,16 @@ class Report:
     def passed(self) -> bool:
         return all(bool(c.get("passed", False)) for c in self.cases)
 
-    def add_case(self, case_id: str, value: float, bound: float, passed: bool,
-                 digest: str = "") -> None:
+    def add_case(self, case_id: str, value: float, bound: float,
+                 passed: bool | None = None, digest: str = "") -> None:
+        """Record a case; it passes when value <= bound, unless passed says otherwise."""
         self.cases.append(
             {
                 "case": case_id,
                 "digest": digest,
                 "value": value,
                 "bound": bound,
-                "passed": bool(passed),
+                "passed": bool(value <= bound if passed is None else passed),
             }
         )
 

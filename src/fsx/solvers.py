@@ -37,9 +37,7 @@ def _check_bc(bc: str) -> str:
     return bc
 
 
-def resolvent_halfspace(
-    f: HalfField, lam: complex, bc: str, max_leakage: float | None = None
-) -> tuple[HalfField, float]:
+def resolvent_halfspace(f: HalfField, lam: complex, bc: str) -> tuple[HalfField, float]:
     """Solve (lam - Laplacian) u = f on the strip with the given condition.
 
     Returns the solution as a HalfField together with the reflection
@@ -47,7 +45,7 @@ def resolvent_halfspace(
     """
     bc = _check_bc(bc)
     parity = "odd" if bc == DIRICHLET else "even"
-    extended, residual = reflect_parity(f, parity, max_leakage=max_leakage)
+    extended, residual = reflect_parity(f, parity)
     u_full = resolvent_wholespace(extended, complex(lam))
     return make_half_field(u_full), residual
 

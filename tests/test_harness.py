@@ -10,6 +10,7 @@ import pytest
 
 import fsx
 import fsx.lattice
+import fsx.suites
 from fsx.cli import main as cli_main, parse_lambda
 from fsx.corpus import generate_corpus
 from fsx.errors import ConfigError, InvalidParameter, UnknownSuite
@@ -256,3 +257,16 @@ def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
         and id(obj) not in emptied
     }
     assert not caches, f"caches the benchmark leaves warm: {sorted(caches)}"
+
+
+def test_benchmark_times_every_registered_suite(monkeypatch):
+    """The benchmark times `suites.suite_<name>` and finds each suite's entry
+    in SUITES by object identity, and runs its desk suites in registry order."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    desk = importlib.import_module("workloads").DESK_SUITES
+    for name, fn in fsx.suites.SUITES.items():
+        assert fn is getattr(fsx.suites, f"suite_{name}"), name
+    registry = list(fsx.suites.SUITES)
+    assert set(desk) <= set(registry)
+    assert sorted(desk, key=registry.index) == list(desk)

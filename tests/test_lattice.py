@@ -16,10 +16,10 @@ from fsx.lattice import (
     is_homogeneous_admissible,
     make_lattice,
     plane_wave,
-    project_bandlimited,
     sample_grid,
     zero_field,
 )
+from grid_reference import project_bandlimited
 
 TWO_PI = 2.0 * math.pi
 
