@@ -74,15 +74,21 @@ def exact_grid(lat: Lattice, p: float, whole: bool = True) -> int:
     For even integer p on the whole torus, |u|^p = (u conj(u))^(p/2) is
     band-limited at pK, so the rectangle rule is exact on every M > pK; this
     returns the smallest 2*3*5-smooth such M that is also at least 2K+2, the
-    floor of sample_grid.  Every other exponent, and the strip's half
-    interval (whole=False), has no exact grid and gets default_oversample.
+    floor of sample_grid; for a field on a smaller band, pass occupied(u)'s
+    lattice.  Every other exponent, and the strip's half interval
+    (whole=False), has no exact grid and gets default_oversample.
     """
-    if not (whole and math.isfinite(p) and p % 2 == 0):
+    if not has_exact_grid(p, whole):
         return default_oversample(lat)
     M = max(int(p) * lat.K + 1, 2 * lat.K + 2)
     while not _is_smooth(M):
         M += 1
     return M
+
+
+def has_exact_grid(p: float, whole: bool = True) -> bool:
+    """True when the rectangle rule for |u|^p is exact: even integer p, whole torus."""
+    return whole and math.isfinite(p) and p % 2 == 0
 
 
 def _is_smooth(m: int) -> bool:
@@ -114,14 +120,17 @@ def xi_axes(lat: Lattice) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=128)
 def xi_norm_sq(lat: Lattice) -> np.ndarray:
     """|xi|^2 on the full mode grid."""
-    axes = xi_axes(lat)
-    total = np.zeros(lat.mode_shape)
-    for a in range(lat.n):
-        shape = [1] * lat.n
-        shape[a] = lat.modes_per_axis
-        total = total + (axes[a] ** 2).reshape(shape)
+    total = np.sum((lat.freq_scale * (np.indices(lat.mode_shape) - lat.K)) ** 2, axis=0)
     total.flags.writeable = False
     return total
+
+
+@lru_cache(maxsize=128)
+def chebyshev_radius(lat: Lattice) -> np.ndarray:
+    """max_a |k_a| on the full mode grid: the least bandlimit holding mode k."""
+    r = np.abs(np.indices(lat.mode_shape) - lat.K).max(axis=0)
+    r.flags.writeable = False
+    return r
 
 
 @lru_cache(maxsize=128)
@@ -173,6 +182,17 @@ class Field:
 
     def peak(self) -> float:
         return float(np.max(np.abs(self.coef)))
+
+
+def occupied(u: Field) -> Field:
+    """The same function on the smallest lattice (K' >= 1) holding its nonzero
+    modes, or u itself when K' = K: its samples on any grid are u's."""
+    lat = u.lattice
+    K = int(chebyshev_radius(lat)[u.coef != 0].max(initial=1))
+    if K == lat.K:
+        return u
+    inner = (slice(lat.K - K, lat.K + K + 1),) * lat.n
+    return Field(Lattice(lat.n, K, lat.L), u.coef[inner])
 
 
 def _check_same_lattice(u: Field, v: Field) -> None:
@@ -263,14 +283,26 @@ def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int) -> np.ndarray:
     """
     if lat.n == 1:
         return sliced.reshape(-1)
-    if M < 2 * lat.K + 2:
-        raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
-    T = sliced.shape[0]
-    padded = np.zeros((T,) + (M,) * (lat.n - 1), dtype=complex)
-    idx = np.ix_(*([np.arange(T)] + [k_axis(lat.K) % M] * (lat.n - 1)))
-    padded[idx] = sliced
-    axes = tuple(range(1, lat.n))
-    return np.fft.ifftn(padded, axes=axes) * float(M) ** (lat.n - 1)
+    return _padded_inverse_dft(sliced, lat.K, M, range(1, lat.n))
+
+
+def _padded_inverse_dft(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
+    """M^len(axes) times the inverse DFT of modes zero-padded to M along axes.
+
+    Pruned (Markel 1971): axes are padded and transformed one at a time, last
+    first as np.fft.ifftn orders them, so in the pass over axis a the axes
+    before it still hold only 2K+1 modes: (2K+1)^a M^(n-1-a) rows, not
+    M^(n-1).  Each row gives the values of the one-shot padded transform.
+    """
+    if M < 2 * K + 2:
+        raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
+    idx = k_axis(K) % M
+    for a in reversed(axes):
+        padded = np.zeros(modes.shape[:a] + (M,) + modes.shape[a + 1:], dtype=complex)
+        padded[(slice(None),) * a + (idx,)] = modes
+        modes = np.fft.ifftn(padded, axes=(a,))
+    modes *= float(M) ** len(axes)
+    return modes
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,15 +315,9 @@ class SampleGrid:
 
 
 def sample_grid(u: Field, M: int) -> SampleGrid:
-    """Sample on the M^n grid via zero-padded inverse DFT (exact)."""
+    """Sample on the M^n grid via zero-padded inverse DFT (exact), pruned."""
     lat = u.lattice
-    if M < 2 * lat.K + 2:
-        raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
-    padded = np.zeros((M,) * lat.n, dtype=complex)
-    idx = np.ix_(*([k_axis(lat.K) % M] * lat.n))
-    padded[idx] = u.coef
-    values = np.fft.ifftn(padded) * float(M) ** lat.n
-    return SampleGrid(lat, M, values)
+    return SampleGrid(lat, M, _padded_inverse_dft(u.coef, lat.K, M, range(lat.n)))
 
 
 def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:

@@ -3,15 +3,17 @@ the frequency-block duality pairing.
 
 Each L^p quadrature is chosen by exactness.  On the whole torus the p = 2
 norm is the Plancherel mode sum and samples no grid.  For other even integer
-p, |u|^p (and the square function's g^p) is band-limited at pK, so the
-rectangle rule on the smallest grid with M > pK (lattice.exact_grid) is
-exact.  Every other p, and the half-space strip 0 <= x_n < L/2, keep the
-rectangle rule on the oversampled grid, the one approximate quadrature.  On
-the strip at p = 2 that rule is summed per horizontal mode: Parseval on the
-horizontal grid is exact, so only the columns at the M/2 vertical grid
-heights are evaluated and no grid is sampled.  Identities needing exact
-integrals over the strip (pairings of band-limited products) go through
-closed-form half-period weights on the vertical mode pairs instead.
+p, |u|^p (and the square function's g^p) has band pK' for the band K' that
+u occupies (lattice.occupied), so the rectangle rule on the smallest grid
+with M > pK' is exact.  Every other p, and the half-space strip
+0 <= x_n < L/2, keep the rectangle rule on the oversampled grid of u's own
+lattice, the one approximate quadrature; only its transform shrinks to the
+band.  On the strip at p = 2 that rule is summed per horizontal mode:
+Parseval on the horizontal grid is exact, so only the columns at the M/2
+vertical grid heights are evaluated and no grid is sampled.  Identities
+needing exact integrals over the strip (pairings of band-limited products)
+go through closed-form half-period weights on the vertical mode pairs
+instead.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .lattice import (
     Field,
     Lattice,
     exact_grid,
+    has_exact_grid,
     is_homogeneous_admissible,
     k_axis,
+    occupied,
     sample_grid,
     vertical_phases,
     without_mean,
@@ -106,26 +110,34 @@ def get_family(lat: Lattice) -> DyadicFamily:
 # ---------------------------------------------------------------------------
 
 
+def _own_grid(u: Field, p: float, whole: bool) -> tuple[Field, int]:
+    """u on its occupied band, and its grid: the band's when the rule is exact."""
+    band = occupied(u)
+    return band, exact_grid(band.lattice if has_exact_grid(p, whole) else u.lattice, p, whole)
+
+
 def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> float:
     """L^p norm over the torus or the strip 0 <= x_n < L/2.
 
     "halfspace_zero" (zero-extended functions) is the whole-torus norm.  On
     the whole torus, p = 2 without an explicit M is the Plancherel sum
     L^(n/2) sqrt(sum |c_k|^2).  Otherwise the rectangle rule runs on M
-    samples per axis, by default lattice.exact_grid: exact for even integer
-    p on the whole torus, oversampled for every other p and on the strip.
-    The strip's p = 2 rule is (L/M)^n M^(n-1) sum |C[k', j]|^2 over the
-    columns C = coef @ vertical_phases(heights).T at the heights
-    j L/M < L/2, the same sum as on the sampled grid by horizontal Parseval.
+    samples per axis.  By default u is cropped to its occupied band and M is
+    exact_grid of the band for even integer p on the whole torus (exact), or
+    of u's lattice for every other p and on the strip (oversampled); an
+    explicit M never crops.  The strip's p = 2 rule is (L/M)^n M^(n-1)
+    sum |C[k', j]|^2 over the columns C = coef @ vertical_phases(heights).T
+    at the heights j L/M < L/2, the sampled grid's sum by horizontal Parseval.
     """
     _check_exponent(p, "p")
     if domain not in DOMAINS:
         raise InvalidParameter(f"unknown domain {domain!r}")
-    lat = u.lattice
     whole = domain != "halfspace"
     if whole and p == 2.0 and M is None:
-        return float(lat.L ** (lat.n / 2.0) * np.linalg.norm(u.coef.ravel()))
-    M = M or exact_grid(lat, p, whole)
+        return float(u.lattice.L ** (u.lattice.n / 2.0) * np.linalg.norm(u.coef.ravel()))
+    if M is None:
+        u, M = _own_grid(u, p, whole)
+    lat = u.lattice
     if not whole and p == 2.0:
         if M < 2 * lat.K + 2:
             raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
@@ -223,18 +235,25 @@ def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
                  M: int | None = None) -> float:
     """Square-function norm: pointwise l2 over scales of 2^{js} blocks, then L^p.
 
-    The grid is lattice.exact_grid, as in lp_norm: g^p is band-limited at pK
-    for even integer p, so its rectangle rule on the whole torus is exact.
+    The default grid is lp_norm's: exact_grid of u's occupied band for even
+    integer p on the whole torus, where g^p has band pK' and the rule is
+    exact, and exact_grid of u's lattice otherwise; each block is sampled
+    from its own band.  On the strip at p = 2 the same rectangle rule is
+    summed block by block, sqrt(sum_j 4^{js} lp_norm(block_j)^2), so no grid
+    is sampled.
     """
     _check_exponent(p, "p")
     _require_admissible(u, "square-function norm")
     lat = u.lattice
     fam = get_family(lat)
     whole = domain != "halfspace"
-    M = M or exact_grid(lat, p, whole)
+    if M is None and not whole and p == 2.0:
+        return math.sqrt(sum(4.0 ** (j * s) * lp_norm(delta_dot(u, j, fam), 2.0, domain) ** 2
+                             for j in fam.j_range))
+    M = M or _own_grid(u, p, whole)[1]
     agg = None
     for j in fam.j_range:
-        vals = sample_grid(delta_dot(u, j, fam), M).values
+        vals = sample_grid(occupied(delta_dot(u, j, fam)), M).values
         term = 4.0 ** (j * s) * np.abs(vals) ** 2
         agg = term if agg is None else agg + term
     g = np.sqrt(agg)

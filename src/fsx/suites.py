@@ -90,6 +90,10 @@ from .solvers import (
     resolvent_halfspace,
 )
 
+# Largest complex sample grid, in bytes, that a suite config may imply.
+GRID_BUDGET = 1 << 30
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     dim: int = 2
@@ -105,6 +109,17 @@ class SuiteConfig:
             raise ConfigError("dim and bandlimit must be positive")
         if self.corpus_size < 1:
             raise ConfigError("corpus size must be >= 1")
+        if any(math.isnan(p) or p < 1.0 for p in self.p_list):
+            raise ConfigError(f"every p must lie in [1, inf], got {self.p_list}")
+        if not all(math.isfinite(s) for s in self.s_list):
+            raise ConfigError(f"every s must be finite, got {self.s_list}")
+        M, size = default_oversample(self.lattice()), 16  # bytes of a complex sample
+        for _ in range(self.dim):  # stops early: a huge dim must not build a huge integer
+            size *= M
+            if size > GRID_BUDGET:
+                raise ConfigError(
+                    f"dim={self.dim}, bandlimit={self.bandlimit} needs {M}^{self.dim} "
+                    f"16-byte samples, over the {GRID_BUDGET >> 30} GiB grid budget")
 
     def lattice(self) -> Lattice:
         return make_lattice(self.dim, self.bandlimit, self.period)

@@ -1,9 +1,11 @@
-"""Grid reference for the tests: the n-D projection of sampled values.
+"""Grid references for the tests: one-shot n-D transforms of whole grids.
 
 fsx applies its half-space operators to columns (lattice.project_columns)
 and samples no whole grid.  The tests check those kernels against the
 sample, overwrite and project round trip on the M^n grid, whose projection
-step lives here.
+step lives here.  fsx samples a grid by a pruned transform, one axis at a
+time (lattice.sample_grid); the tests check it against the one-shot
+transform of the fully padded array, which also lives here.
 """
 
 import math
@@ -11,6 +13,14 @@ import math
 import numpy as np
 
 from fsx.lattice import Field, k_axis
+
+
+def sample_grid_reference(u, M):
+    """Values of u on the M^n grid: one n-D inverse DFT of the padded modes."""
+    lat = u.lattice
+    padded = np.zeros((M,) * lat.n, dtype=complex)
+    padded[np.ix_(*([k_axis(lat.K) % M] * lat.n))] = u.coef
+    return np.fft.ifftn(padded) * float(M) ** lat.n
 
 
 def project_bandlimited(s, target):

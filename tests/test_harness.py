@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ import fsx.suites
 from fsx.cli import main as cli_main, parse_lambda
 from fsx.corpus import generate_corpus
 from fsx.errors import ConfigError, InvalidParameter, UnknownSuite
-from fsx.lattice import field_from_modes, load_field, make_lattice, save_field
+from fsx.lattice import (
+    field_from_modes,
+    load_field,
+    make_lattice,
+    plane_wave,
+    sample_grid,
+    save_field,
+)
 from fsx.poisson import trace
 from fsx.report import Report, canonical_json, read_report, report_digest, write_report
 from fsx.suites import SuiteConfig, run_suite
@@ -115,6 +123,31 @@ class TestRunSuite:
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             SuiteConfig(corpus_size=0)
+
+    @pytest.mark.parametrize("kw", [{"p_list": (0.5, 2.0)}, {"p_list": (math.nan,)},
+                                    {"s_list": (0.0, math.nan)}, {"s_list": (math.inf,)}])
+    def test_bad_exponents_refused(self, kw):
+        with pytest.raises(ConfigError):
+            SuiteConfig(**kw)
+
+    def test_infinite_p_accepted(self):
+        SuiteConfig(p_list=(1.0, math.inf))
+
+    @pytest.mark.parametrize("dim, bandlimit", [(4, 32), (3, 64), (2, 1025), (10**6, 8)])
+    def test_oversized_grid_refused_without_allocating(self, dim, bandlimit):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="GiB"):
+                SuiteConfig(dim=dim, bandlimit=bandlimit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("dim, bandlimit", [(2, 32), (3, 8), (3, 32), (2, 1024)])
+    def test_grids_within_budget_accepted(self, dim, bandlimit):
+        # (2, 1024) needs an 8192^2 grid of 16-byte samples: exactly the budget
+        SuiteConfig(dim=dim, bandlimit=bandlimit)
 
     def test_deterministic_reports(self):
         cfg = SuiteConfig(bandlimit=16, corpus_size=3)
@@ -231,6 +264,16 @@ class TestCli:
         rc = cli_main(["norm", "--input", path, "--space", "Hdot:s=nan,p=2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [["--p", "0.5,2"], ["--s", "nan"],
+                                      ["--dim", "4", "--bandlimit", "32"]])
+    def test_bad_verify_config_refused_before_any_suite(self, tmp_path, capsys, flag):
+        out = tmp_path / "rep.json"
+        rc = cli_main(["verify", "--suite", "all", "--bandlimit", "8", "--size", "2",
+                       *flag, "--out", str(out)])
+        assert rc == 2
+        assert "pass" not in capsys.readouterr().out
+        assert not out.exists()
+
     @pytest.mark.parametrize("suite", ["reflection", "bvp"])
     def test_half_space_suites_run_in_dim3(self, tmp_path, capsys, suite):
         out = str(tmp_path / "rep.json")
@@ -257,6 +300,31 @@ def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
         and id(obj) not in emptied
     }
     assert not caches, f"caches the benchmark leaves warm: {sorted(caches)}"
+
+
+def test_benchmark_traces_every_grid_transform(monkeypatch):
+    """The benchmark times FFTs by wrapping np.fft.fftn and np.fft.ifftn, so
+    sample_grid runs its passes through np.fft.ifftn, one per axis, and never
+    through np.fft.ifft, which the benchmark does not see."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    assert importlib.import_module("spans").NUMPY_SPANS["numpy.fft.ifftn"] == (np.fft, "ifftn")
+    calls = []
+    ifftn = np.fft.ifftn
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("axes"))
+        return ifftn(*args, **kwargs)
+
+    def untraced(*args, **kwargs):
+        raise AssertionError("np.fft.ifft is not traced by the benchmark")
+
+    monkeypatch.setattr(np.fft, "ifftn", counted)
+    monkeypatch.setattr(np.fft, "ifft", untraced)
+    for n in (1, 2, 3):
+        calls.clear()
+        sample_grid(plane_wave(make_lattice(n, 3), (1,) * n), 8)
+        assert sorted(calls) == [(a,) for a in range(n)]
 
 
 def test_benchmark_times_every_registered_suite(monkeypatch):

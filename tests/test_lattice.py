@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsx.errors import AliasingRisk, BandlimitExceeded, InvalidParameter, IoError
+from fsx.dyadic import annulus_values, build_dyadic_family, delta_dot
 from fsx.lattice import (
+    Field,
+    chebyshev_radius,
     default_oversample,
     dilate,
     evaluate,
@@ -15,11 +20,12 @@ from fsx.lattice import (
     field_to_dict,
     is_homogeneous_admissible,
     make_lattice,
+    occupied,
     plane_wave,
     sample_grid,
     zero_field,
 )
-from grid_reference import project_bandlimited
+from grid_reference import project_bandlimited, sample_grid_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,6 +137,71 @@ class TestSampleGrid:
         lat = make_lattice(1, 16)
         with pytest.raises(AliasingRisk):
             sample_grid(plane_wave(lat, (1,)), 2 * lat.K + 1)
+
+
+@st.composite
+def grid_cases(draw):
+    """A complex field with n <= 3, K <= 6, full-band or on a smaller band,
+    and a grid size: the floor 2K+2, a 2*3*5-smooth size or a power of two."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    band = draw(st.sampled_from([K, draw(st.integers(1, K))]))
+    lat = make_lattice(n, K)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coef = np.zeros(lat.mode_shape, dtype=complex)
+    inner = (slice(K - band, K + band + 1),) * n
+    coef[inner] = rng.standard_normal(coef[inner].shape) + 1j * rng.standard_normal(coef[inner].shape)
+    M = draw(st.sampled_from([2 * K + 2, 3 * (2 * K + 1), 1 << (2 * K + 1).bit_length()]))
+    return Field(lat, coef), M
+
+
+class TestPrunedTransform:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(grid_cases())
+    def test_matches_one_shot_transform(self, case):
+        u, M = case
+        want = sample_grid_reference(u, M)
+        got = sample_grid(u, M).values
+        assert got.shape == (M,) * u.lattice.n
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.abs(want).max(), 1e-300)
+        band = sample_grid(occupied(u), M).values
+        assert np.max(np.abs(band - want)) <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+
+class TestOccupied:
+    def test_chebyshev_radius(self):
+        r = chebyshev_radius(make_lattice(3, 2))
+        assert r[2, 2, 2] == 0 and r[0, 2, 3] == 2 and r[3, 1, 2] == 1
+        assert r.max() == 2
+
+    @pytest.mark.parametrize("n, K", [(2, 32), (3, 8)])
+    def test_block_band_is_its_annulus_radius(self, n, K):
+        lat = make_lattice(n, K)
+        fam = build_dyadic_family(lat)
+        rng = np.random.default_rng(5)
+        u = Field(lat, rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape))
+        for j in fam.j_range:
+            want = int(chebyshev_radius(lat)[annulus_values(lat, j) != 0].max(initial=1))
+            band = occupied(delta_dot(u, j, fam))
+            assert band.lattice == make_lattice(n, want)
+            assert np.max(np.abs(sample_grid(band, 2 * K + 2).values
+                                 - sample_grid(delta_dot(u, j, fam), 2 * K + 2).values)) < 1e-12
+
+    def test_zero_field_has_band_one(self):
+        assert occupied(zero_field(make_lattice(2, 8))).lattice == make_lattice(2, 1)
+
+    def test_full_band_is_the_same_object(self):
+        lat = make_lattice(2, 8)
+        u = plane_wave(lat, (-8, 3))
+        assert occupied(u) is u
+
+    def test_crop_keeps_modes(self):
+        lat = make_lattice(2, 8)
+        u = field_from_modes(lat, {(2, -3): 1.5j, (0, 1): 2.0})
+        band = occupied(u)
+        assert band.lattice == make_lattice(2, 3)
+        assert band.coef[2 + 3, -3 + 3] == 1.5j and band.coef[3, 4] == 2.0
+        assert np.sum(np.abs(band.coef)) == np.sum(np.abs(u.coef))
 
 
 class TestProjectBandlimited:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import fsx.norms as fsx_norms
-from fsx.dyadic import annulus_values
+from fsx.dyadic import annulus_values, delta_dot
 from fsx.errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from fsx.lattice import (
     Field,
     default_oversample,
+    exact_grid,
     field_from_modes,
     make_lattice,
     plane_wave,
@@ -131,6 +132,69 @@ class TestExactQuadrature:
         u = random_field(lat, 2)
         with pytest.raises(AliasingRisk):
             lp_norm(u, 2.0, M=2 * lat.K + 1)
+
+
+def grid_sizes(monkeypatch):
+    """Record the M of every grid that fsx.norms samples."""
+    sizes = []
+
+    def counted(u, M):
+        sizes.append(M)
+        return sample_grid(u, M)
+
+    monkeypatch.setattr(fsx_norms, "sample_grid", counted)
+    return sizes
+
+
+class TestOccupiedBand:
+    def test_block_p4_samples_its_own_exact_grid(self, monkeypatch):
+        lat = make_lattice(2, 32)
+        fam = get_family(lat)
+        u = random_field(lat, 3)
+        sizes = grid_sizes(monkeypatch)
+        for j in range(fam.j_min, 4):  # psi_3 vanishes beyond |xi| = 2^6/3 < K
+            block = delta_dot(u, j, fam)
+            sizes.clear()
+            got = lp_norm(block, 4.0)
+            assert sizes and sizes[0] < exact_grid(lat, 4.0)
+            want = lp_norm(block, 4.0, M=exact_grid(lat, 4.0))
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, math.inf])
+    def test_other_p_keep_the_lattice_grid(self, monkeypatch, p):
+        lat = make_lattice(2, 32)
+        block = delta_dot(random_field(lat, 3), 1, get_family(lat))
+        sizes = grid_sizes(monkeypatch)
+        assert lp_norm(block, p) == pytest.approx(lp_norm(block, p, M=default_oversample(lat)),
+                                                  rel=1e-14)
+        assert sizes == [default_oversample(lat)] * 2
+
+    @pytest.mark.parametrize("n, K", [(2, 16), (3, 6)])
+    def test_strip_p2_square_function_samples_no_grid(self, monkeypatch, n, K):
+        lat = make_lattice(n, K)
+        u, _ = random_zero_dc(lat, 4, count=40)
+        grid = {s: triebel_norm(u, s, 2.0, "halfspace", M=default_oversample(lat))
+                for s in (-0.5, 0.7)}
+        calls = []
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"the strip's p=2 square function called {name}")
+            return call
+
+        monkeypatch.setattr(fsx_norms, "sample_grid", refuse("sample_grid"))
+        monkeypatch.setattr(np.fft, "fftn", refuse("fftn"))
+        for s, want in grid.items():
+            assert triebel_norm(u, s, 2.0, "halfspace") == pytest.approx(want, rel=1e-12)
+        assert not calls
+
+    def test_whole_p2_square_function_samples_a_grid(self, monkeypatch):
+        lat = make_lattice(2, 16)
+        u, _ = random_zero_dc(lat, 4, count=40)
+        sizes = grid_sizes(monkeypatch)
+        assert triebel_norm(u, 0.7, 2.0) == pytest.approx(triebel_fubini_l2(u, 0.7), rel=1e-12)
+        assert sizes and set(sizes) == {exact_grid(lat, 2.0)}
 
 
 class TestSeqNorm:
