@@ -5,19 +5,23 @@ on each vertical grid height it writes a fixed combination of the field's
 values at (possibly other) heights.  The horizontal modes therefore pass
 through untouched, and each operator acts on the column coef[k', :] of each
 horizontal mode k' through one table: the value its output takes at each of
-the M vertical grid heights j L/M, for each vertical mode, built from exact
-1-D evaluations of exp(i xi_k x).  One DFT of that table along x_n and a
-product with the columns give the output's modes; the discarded DFT rows
-give the audited projection residual (_apply_columns).  This is the
-sample, overwrite and project round trip on the M^n grid, with the
-horizontal transforms, which cancel, left out.
+the M vertical grid heights j L/M, for each vertical mode.  One DFT of that
+table along x_n and a product with the columns give the output's modes; the
+discarded DFT rows give the audited projection residual (_apply_columns).
+This is the sample, overwrite and project round trip on the M^n grid, with
+the horizontal transforms, which cancel, left out.
+
+Every height a table reads is a rational multiple of L: a grid height r L/M,
+or its mirror point -r L/(M(j+1)) of order j.  So every entry is an exact
+root of unity exp(2 pi i r k / N), N = M(j+1), read from lattice.exact_phases
+at the integer index r k mod N: no angle is rounded and no cosine taken.
 
 Higher-order reflection extensions write, on the lower half, the data at
 the rescaled mirror points -x_n/(j+1) combined with moment coefficients
 solving a Vandermonde system.  Parity reflections, the zero-boundary
 projection and sharp indicator multiplication are other tables; a
 witness-set estimator for the quotient (restriction) norm uses the
-reflections.  Sups are read from exact slices at only the heights they
+reflections.  Sups are read from exact slices at only the grid rows they
 cover.
 """
 
@@ -35,9 +39,10 @@ from .lattice import (
     Field,
     Lattice,
     default_oversample,
+    exact_phases,
+    horizontal_samples,
     project_columns,
-    sample_slices,
-    vertical_phases,
+    whole_order,
 )
 from .norms import SpaceSpec, lp_norm, norm_ignoring_mean
 
@@ -72,8 +77,7 @@ def reflection_coefficients(m: int) -> ReflectionCoeffs:
     The solution is the Lagrange basis for the nodes -1/(j+1) evaluated at 1,
     which stays well-conditioned through m = 8.
     """
-    if m < 0 or int(m) != m:
-        raise InvalidParameter(f"order must be a nonnegative integer, got {m}")
+    m = whole_order(m, "reflection order")
     if m > MAX_REFLECTION_ORDER:
         raise IllConditioned(f"reflection order {m} > {MAX_REFLECTION_ORDER}")
     x = np.array([-1.0 / (j + 1) for j in range(m + 1)])
@@ -81,7 +85,7 @@ def reflection_coefficients(m: int) -> ReflectionCoeffs:
     for j in range(m + 1):
         others = np.delete(x, j)
         alpha[j] = np.prod(1.0 - others) / np.prod(x[j] - others)
-    rc = ReflectionCoeffs(int(m), alpha)
+    rc = ReflectionCoeffs(m, alpha)
     res = rc.moment_residual()
     if res > MOMENT_TOL:
         raise IllConditioned(f"moment residual {res} exceeds {MOMENT_TOL}")
@@ -90,7 +94,7 @@ def reflection_coefficients(m: int) -> ReflectionCoeffs:
 
 def shifted_coefficients(rc: ReflectionCoeffs, ell: int) -> np.ndarray:
     """Coefficients of the derivative-commuted extension: alpha_j (-1/(j+1))^ell."""
-    return rc.alpha * rc.nodes**ell
+    return rc.alpha * rc.nodes ** whole_order(ell, "derivative order ell")
 
 
 # ---------------------------------------------------------------------------
@@ -110,38 +114,27 @@ class HalfField:
     leakage: float
 
 
-def _grid_heights(M: int, L: float) -> np.ndarray:
-    """Height j L/M of each vertical grid index j."""
-    return np.arange(M) * (L / M)
-
-
-def _signed_vertical(M: int, L: float) -> np.ndarray:
-    """Signed strip coordinate of each vertical grid index (in (-L/2, L/2])."""
-    j = np.arange(M)
-    s = _grid_heights(M, L)
-    return np.where(j > M // 2, s - L, s)
-
-
-def far_band_heights(M: int, L: float) -> np.ndarray:
-    """Grid heights of the band of width L/16 hugging the far face x_n = L/2."""
+def far_band_rows(M: int) -> np.ndarray:
+    """Vertical grid indices j of the band of width L/16 hugging the far face x_n = L/2."""
     band = max(int(M * LEAKAGE_BAND), 1)
-    return _grid_heights(M, L)[M // 2 - band : M // 2 + 1]
+    return np.arange(M // 2 - band, M // 2 + 1)
 
 
-def _sup_at(u: Field, heights: np.ndarray, M: int) -> float:
-    """Sup of |u| over the horizontal grid of size M^(n-1) at the given heights."""
-    return float(np.max(np.abs(sample_slices(u, heights, M))))
+def _sup_at(u: Field, rows: np.ndarray, M: int) -> float:
+    """Sup of |u| over the horizontal grid of size M^(n-1) at the heights j L/M of rows."""
+    columns = u.coef @ exact_phases(u.lattice.K, rows, M).T
+    return float(np.max(np.abs(horizontal_samples(np.moveaxis(columns, -1, 0), u.lattice, M))))
 
 
 def make_half_field(f: Field) -> HalfField:
     M = default_oversample(f.lattice)
-    return HalfField(f, _sup_at(f, far_band_heights(M, f.lattice.L), M))
+    return HalfField(f, _sup_at(f, far_band_rows(M), M))
 
 
 def half_peak(u: HalfField) -> float:
     """Sup of |u| over the upper half (grid estimate)."""
     M = default_oversample(u.field.lattice)
-    return _sup_at(u.field, _grid_heights(M, u.field.lattice.L)[: M // 2 + 1], M)
+    return _sup_at(u.field, np.arange(M // 2 + 1), M)
 
 
 def _apply_columns(coef: np.ndarray, table: np.ndarray, K: int) -> tuple[np.ndarray, float]:
@@ -151,8 +144,10 @@ def _apply_columns(coef: np.ndarray, table: np.ndarray, K: int) -> tuple[np.ndar
     the output's modes are the kept DFT rows, with the relative l2 size of
     the discarded rows as the projection residual.
     """
-    spectral = np.fft.fft(table, axis=0) / table.shape[0]
-    return project_columns(coef @ spectral.T, K)
+    spectral = np.fft.fft(table, axis=0, norm="forward")
+    columns = coef.reshape(-1, coef.shape[-1])  # one row per horizontal mode
+    kept, residual = project_columns(spectral @ columns.T, K)
+    return kept.reshape(coef.shape[:-1] + (2 * K + 1,)), residual
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +160,23 @@ def _window_weights(dist: np.ndarray, L: float) -> np.ndarray:
     return smooth_cut((6.0 / L) * np.abs(dist))
 
 
-def _mirror_table(lat: Lattice, coeffs: np.ndarray, heights: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] exp(i xi_k (-h/(j+1))) for each height h (rows), mode k (columns)."""
-    return sum(a * vertical_phases(lat, -heights / (j + 1)) for j, a in enumerate(coeffs))
+def _mirror_table(K: int, coeffs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
+    """sum_j coeffs[j] exp(i xi_k x) at the mirror points x = -r L/(M(j+1)) of the
+    heights r L/M: one row per integer r in rows, one column per mode k."""
+    return sum(a * exact_phases(K, -rows, M * (j + 1)) for j, a in enumerate(coeffs))
 
 
 def _extension(u: Field, coeffs: np.ndarray, window: bool = False) -> tuple[Field, float]:
     """Keep u on the upper half, write the mirror sum of coeffs on the lower half, project."""
     lat = u.lattice
     M = default_oversample(lat)
-    sn = _signed_vertical(M, lat.L)
-    lower = sn < 0.0
+    half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2]
+    below = np.arange(half, M) - M  # the others at (j - M) L/M < 0
     table = np.empty((M, lat.modes_per_axis), dtype=complex)
-    table[~lower] = vertical_phases(lat, sn[~lower])
-    table[lower] = _mirror_table(lat, coeffs, sn[lower])
+    table[:half] = exact_phases(lat.K, np.arange(half), M)
+    table[half:] = _mirror_table(lat.K, coeffs, below, M)
     if window:
-        table[lower] *= _window_weights(sn[lower], lat.L)[:, None]
+        table[half:] *= _window_weights(below * (lat.L / M), lat.L)[:, None]
     coef, residual = _apply_columns(u.coef, table, lat.K)
     return Field(lat, coef), residual
 
@@ -197,8 +193,7 @@ def extend_reflect(
     Returns the projected field and the projection residual.
     """
     rc = reflection_coefficients(m)
-    coeffs = shifted_coefficients(rc, ell) if ell else rc.alpha
-    return _extension(u.field, coeffs, window)
+    return _extension(u.field, shifted_coefficients(rc, ell), window)
 
 
 def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
@@ -219,10 +214,9 @@ def project_zero(u: Field, m: int) -> Field:
     rc = reflection_coefficients(m)
     lat = u.lattice
     M = default_oversample(lat)
-    sn = _signed_vertical(M, lat.L)
-    upper = sn >= 0.0
+    upper = np.arange(M // 2 + 1)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    table[upper] = vertical_phases(lat, sn[upper]) - _mirror_table(lat, rc.alpha, sn[upper])
+    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, rc.alpha, upper, M)
     coef, _ = _apply_columns(u.coef, table, lat.K)
     return Field(lat, coef)
 
@@ -230,7 +224,7 @@ def project_zero(u: Field, m: int) -> Field:
 def lower_half_defect(p0u: Field) -> float:
     """Sup of |v| over the open lower half; the projection's vanishing defect."""
     M = default_oversample(p0u.lattice)
-    return _sup_at(p0u, _grid_heights(M, p0u.lattice.L)[M // 2 + 1 :], M)
+    return _sup_at(p0u, np.arange(M // 2 + 1, M), M)
 
 
 def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
@@ -246,8 +240,8 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
     lat = u.lattice
     big = Lattice(lat.n, int(enlarge) * lat.K, lat.L)
     M = default_oversample(big, factor=2)
-    table = vertical_phases(lat, _grid_heights(M, lat.L))
-    table[M // 2 :] = 0.0
+    table = np.zeros((M, lat.modes_per_axis), dtype=complex)
+    table[: M // 2] = exact_phases(lat.K, np.arange(M // 2), M)
     coef, residual = _apply_columns(u.coef, table, big.K)
     out = np.zeros(big.mode_shape, dtype=complex)
     inner = slice(big.K - lat.K, big.K + lat.K + 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -251,28 +252,27 @@ def evaluate(u: Field, x) -> complex:
     return complex(v)
 
 
-def vertical_phases(lat: Lattice, xn_values: np.ndarray) -> np.ndarray:
-    """exp(i xi_k x) for each height x (rows) and vertical mode k (columns).
+@lru_cache(maxsize=64)
+def _unit_roots(N: int) -> np.ndarray:
+    """exp(2 pi i q / N), q < N, within 2 ulp: with 4q = o N + rho and |rho| <= N/2,
+    the exact quarter turn i^o times a root of angle pi rho / (2N) <= pi/4."""
+    q4 = 4 * np.arange(N)
+    o = (2 * q4 + N) // (2 * N)
+    rho = q4 - o * N
+    roots = np.array([1, 1j, -1, -1j])[o % 4] * np.exp((0.5j * math.pi / N) * rho)
+    roots.flags.writeable = False
+    return roots
 
-    Exact 1-D evaluation: the column of horizontal mode k' of a field at the
-    heights is coef[k', :] @ vertical_phases(lat, heights).T.
+
+def exact_phases(K: int, r: np.ndarray, N: int) -> np.ndarray:
+    """exp(i xi_k x) at each height x = r L/N (rows) for each mode |k| <= K (columns).
+
+    For integer r this is exp(2 pi i r k / N), read from the table of N-th
+    roots of unity at r k mod N: the entry carries the table's 2 ulp however
+    large r k is, and no cosine is taken.  The column of horizontal mode k'
+    at the heights is coef[k', :] @ table.T.
     """
-    angle = np.outer(np.asarray(xn_values, dtype=float), xi_axes(lat)[-1])
-    phases = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phases.real)
-    np.sin(angle, out=phases.imag)
-    return phases
-
-
-def sample_slices(u: Field, xn_values: np.ndarray, M: int) -> np.ndarray:
-    """Values of u on (x'-grid of size M^(n-1)) x (arbitrary vertical points).
-
-    Output shape: (len(xn_values), M, ..., M).  The vertical coordinate is the
-    last lattice axis; evaluation there is an exact trigonometric sum.
-    """
-    lat = u.lattice
-    columns = u.coef @ vertical_phases(lat, xn_values).T  # (modes', T)
-    return horizontal_samples(np.moveaxis(columns, -1, 0), lat, M)
+    return _unit_roots(N).take(np.multiply.outer(r, k_axis(K)), mode="wrap")
 
 
 def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int) -> np.ndarray:
@@ -323,25 +323,29 @@ def sample_grid(u: Field, M: int) -> SampleGrid:
 def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:
     """Truncate vertical DFT rows to the bandlimit K.
 
-    spectra holds, along its last axis, the M DFT bins (divided by M) of
+    spectra holds, along its first axis, the M DFT bins (divided by M) of
     columns sampled at the M vertical grid heights j L/M.  Returns the kept
-    rows |k| <= K in mode order and the relative l2 magnitude of the
-    discarded rows (0 for exactly band-limited columns).
+    rows |k| <= K in mode order, moved to the last axis, and the relative l2
+    magnitude of the discarded rows (0 for exactly band-limited columns).
     """
-    M = spectra.shape[-1]
+    M = spectra.shape[0]
     if M < 2 * K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
-    idx = (..., k_axis(K) % M)
-    rest = spectra.copy()
-    kept = rest[idx]
+    # k % M for k = -K..K names two slices: the bins M-K..M-1, then 0..K
+    kept = (spectra[M - K :], spectra[: K + 1])
     # sum the discarded bins directly; subtracting two near-equal totals would
     # drown small tails in cancellation noise
-    rest[idx] = 0.0
-    tail = float(np.sum(np.abs(rest) ** 2))
-    retained = float(np.sum(np.abs(kept) ** 2))
-    total = retained + tail
+    tail, *retained = (float(np.vdot(b, b).real) for b in (spectra[K + 1 : M - K], *kept))
+    total = tail + sum(retained)
     residual = math.sqrt(tail / total) if total > 0.0 else 0.0
-    return kept, residual
+    return np.concatenate([np.moveaxis(b, 0, -1) for b in kept], axis=-1), residual
+
+
+def whole_order(m, what: str) -> int:
+    """m as an int, or InvalidParameter unless it is a whole number >= 0."""
+    if not (isinstance(m, numbers.Real) and math.isfinite(m) and m >= 0 and m == int(m)):
+        raise InvalidParameter(f"{what} must be a nonnegative integer, got {m!r}")
+    return int(m)
 
 
 def dilate(u: Field, m: int) -> Field:
@@ -351,10 +355,9 @@ def dilate(u: Field, m: int) -> Field:
     scaling 2^(-m n/2), so potential norms transform like their continuum
     counterparts under u -> u(2^m .).
     """
-    if m < 0 or int(m) != m:
-        raise InvalidParameter(f"dilation exponent must be a nonneg integer, got {m}")
+    m = whole_order(m, "dilation exponent")
     lat = u.lattice
-    lam = 1 << int(m)
+    lam = 1 << m
     occupied = np.argwhere(np.abs(u.coef) > 0.0)
     if occupied.size == 0:
         return zero_field(lat)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HomogeneousDCViolation, InvalidParameter, SpectrumHit
-from .lattice import DC_TOL, Field, Lattice, xi_axes, xi_norm, xi_norm_sq
+from .lattice import DC_TOL, Field, Lattice, whole_order, xi_axes, xi_norm, xi_norm_sq
 
 
 def _xi_components(lat: Lattice) -> tuple[np.ndarray, ...]:
@@ -70,13 +70,12 @@ def derivative(u: Field, alpha: tuple[int, ...]) -> Field:
     lat = u.lattice
     if len(alpha) != lat.n:
         raise InvalidParameter(f"multi-index length {len(alpha)} != n={lat.n}")
-    if any(a < 0 or int(a) != a for a in alpha):
-        raise InvalidParameter(f"multi-index must be nonnegative integers: {alpha}")
+    orders = [whole_order(a, "multi-index entry") for a in alpha]
     values = np.ones(lat.mode_shape, dtype=complex)
     comps = _xi_components(lat)
-    for a, order in enumerate(alpha):
+    for a, order in enumerate(orders):
         if order:
-            values = values * (1j * comps[a]) ** int(order)
+            values = values * (1j * comps[a]) ** order
     return _apply_values(u, values, None, "derivative")
 
 
@@ -125,8 +124,8 @@ def horizontal_fractional(u: Field, s: float) -> Field:
 
 def poisson_decay(u: Field, t: float) -> Field:
     """Poisson semigroup at depth t: multiplier exp(-t |xi|)."""
-    if t < 0:
-        raise InvalidParameter(f"depth must be nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise InvalidParameter(f"depth must be finite and nonnegative, got {t}")
     return _apply_values(u, np.exp(-t * xi_norm(u.lattice)), None, "poisson_decay")
 
 

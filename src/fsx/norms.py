@@ -32,12 +32,12 @@ from .lattice import (
     Field,
     Lattice,
     exact_grid,
+    exact_phases,
     has_exact_grid,
     is_homogeneous_admissible,
     k_axis,
     occupied,
     sample_grid,
-    vertical_phases,
     without_mean,
 )
 from .multipliers import bessel_potential, fractional_laplacian
@@ -126,8 +126,8 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
     exact_grid of the band for even integer p on the whole torus (exact), or
     of u's lattice for every other p and on the strip (oversampled); an
     explicit M never crops.  The strip's p = 2 rule is (L/M)^n M^(n-1)
-    sum |C[k', j]|^2 over the columns C = coef @ vertical_phases(heights).T
-    at the heights j L/M < L/2, the sampled grid's sum by horizontal Parseval.
+    sum |C[k', j]|^2 over the columns C = coef @ exact_phases(K, j, M).T, read as
+    exact integer phases at the heights j L/M < L/2: the grid's sum by Parseval.
     """
     _check_exponent(p, "p")
     if domain not in DOMAINS:
@@ -141,8 +141,8 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
     if not whole and p == 2.0:
         if M < 2 * lat.K + 2:
             raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
-        columns = u.coef @ vertical_phases(lat, np.arange(M // 2) * (lat.L / M)).T
-        total = (lat.L / M) ** lat.n * float(M) ** (lat.n - 1) * np.sum(np.abs(columns) ** 2)
+        columns = u.coef @ exact_phases(lat.K, np.arange(M // 2), M).T
+        total = (lat.L / M) ** lat.n * float(M) ** (lat.n - 1) * np.vdot(columns, columns).real
         return float(math.sqrt(total))
     values = sample_grid(u, M).values
     if not whole:

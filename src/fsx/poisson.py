@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooSmall, HomogeneousDCViolation, InvalidParameter
-from .halfspace import HalfField, far_band_heights
+from .halfspace import HalfField, far_band_rows
 from .interp import default_tgrid, log_grid_integral
 from .lattice import (
     DC_TOL,
@@ -87,13 +87,12 @@ def materialize_poisson(pf: PoissonField, lat: Lattice) -> tuple[HalfField, floa
     M = default_oversample(lat)
 
     def profile(xn: np.ndarray) -> np.ndarray:
-        # (boundary modes..., heights): amplitudes damped per height
-        return pf.boundary.coef[..., None] * np.exp(-pf.decay_rates[..., None] * xn)
+        # (heights, boundary modes...): amplitudes damped per height
+        return pf.boundary.coef * np.exp(-np.multiply.outer(xn, pf.decay_rates))
 
-    coef, residual = project_columns(
-        np.fft.fft(profile(np.arange(M) * (lat.L / M)), axis=-1) / M, lat.K
-    )
-    band = np.moveaxis(profile(far_band_heights(M, lat.L)), -1, 0)
+    heights = np.arange(M) * (lat.L / M)
+    coef, residual = project_columns(np.fft.fft(profile(heights), axis=0, norm="forward"), lat.K)
+    band = profile(heights[far_band_rows(M)])
     leakage = float(np.max(np.abs(horizontal_samples(band, lat, M))))
     return HalfField(Field(lat, coef), leakage), residual
 

@@ -19,7 +19,7 @@ import functools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import ConfigError, UnknownSuite
 from .halfspace import (
     HalfField,
     extend_reflect,
-    far_band_heights,
+    far_band_rows,
     indicator_multiply,
     lower_half_defect,
     make_half_field,
@@ -134,8 +134,7 @@ def suite(name: str, *verifies: str):
     def register(body):
         @functools.wraps(body)
         def run(cfg: SuiteConfig) -> Report:
-            params = {k: getattr(cfg, k) for k in ("dim", "bandlimit", "seed", "corpus_size")}
-            rep = Report(suite=name, params=params, verifies=list(verifies))
+            rep = Report(suite=name, params=asdict(cfg), verifies=list(verifies))
             t0 = time.perf_counter()
             body(cfg, rep)
             rep.wall_time = time.perf_counter() - t0
@@ -774,7 +773,8 @@ def suite_poisson(cfg: SuiteConfig, rep: Report) -> None:
     g1 = plane_wave(blat, (1,) + (0,) * (blat.n - 1))
     hf, _ = materialize_poisson(poisson_extend(g1), lat)
     # the sup of exp(-x_n) over the far band sits at its lowest height
-    want_leak = math.exp(-far_band_heights(default_oversample(lat), lat.L)[0])
+    M = default_oversample(lat)
+    want_leak = math.exp(-far_band_rows(M)[0] * (lat.L / M))
     rep.add_case("materialize_leakage_analytic", abs(hf.leakage - want_leak), 1e-6)
 
     worst = 0.0

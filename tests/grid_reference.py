@@ -5,14 +5,18 @@ and samples no whole grid.  The tests check those kernels against the
 sample, overwrite and project round trip on the M^n grid, whose projection
 step lives here.  fsx samples a grid by a pruned transform, one axis at a
 time (lattice.sample_grid); the tests check it against the one-shot
-transform of the fully padded array, which also lives here.
+transform of the fully padded array, which also lives here.  fsx reads its
+column tables as exact roots of unity at rational heights
+(lattice.exact_phases); the tests check them against cosines and sines at
+arbitrary heights (vertical_phases, sample_slices), and project_columns
+against the copy-and-mask projection it replaced.
 """
 
 import math
 
 import numpy as np
 
-from fsx.lattice import Field, k_axis
+from fsx.lattice import Field, horizontal_samples, k_axis, xi_axes
 
 
 def sample_grid_reference(u, M):
@@ -36,3 +40,35 @@ def project_bandlimited(s, target):
     tail = float(np.sum(np.abs(chat) ** 2))
     total = float(np.sum(np.abs(kept) ** 2)) + tail
     return Field(target, kept), (math.sqrt(tail / total) if total > 0.0 else 0.0)
+
+
+def vertical_phases(lat, xn_values):
+    """exp(i xi_k x) for each height x (rows) and vertical mode k (columns)."""
+    angle = np.outer(np.asarray(xn_values, dtype=float), xi_axes(lat)[-1])
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.sin(angle, out=phases.imag)
+    return phases
+
+
+def sample_slices(u, xn_values, M):
+    """Values of u on (x'-grid of size M^(n-1)) x (arbitrary vertical points).
+
+    Output shape: (len(xn_values), M, ..., M); the vertical coordinate is the
+    last lattice axis, evaluated there by an exact trigonometric sum.
+    """
+    columns = u.coef @ vertical_phases(u.lattice, xn_values).T  # (modes', T)
+    return horizontal_samples(np.moveaxis(columns, -1, 0), u.lattice, M)
+
+
+def project_columns_by_mask(spectra, K):
+    """The kept DFT rows |k| <= K of spectra, whose bins lie on its last axis,
+    by a copy with the kept rows masked out, and the relative l2 size of the
+    rest: lattice.project_columns as it was, for bins on the last axis."""
+    idx = (..., k_axis(K) % spectra.shape[-1])
+    rest = spectra.copy()
+    kept = rest[idx]
+    rest[idx] = 0.0
+    tail = float(np.sum(np.abs(rest) ** 2))
+    total = float(np.sum(np.abs(kept) ** 2)) + tail
+    return kept, (math.sqrt(tail / total) if total > 0.0 else 0.0)

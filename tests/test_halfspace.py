@@ -36,14 +36,13 @@ from fsx.lattice import (
     field_from_modes,
     make_lattice,
     sample_grid,
-    sample_slices,
     without_mean,
     zero_field,
 )
 from fsx.multipliers import derivative
 from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm
 from fsx.poisson import PoissonField, materialize_poisson
-from grid_reference import project_bandlimited
+from grid_reference import project_bandlimited, sample_slices
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +102,11 @@ class TestReflectionCoefficients:
     def test_conditioning_guard(self):
         with pytest.raises(IllConditioned):
             reflection_coefficients(9)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1, 1.5])
+    def test_bad_order_refused(self, m):
+        with pytest.raises(InvalidParameter):
+            reflection_coefficients(m)
 
     def test_shifted_coefficients(self):
         rc = reflection_coefficients(1)
@@ -196,6 +200,11 @@ class TestExtendReflect:
                 for j, a in enumerate(shifted_coefficients(rc, 1))
             )
             assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("ell", [1.5, math.nan, math.inf, -1])
+    def test_bad_derivative_order_refused(self, lat, ell):
+        with pytest.raises(InvalidParameter):
+            extend_reflect(make_half_field(sine_mode(lat)), 2, ell=ell)
 
 
 class TestParityReflection:
@@ -696,7 +705,8 @@ class TestProductIntegralMatchesGrid:
 
 
 class TestNoWholeGrid:
-    """The column operators sample no M^n grid and transform none."""
+    """The column operators sample no M^n grid and transform none, and their
+    tables are exact roots of unity, so they take no cosine of a table."""
 
     @pytest.fixture
     def grid_calls(self, monkeypatch):
@@ -711,6 +721,8 @@ class TestNoWholeGrid:
 
         monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
         monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
+        monkeypatch.setattr(np, "cos", counted("cos", np.cos))
+        monkeypatch.setattr(np, "sin", counted("sin", np.sin))
         for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson):
             if hasattr(mod, "sample_grid"):
                 monkeypatch.setattr(mod, "sample_grid", counted("sample_grid", mod.sample_grid))
@@ -739,6 +751,7 @@ class TestNoWholeGrid:
         M = default_oversample(lat)
         assert not [c for c in grid_calls if c[0] in ("sample_grid", "fftn")]
         assert all(shape != (M,) * n for _, shape in grid_calls)
+        assert not [c for c in grid_calls if c[0] in ("cos", "sin") and len(c[1]) >= 2]
 
     def test_strip_l2_still_refuses_an_aliasing_grid(self):
         lat = make_lattice(2, 8)

@@ -159,7 +159,8 @@ class TestRunSuite:
         cfg = SuiteConfig(bandlimit=16, corpus_size=3)
         rep = run_suite("scaling", cfg)
         assert rep.verifies  # every suite declares what it checks
-        assert rep.params["bandlimit"] == 16
+        assert rep.params == {"dim": 2, "bandlimit": 16, "seed": 42, "period": 2.0 * math.pi,
+                              "corpus_size": 3, "p_list": cfg.p_list, "s_list": cfg.s_list}
 
 
 class TestCli:
@@ -281,6 +282,15 @@ class TestCli:
                        "--size", "1", "--out", out])
         assert rc in (0, 1)
         assert read_report(out)["params"]["dim"] == 3
+
+    def test_all_report_carries_the_full_config(self, tmp_path):
+        out = str(tmp_path / "rep.json")
+        cli_main(["verify", "--suite", "all", "--bandlimit", "8", "--size", "1",
+                  "--p", "2,4", "--s", "0.5", "--out", out])
+        params = read_report(out)["params"]
+        assert params["p_list"] == [2.0, 4.0] and params["s_list"] == [0.5]
+        assert params["period"] == pytest.approx(2.0 * math.pi, rel=1e-12)
+        assert (params["dim"], params["bandlimit"], params["corpus_size"]) == (2, 8, 1)
 
 
 def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):

@@ -15,6 +15,7 @@ from fsx.lattice import (
     dilate,
     evaluate,
     exact_grid,
+    exact_phases,
     field_from_dict,
     field_from_modes,
     field_to_dict,
@@ -22,10 +23,16 @@ from fsx.lattice import (
     make_lattice,
     occupied,
     plane_wave,
+    project_columns,
     sample_grid,
     zero_field,
 )
-from grid_reference import project_bandlimited, sample_grid_reference
+from grid_reference import (
+    project_bandlimited,
+    project_columns_by_mask,
+    sample_grid_reference,
+    vertical_phases,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -251,6 +258,57 @@ class TestProjectBandlimited:
         assert res == pytest.approx(want, rel=1e-9)
 
 
+def grid_sizes(K):
+    """The floor 2K+2, a 2*3*5-smooth size and a power of two."""
+    return st.sampled_from([2 * K + 2, 3 * (2 * K + 1), 1 << (2 * K + 1).bit_length()])
+
+
+@st.composite
+def phase_cases(draw):
+    n, K = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    return make_lattice(n, K), draw(grid_sizes(K)), draw(st.integers(0, 4)), draw(st.sampled_from([1, -1]))
+
+
+class TestExactPhases:
+    @settings(max_examples=80, deadline=None)
+    @given(phase_cases())
+    def test_matches_cosines_at_the_rational_heights(self, case):
+        """The grid heights j L/M and the mirror points -+j L/(M(i+1)) of order i."""
+        lat, M, i, sign = case
+        N = M * (i + 1)
+        r = sign * np.arange(M + 1)
+        got = exact_phases(lat.K, r, N)
+        assert got.shape == (M + 1, lat.modes_per_axis)
+        assert np.max(np.abs(got - vertical_phases(lat, r * (lat.L / N)))) <= 1e-14
+
+
+@st.composite
+def column_spectra(draw):
+    """DFT bins of columns (bins first): full, with a faint tail, band-limited or zero."""
+    n, K = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    M = draw(grid_sizes(K))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (M,) + (2 * K + 1,) * (n - 1)
+    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectra[K + 1 : M - K] *= draw(st.sampled_from([1.0, 1e-9, 0.0]))
+    return spectra * draw(st.sampled_from([1.0, 1e-100, 0.0])), K
+
+
+class TestProjectColumns:
+    @settings(max_examples=80, deadline=None)
+    @given(column_spectra())
+    def test_matches_copy_and_mask(self, case):
+        spectra, K = case
+        kept, residual = project_columns(spectra, K)
+        want, want_residual = project_columns_by_mask(np.moveaxis(spectra, 0, -1), K)
+        assert np.array_equal(kept, want)
+        assert abs(residual - want_residual) <= 1e-15 * want_residual
+
+    def test_aliasing_guard(self):
+        with pytest.raises(AliasingRisk):
+            project_columns(np.ones((2 * 4 + 1, 3), dtype=complex), 4)
+
+
 class TestDilate:
     def test_identity(self):
         lat = make_lattice(2, 8)
@@ -295,6 +353,11 @@ class TestDilate:
         lat = make_lattice(2, 8)
         with pytest.raises(BandlimitExceeded):
             dilate(plane_wave(lat, (5, 0)), 1)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -1, 1.5, "1"])
+    def test_bad_exponent_refused(self, m):
+        with pytest.raises(InvalidParameter):
+            dilate(plane_wave(make_lattice(2, 8), (1, 0)), m)
 
 
 class TestAdmissibility:

@@ -96,6 +96,11 @@ class TestDerivative:
         v = derivative(u, (1, 0))
         assert np.max(np.abs(v.coef - 1j * u.coef)) < 1e-15
 
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -1, 0.5])
+    def test_bad_multi_index_refused(self, order):
+        with pytest.raises(InvalidParameter):
+            derivative(plane_wave(make_lattice(2, 4), (1, 0)), (order, 0))
+
     def test_horizontal_laplacian_uses_first_axes(self):
         lat = make_lattice(2, 8)
         u = plane_wave(lat, (2, 7))
@@ -196,6 +201,11 @@ class TestPoissonDecay:
         u = plane_wave(lat, (3, 4))
         v = poisson_decay(u, 0.2)
         assert np.max(np.abs(v.coef - math.exp(-1.0) * u.coef)) < 1e-14
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1])
+    def test_bad_depth_refused(self, t):
+        with pytest.raises(InvalidParameter):
+            poisson_decay(plane_wave(make_lattice(2, 8), (3, 4)), t)
 
     def test_hessian_of_wave(self):
         lat = make_lattice(2, 4)
