@@ -56,12 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--suite", default="all", help="suite name or 'all'")
-    v.add_argument("--dim", type=int, default=2)
-    v.add_argument("--bandlimit", type=int, default=32)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--size", type=int, default=8, help="corpus size")
-    v.add_argument("--p", default="1.333,2,4", help="integrability exponents")
-    v.add_argument("--s", default="-0.5,0,0.7,1.2", help="regularity exponents")
+    v.add_argument("--dim", type=int, default=SuiteConfig.dim)
+    v.add_argument("--bandlimit", type=int, default=SuiteConfig.bandlimit)
+    v.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    v.add_argument("--size", type=int, default=SuiteConfig.corpus_size, help="corpus size")
+    v.add_argument("--p", type=_parse_floats, default=SuiteConfig.p_list,
+                   help="integrability exponents, comma-separated")
+    v.add_argument("--s", type=_parse_floats, default=SuiteConfig.s_list,
+                   help="regularity exponents, comma-separated")
     v.add_argument("--out", default="report.json")
 
     n = sub.add_parser("norm", help="evaluate a norm of a field file")
@@ -93,8 +95,8 @@ def _cmd_verify(args) -> int:
         bandlimit=args.bandlimit,
         seed=args.seed,
         corpus_size=args.size,
-        p_list=_parse_floats(args.p),
-        s_list=_parse_floats(args.s),
+        p_list=args.p,
+        s_list=args.s,
     )
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports: list[Report] = []

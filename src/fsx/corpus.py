@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import Field, Lattice, k_axis, zero_field, xi_norm
+from .lattice import Field, Lattice, field_from_modes, k_axis, zero_field, xi_norm
 
 KINDS = (
     "random_bandlimited",
@@ -111,8 +111,8 @@ def cosine_strip_field(lat: Lattice, rng: np.random.Generator) -> Field:
 def gaussian_bump_profile(lat: Lattice, center: float, sigma: float) -> np.ndarray:
     """Vertical-mode amplitudes of a periodized Gaussian bump exp(-(x-c)^2/2s^2).
 
-    Also returns (implicitly, through decay) the truncation quality: the
-    neglected spectral tail is of order exp(-(K sigma xi_1)^2 / 2).
+    The amplitudes beyond the bandlimit are dropped; bump_truncation_error
+    gives the relative size of that tail.
     """
     ks = k_axis(lat.K).astype(float) * lat.freq_scale
     norm = sigma * math.sqrt(2.0 * math.pi) / lat.L
@@ -182,10 +182,7 @@ def _plane_wave_field(lat: Lattice, rng: np.random.Generator, taken: set) -> Fie
         k = tuple(int(c) for c in rng.integers(-lat.K, lat.K + 1, size=lat.n))
         if k != (0,) * lat.n and k not in taken:
             taken.add(k)
-            break
-    u = zero_field(lat)
-    u.coef[tuple(c + lat.K for c in k)] = 1.0
-    return u
+            return field_from_modes(lat, {k: 1.0})
 
 
 def generate_corpus(seed: int, kind: str, size: int, lat: Lattice) -> Corpus:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HomogeneousDCViolation, IndexOutOfRange, LatticeTooSmall
-from .lattice import DC_TOL, Field, Lattice, is_homogeneous_admissible, xi_norm
+from .lattice import Field, Lattice, is_homogeneous_admissible, xi_norm
 
 PLATEAU = 0.75
 SUPPORT = 4.0 / 3.0
@@ -131,7 +131,7 @@ class BlockSeq:
 
 def decompose(u: Field, fam: DyadicFamily) -> BlockSeq:
     """All annular blocks of a zero-mean field; they sum back to the field."""
-    if not is_homogeneous_admissible(u, DC_TOL):
+    if not is_homogeneous_admissible(u):
         raise HomogeneousDCViolation("decompose requires a zero-mean field")
     blocks = {j: delta_dot(u, j, fam) for j in fam.j_range}
     return BlockSeq(fam, blocks)

@@ -21,8 +21,8 @@ the rescaled mirror points -x_n/(j+1) combined with moment coefficients
 solving a Vandermonde system.  Parity reflections, the zero-boundary
 projection and sharp indicator multiplication are other tables; a
 witness-set estimator for the quotient (restriction) norm uses the
-reflections.  Sups are read from exact slices at only the grid rows they
-cover.
+reflections.  Sups are norms.rectangle_rule at p = inf on only the grid
+rows they cover.
 """
 
 from __future__ import annotations
@@ -40,11 +40,10 @@ from .lattice import (
     Lattice,
     default_oversample,
     exact_phases,
-    horizontal_samples,
     project_columns,
     whole_order,
 )
-from .norms import SpaceSpec, lp_norm, norm_ignoring_mean
+from .norms import SpaceSpec, lp_norm, norm_ignoring_mean, rectangle_rule
 
 MAX_REFLECTION_ORDER = 8
 MOMENT_TOL = 1e-9
@@ -120,21 +119,15 @@ def far_band_rows(M: int) -> np.ndarray:
     return np.arange(M // 2 - band, M // 2 + 1)
 
 
-def _sup_at(u: Field, rows: np.ndarray, M: int) -> float:
-    """Sup of |u| over the horizontal grid of size M^(n-1) at the heights j L/M of rows."""
-    columns = u.coef @ exact_phases(u.lattice.K, rows, M).T
-    return float(np.max(np.abs(horizontal_samples(np.moveaxis(columns, -1, 0), u.lattice, M))))
-
-
 def make_half_field(f: Field) -> HalfField:
     M = default_oversample(f.lattice)
-    return HalfField(f, _sup_at(f, far_band_rows(M), M))
+    return HalfField(f, rectangle_rule([(1.0, f)], math.inf, far_band_rows(M), M))
 
 
 def half_peak(u: HalfField) -> float:
     """Sup of |u| over the upper half (grid estimate)."""
     M = default_oversample(u.field.lattice)
-    return _sup_at(u.field, np.arange(M // 2 + 1), M)
+    return rectangle_rule([(1.0, u.field)], math.inf, np.arange(M // 2 + 1), M)
 
 
 def _apply_columns(coef: np.ndarray, table: np.ndarray, K: int) -> tuple[np.ndarray, float]:
@@ -224,7 +217,7 @@ def project_zero(u: Field, m: int) -> Field:
 def lower_half_defect(p0u: Field) -> float:
     """Sup of |v| over the open lower half; the projection's vanishing defect."""
     M = default_oversample(p0u.lattice)
-    return _sup_at(p0u, np.arange(M // 2 + 1, M), M)
+    return rectangle_rule([(1.0, p0u)], math.inf, np.arange(M // 2 + 1, M), M)
 
 
 def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:

@@ -19,7 +19,7 @@ from .dyadic import lowpass_values
 from .errors import FsxError, InvalidParameter, NotHilbertCouple, ZeroField
 from .lattice import Field, Lattice, xi_norm_sq
 from .multipliers import potential_weight
-from .norms import SpaceSpec, get_family, norm_ignoring_mean, sobolev_norm
+from .norms import SpaceSpec, _check_exponent, get_family, norm_ignoring_mean, sobolev_norm
 
 T_EXPONENT = 20
 T_POINTS = 81
@@ -169,8 +169,7 @@ def interp_norm_from_curve(curve: KCurve, theta: float, q: float) -> float:
     """
     if not (0.0 < theta < 1.0):
         raise InvalidParameter(f"theta must lie in (0, 1), got {theta}")
-    if q < 1.0:
-        raise InvalidParameter(f"q must lie in [1, inf], got {q}")
+    _check_exponent(q, "q")
     t = curve.tgrid
     v = curve.values
     if float(v.max(initial=0.0)) == 0.0:

@@ -207,22 +207,19 @@ def zero_field(lat: Lattice) -> Field:
 
 def plane_wave(lat: Lattice, k: tuple[int, ...], amp: complex = 1.0) -> Field:
     """Single mode amp * exp(i xi_k . x)."""
-    k = tuple(int(c) for c in k)
-    if len(k) != lat.n:
-        raise InvalidParameter(f"mode index has length {len(k)}, lattice n={lat.n}")
-    if any(abs(c) > lat.K for c in k):
-        raise BandlimitExceeded(f"mode {k} outside bandlimit {lat.K}")
-    u = zero_field(lat)
-    u.coef[tuple(c + lat.K for c in k)] = amp
-    return u
+    return field_from_modes(lat, {k: amp})
 
 
 def field_from_modes(lat: Lattice, modes: dict[tuple[int, ...], complex]) -> Field:
+    """Field with the given amplitude at each mode index k = (k_1, ..., k_n)."""
     u = zero_field(lat)
     for k, c in modes.items():
-        if any(abs(int(ci)) > lat.K for ci in k):
+        k = tuple(int(ci) for ci in k)
+        if len(k) != lat.n:
+            raise InvalidParameter(f"mode index has length {len(k)}, lattice n={lat.n}")
+        if any(abs(ci) > lat.K for ci in k):
             raise BandlimitExceeded(f"mode {k} outside bandlimit {lat.K}")
-        u.coef[tuple(int(ci) + lat.K for ci in k)] = c
+        u.coef[tuple(ci + lat.K for ci in k)] = c
     return u
 
 
@@ -233,9 +230,9 @@ def without_mean(u: Field) -> Field:
     return v
 
 
-def is_homogeneous_admissible(u: Field, tol: float = DC_TOL) -> bool:
+def is_homogeneous_admissible(u: Field) -> bool:
     """Zero-DC surrogate for distributions with vanishing low-frequency part."""
-    return abs(u.dc) <= tol * u.peak()
+    return abs(u.dc) <= DC_TOL * u.peak()
 
 
 def evaluate(u: Field, x) -> complex:

@@ -140,6 +140,8 @@ def resolvent_wholespace(f: Field, lam: complex) -> Field:
     giving the inverse Laplacian.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise InvalidParameter(f"lam must be finite, got {lam}")
     lat = f.lattice
     rsq = xi_norm_sq(lat)
     if lam == 0:

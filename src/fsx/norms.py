@@ -1,19 +1,16 @@
 """Norm functionals: Lebesgue, Besov, Sobolev (potential), Triebel-type, and
 the frequency-block duality pairing.
 
-Each L^p quadrature is chosen by exactness.  On the whole torus the p = 2
-norm is the Plancherel mode sum and samples no grid.  For other even integer
-p, |u|^p (and the square function's g^p) has band pK' for the band K' that
-u occupies (lattice.occupied), so the rectangle rule on the smallest grid
-with M > pK' is exact.  Every other p, and the half-space strip
-0 <= x_n < L/2, keep the rectangle rule on the oversampled grid of u's own
-lattice, the one approximate quadrature; only its transform shrinks to the
-band.  On the strip at p = 2 that rule is summed per horizontal mode:
-Parseval on the horizontal grid is exact, so only the columns at the M/2
-vertical grid heights are evaluated and no grid is sampled.  Identities
-needing exact integrals over the strip (pairings of band-limited products)
-go through closed-form half-period weights on the vertical mode pairs
-instead.
+Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
+one-part case, triebel_norm its case over the weighted dyadic blocks, and
+the half-space sups its p = inf case.  Only p = 2 on the whole torus skips
+it, as the Plancherel mode sum.  Grids are chosen by exactness: for even
+integer p on the whole torus g^p has band pK' for the band K' that u
+occupies (lattice.occupied), so the smallest grid with M > pK' is exact;
+every other p, and the strip 0 <= x_n < L/2, keep the oversampled grid of
+u's own lattice, the one approximate quadrature.  Exact strip integrals
+(pairings of band-limited products) use closed-form half-period weights on
+the vertical mode pairs instead.
 """
 
 from __future__ import annotations
@@ -28,12 +25,12 @@ import numpy as np
 from .dyadic import DyadicFamily, build_dyadic_family, delta_dot, delta_inhom
 from .errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from .lattice import (
-    DC_TOL,
     Field,
     Lattice,
     exact_grid,
     exact_phases,
     has_exact_grid,
+    horizontal_samples,
     is_homogeneous_admissible,
     k_axis,
     occupied,
@@ -110,10 +107,62 @@ def get_family(lat: Lattice) -> DyadicFamily:
 # ---------------------------------------------------------------------------
 
 
-def _own_grid(u: Field, p: float, whole: bool) -> tuple[Field, int]:
-    """u on its occupied band, and its grid: the band's when the rule is exact."""
-    band = occupied(u)
-    return band, exact_grid(band.lattice if has_exact_grid(p, whole) else u.lattice, p, whole)
+def _grid(u: Field, p: float, whole: bool, M: int | None) -> int:
+    """Samples per axis for the rule on u: the explicit M, which must resolve u's
+    lattice, or exact_grid of u's occupied band when the rule is exact and of
+    u's lattice otherwise."""
+    if M is None:
+        return exact_grid(occupied(u).lattice if has_exact_grid(p, whole) else u.lattice, p, whole)
+    if M < 2 * u.lattice.K + 2:
+        raise AliasingRisk(f"M={M} < 2K+2={2 * u.lattice.K + 2}")
+    return M
+
+
+def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
+    """v's column of each horizontal mode at the heights r L/M of the integers r in rows."""
+    return v.coef @ exact_phases(v.lattice.K, rows, M).T
+
+
+def rectangle_rule(parts: list[tuple[float, Field]], p: float, rows: np.ndarray | None,
+                   M: int) -> float:
+    """Rectangle rule on M samples per axis for the L^p norm of g = sqrt(sum w |v|^2).
+
+    parts are pairs (w, v) of a weight and a field, all with the same n and
+    L; each v is read from its occupied band.  With rows None the nodes are
+    the whole M^n grid, sampled by sample_grid.  Otherwise they are the
+    horizontal M^(n-1) grid at the heights r L/M of the integers r in rows,
+    where each part is read as its columns there: at p = 2 the horizontal
+    sum of |v|^2 is M^(n-1) times the columns' sum of squares by Parseval,
+    so no transform runs, and other p sample the columns
+    (horizontal_samples).
+    """
+    lat = parts[0][1].lattice
+    cell = (lat.L / M) ** lat.n
+    bands = [(w, occupied(v)) for w, v in parts]
+    if rows is not None and p == 2.0:
+        total = 0.0
+        for w, v in bands:
+            columns = _columns(v, rows, M)
+            total += w * np.vdot(columns, columns).real
+        return float(math.sqrt(cell * float(M) ** (lat.n - 1) * total))
+    samples = ((w, sample_grid(v, M).values if rows is None else
+                horizontal_samples(np.moveaxis(_columns(v, rows, M), -1, 0), v.lattice, M))
+               for w, v in bands)
+    if len(bands) == 1:  # g = sqrt(w) |v|, with no square and root at every node
+        w, values = next(samples)
+        g = np.abs(values)
+        g *= math.sqrt(w)
+    else:
+        g = np.sqrt(sum(w * np.abs(values) ** 2 for w, values in samples))
+    if math.isinf(p):
+        return float(g.max()) if g.size else 0.0
+    return float((cell * np.sum(g**p)) ** (1.0 / p))
+
+
+def _on_strip(domain: str) -> bool:
+    if domain not in DOMAINS:
+        raise InvalidParameter(f"unknown domain {domain!r}")
+    return domain == "halfspace"
 
 
 def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> float:
@@ -121,36 +170,18 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
 
     "halfspace_zero" (zero-extended functions) is the whole-torus norm.  On
     the whole torus, p = 2 without an explicit M is the Plancherel sum
-    L^(n/2) sqrt(sum |c_k|^2).  Otherwise the rectangle rule runs on M
-    samples per axis.  By default u is cropped to its occupied band and M is
-    exact_grid of the band for even integer p on the whole torus (exact), or
-    of u's lattice for every other p and on the strip (oversampled); an
-    explicit M never crops.  The strip's p = 2 rule is (L/M)^n M^(n-1)
-    sum |C[k', j]|^2 over the columns C = coef @ exact_phases(K, j, M).T, read as
-    exact integer phases at the heights j L/M < L/2: the grid's sum by Parseval.
+    L^(n/2) sqrt(sum |c_k|^2).  Every other case is rectangle_rule of the one
+    part u on M samples per axis: the whole M^n grid, or on the strip the M/2
+    grid heights j L/M < L/2.  The default M is exact_grid of u's occupied
+    band for even integer p on the whole torus, where the rule is exact, and
+    of u's lattice otherwise (oversampled).
     """
     _check_exponent(p, "p")
-    if domain not in DOMAINS:
-        raise InvalidParameter(f"unknown domain {domain!r}")
-    whole = domain != "halfspace"
-    if whole and p == 2.0 and M is None:
+    strip = _on_strip(domain)
+    if not strip and p == 2.0 and M is None:
         return float(u.lattice.L ** (u.lattice.n / 2.0) * np.linalg.norm(u.coef.ravel()))
-    if M is None:
-        u, M = _own_grid(u, p, whole)
-    lat = u.lattice
-    if not whole and p == 2.0:
-        if M < 2 * lat.K + 2:
-            raise AliasingRisk(f"M={M} < 2K+2={2 * lat.K + 2}")
-        columns = u.coef @ exact_phases(lat.K, np.arange(M // 2), M).T
-        total = (lat.L / M) ** lat.n * float(M) ** (lat.n - 1) * np.vdot(columns, columns).real
-        return float(math.sqrt(total))
-    values = sample_grid(u, M).values
-    if not whole:
-        values = values[..., : M // 2]
-    mags = np.abs(values)
-    if math.isinf(p):
-        return float(mags.max()) if mags.size else 0.0
-    return float(((lat.L / M) ** lat.n * np.sum(mags**p)) ** (1.0 / p))
+    M = _grid(u, p, not strip, M)
+    return rectangle_rule([(1.0, u)], p, np.arange(M // 2) if strip else None, M)
 
 
 def halfspace_product_integral(u: Field, v: Field, conjugate: bool = False) -> complex:
@@ -199,7 +230,7 @@ def seq_norm(a: Mapping[int, float], s: float = 0.0, q: float = 2.0) -> float:
 
 
 def _require_admissible(u: Field, what: str) -> None:
-    if not is_homogeneous_admissible(u, DC_TOL):
+    if not is_homogeneous_admissible(u):
         raise HomogeneousDCViolation(f"{what} requires a zero-mean field")
 
 
@@ -235,34 +266,19 @@ def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
                  M: int | None = None) -> float:
     """Square-function norm: pointwise l2 over scales of 2^{js} blocks, then L^p.
 
-    The default grid is lp_norm's: exact_grid of u's occupied band for even
-    integer p on the whole torus, where g^p has band pK' and the rule is
-    exact, and exact_grid of u's lattice otherwise; each block is sampled
-    from its own band.  On the strip at p = 2 the same rectangle rule is
-    summed block by block, sqrt(sum_j 4^{js} lp_norm(block_j)^2), so no grid
-    is sampled.
+    rectangle_rule of the blocks with weights 4^{js}, on lp_norm's grid and
+    nodes: exact_grid of u's occupied band for even integer p on the whole
+    torus, where g^p has band pK' and the rule is exact, and of u's lattice
+    otherwise; each block is read from its own band.  On the strip at p = 2
+    the rule sums the blocks' columns, so no grid is sampled.
     """
     _check_exponent(p, "p")
+    strip = _on_strip(domain)
     _require_admissible(u, "square-function norm")
-    lat = u.lattice
-    fam = get_family(lat)
-    whole = domain != "halfspace"
-    if M is None and not whole and p == 2.0:
-        return math.sqrt(sum(4.0 ** (j * s) * lp_norm(delta_dot(u, j, fam), 2.0, domain) ** 2
-                             for j in fam.j_range))
-    M = M or _own_grid(u, p, whole)[1]
-    agg = None
-    for j in fam.j_range:
-        vals = sample_grid(occupied(delta_dot(u, j, fam)), M).values
-        term = 4.0 ** (j * s) * np.abs(vals) ** 2
-        agg = term if agg is None else agg + term
-    g = np.sqrt(agg)
-    if not whole:
-        g = g[..., : M // 2]
-    if math.isinf(p):
-        return float(g.max())
-    weight = (lat.L / M) ** lat.n
-    return float((weight * np.sum(g**p)) ** (1.0 / p))
+    fam = get_family(u.lattice)
+    M = _grid(u, p, not strip, M)
+    blocks = [(4.0 ** (j * s), delta_dot(u, j, fam)) for j in fam.j_range]
+    return rectangle_rule(blocks, p, np.arange(M // 2) if strip else None, M)
 
 
 def triebel_fubini_l2(u: Field, s: float) -> float:

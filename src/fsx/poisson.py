@@ -18,7 +18,6 @@ from .errors import DimensionTooSmall, HomogeneousDCViolation, InvalidParameter
 from .halfspace import HalfField, far_band_rows
 from .interp import default_tgrid, log_grid_integral
 from .lattice import (
-    DC_TOL,
     Field,
     Lattice,
     default_oversample,
@@ -30,7 +29,7 @@ from .lattice import (
     xi_norm,
 )
 from .multipliers import fractional_laplacian, poisson_decay
-from .norms import lp_norm
+from .norms import _check_exponent, lp_norm
 
 
 def trace(u: Field) -> Field:
@@ -53,6 +52,8 @@ class PoissonField:
 
     def slice_field(self, xn: float) -> Field:
         """Horizontal field at height x_n (exact per-mode damping)."""
+        if not math.isfinite(xn):
+            raise InvalidParameter(f"height must be finite, got {xn}")
         damped = self.boundary.coef * np.exp(-xn * self.decay_rates)
         return Field(self.boundary.lattice, damped)
 
@@ -65,7 +66,7 @@ class PoissonField:
 
 def poisson_extend(g: Field) -> PoissonField:
     """Harmonic extension of zero-mean boundary data."""
-    if not is_homogeneous_admissible(g, DC_TOL):
+    if not is_homogeneous_admissible(g):
         raise HomogeneousDCViolation("harmonic extension needs zero-mean data")
     return PoissonField(without_mean(g))
 
@@ -106,11 +107,12 @@ def poisson_besov_norm(u: Field, s: float, alpha: float, p: float, q: float) -> 
     dead far inside the grid.  Comparable to the dyadic-block norm of
     regularity alpha - s.
     """
-    if s <= 0.0:
-        raise InvalidParameter(f"vertical weight s must be positive, got {s}")
-    if alpha < 0.0:
-        raise InvalidParameter(f"order alpha must be nonnegative, got {alpha}")
-    if not is_homogeneous_admissible(u, DC_TOL):
+    if not (math.isfinite(s) and s > 0.0):
+        raise InvalidParameter(f"vertical weight s must be positive and finite, got {s}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise InvalidParameter(f"order alpha must be nonnegative and finite, got {alpha}")
+    _check_exponent(q, "q")
+    if not is_homogeneous_admissible(u):
         raise HomogeneousDCViolation("semigroup norm needs a zero-mean field")
     if u.peak() == 0.0:
         return 0.0

@@ -116,20 +116,15 @@ def _vertical_index(lat: Lattice) -> tuple[int, ...]:
     return tuple(alpha)
 
 
-def _bvp_inputs(
-    f: HalfField | None, g: Field | None, lat: Lattice | None
-) -> tuple[HalfField, Field]:
+def _bvp_inputs(f: HalfField | None, g: Field | None) -> tuple[HalfField, Field]:
     """Source and boundary data, a missing one taken as zero.
 
-    The lattice of a missing source is lat, or else the one that g is the
-    boundary of.
+    A missing source lives on the lattice that g is the boundary of.
     """
     if f is None and g is None:
         raise InvalidParameter("need at least one of f, g")
     if f is None:
-        if lat is None:
-            lat = Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)
-        f = make_half_field(zero_field(lat))
+        f = make_half_field(zero_field(Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)))
     if g is None:
         g = zero_field(f.field.lattice.boundary())
     return f, g
@@ -149,25 +144,21 @@ def _boundary_defect(g: Field, got: Field, v: Field) -> Field:
     return without_mean(d)
 
 
-def bvp_dirichlet(
-    f: HalfField | None, g: Field | None, lat: Lattice | None = None
-) -> BvpSolution:
+def bvp_dirichlet(f: HalfField | None, g: Field | None) -> BvpSolution:
     """Solve -Laplacian u = f on the strip with u = g on the boundary.
 
     The particular part inverts the Laplacian of the odd extension; the
     harmonic part corrects the boundary trace with a Poisson extension of
     g minus the particular trace (both zero-mean by construction/precondition).
     """
-    f, g = _bvp_inputs(f, g, lat)
+    f, g = _bvp_inputs(f, g)
     extended, residual = reflect_parity(f, "odd")
     v = resolvent_wholespace(extended, 0.0)
     w = poisson_extend(_boundary_defect(g, trace(v), v))
     return BvpSolution(v, w, DIRICHLET, f, g, residual)
 
 
-def bvp_neumann(
-    f: HalfField | None, g: Field | None, lat: Lattice | None = None
-) -> BvpSolution:
+def bvp_neumann(f: HalfField | None, g: Field | None) -> BvpSolution:
     """Solve -Laplacian u = f on the strip with du/dnu = g on the boundary.
 
     With nu = -e_n the Poisson extension of (-Laplacian')^(-1/2) h has normal
@@ -175,7 +166,7 @@ def bvp_neumann(
     particular normal derivative in closed form.  Both f (after even
     reflection) and g must be zero-mean.
     """
-    f, g = _bvp_inputs(f, g, lat)
+    f, g = _bvp_inputs(f, g)
     extended, residual = reflect_parity(f, "even")
     v = resolvent_wholespace(extended, 0.0)  # raises if the source has mean
     dn_v = -1.0 * trace(derivative(v, _vertical_index(v.lattice)))

@@ -9,14 +9,20 @@ transform of the fully padded array, which also lives here.  fsx reads its
 column tables as exact roots of unity at rational heights
 (lattice.exact_phases); the tests check them against cosines and sines at
 arbitrary heights (vertical_phases, sample_slices), and project_columns
-against the copy-and-mask projection it replaced.
+against the copy-and-mask projection it replaced.  fsx evaluates every
+grid norm and sup by one rule (norms.rectangle_rule), which reads the strip
+from columns; the tests check it against the rule on the whole sampled grid,
+cut to the heights it covers (lp_norm_reference, triebel_norm_reference,
+sup_reference).
 """
 
 import math
 
 import numpy as np
 
+from fsx.dyadic import delta_dot
 from fsx.lattice import Field, horizontal_samples, k_axis, xi_axes
+from fsx.norms import get_family
 
 
 def sample_grid_reference(u, M):
@@ -72,3 +78,34 @@ def project_columns_by_mask(spectra, K):
     tail = float(np.sum(np.abs(rest) ** 2))
     total = float(np.sum(np.abs(kept) ** 2)) + tail
     return kept, (math.sqrt(tail / total) if total > 0.0 else 0.0)
+
+
+def _grid_rule(g, p, lat, M):
+    """Rectangle rule for the L^p norm from the magnitudes g at the grid nodes."""
+    if math.isinf(p):
+        return float(g.max())
+    return float(((lat.L / M) ** lat.n * np.sum(g**p)) ** (1.0 / p))
+
+
+def _on_domain(g, domain, M):
+    """g on the whole grid, or on the strip's heights j L/M < L/2."""
+    return g[..., : M // 2] if domain == "halfspace" else g
+
+
+def lp_norm_reference(u, p, domain, M):
+    """The rule on the whole sampled M^n grid, cut to the strip's heights."""
+    return _grid_rule(_on_domain(np.abs(sample_grid_reference(u, M)), domain, M), p, u.lattice, M)
+
+
+def triebel_norm_reference(u, s, p, domain, M):
+    """The square function sqrt(sum_j 4^{js} |block_j|^2) on the whole sampled
+    M^n grid, cut to the strip's heights, then the rule."""
+    fam = get_family(u.lattice)
+    sq = sum(4.0 ** (j * s) * np.abs(sample_grid_reference(delta_dot(u, j, fam), M)) ** 2
+             for j in fam.j_range)
+    return _grid_rule(_on_domain(np.sqrt(sq), domain, M), p, u.lattice, M)
+
+
+def sup_reference(u, rows, M):
+    """Sup of |u| over the whole sampled M^n grid at the vertical rows."""
+    return float(np.max(np.abs(sample_grid_reference(u, M)[..., rows])))

@@ -11,6 +11,7 @@ import fsx.halfspace as fsx_halfspace
 import fsx.lattice as fsx_lattice
 import fsx.norms as fsx_norms
 import fsx.poisson as fsx_poisson
+import fsx.suites as fsx_suites
 from fsx.corpus import bump_field, bump_truncation_error, generate_corpus
 from fsx.dyadic import smooth_cut
 from fsx.errors import AliasingRisk, IllConditioned, InvalidParameter
@@ -40,7 +41,7 @@ from fsx.lattice import (
     zero_field,
 )
 from fsx.multipliers import derivative
-from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm
+from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm, triebel_norm
 from fsx.poisson import PoissonField, materialize_poisson
 from grid_reference import project_bandlimited, sample_slices
 
@@ -723,7 +724,7 @@ class TestNoWholeGrid:
         monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
         monkeypatch.setattr(np, "cos", counted("cos", np.cos))
         monkeypatch.setattr(np, "sin", counted("sin", np.sin))
-        for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson):
+        for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson, fsx_suites):
             if hasattr(mod, "sample_grid"):
                 monkeypatch.setattr(mod, "sample_grid", counted("sample_grid", mod.sample_grid))
         return calls
@@ -752,6 +753,19 @@ class TestNoWholeGrid:
         assert not [c for c in grid_calls if c[0] in ("sample_grid", "fftn")]
         assert all(shape != (M,) * n for _, shape in grid_calls)
         assert not [c for c in grid_calls if c[0] in ("cos", "sin") and len(c[1]) >= 2]
+
+    @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
+    def test_strip_norms_and_restriction_check_stay_on_columns(self, grid_calls, n, K):
+        lat = make_lattice(n, K)
+        rng = np.random.default_rng(n)
+        u = without_mean(Field(lat, rng.standard_normal(lat.mode_shape) + 0j))
+        for p in (1.0, 4.0 / 3.0, 4.0, math.inf):
+            lp_norm(u, p, "halfspace")
+            triebel_norm(u, 0.5, p, "halfspace")
+        fsx_suites.restriction_excess(make_half_field(u))
+        M = default_oversample(lat)
+        assert not [c for c in grid_calls if c[0] in ("sample_grid", "fftn")]
+        assert all(shape != (M,) * n for _, shape in grid_calls)
 
     def test_strip_l2_still_refuses_an_aliasing_grid(self):
         lat = make_lattice(2, 8)

@@ -5,6 +5,7 @@ import math
 import os
 import pkgutil
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -214,6 +215,22 @@ class TestCli:
         assert np.max(np.abs(u.coef - f.coef / 3.0)) < 1e-12
         meta = json.load(open(out))
         assert meta["halfspace"] is True
+
+    def test_nonfinite_shift_refused(self, tmp_path, capsys):
+        fpath = str(tmp_path / "f.json")
+        save_field(field_from_modes(make_lattice(2, 8), {(1, 1): 1 / 2j, (1, -1): -1 / 2j}), fpath)
+        out = tmp_path / "u.json"
+        rc = cli_main(["solve", "--problem", "dirichlet-resolvent", "--lambda", "nan",
+                       "--f", fpath, "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_defaults_are_the_suite_config(self, tmp_path, capsys):
+        out = str(tmp_path / "rep.json")
+        assert cli_main(["verify", "--suite", "scaling", "--out", out]) == 0
+        want = json.loads(canonical_json(asdict(SuiteConfig())))
+        assert read_report(out)["params"] == want
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["norm", "--input", str(tmp_path / "missing.json"),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fsx.errors import FsxError, NotHilbertCouple, ZeroField
+from fsx.errors import FsxError, InvalidExponent, NotHilbertCouple, ZeroField
 from fsx.interp import (
     Couple,
     KCurve,
@@ -177,6 +177,12 @@ class TestRealInterpNorm:
         lat = make_lattice(2, 16)
         c = Couple(L2, H1)
         assert real_interp_norm(zero_field(lat), c, 0.5, 2.0) == 0.0
+
+    @pytest.mark.parametrize("q", [0.5, math.nan])
+    def test_outer_exponent_below_one_refused(self, q):
+        curve = k_curve_upper(plane_wave(make_lattice(2, 8), (1, 1)), Couple(L2, H1))
+        with pytest.raises(InvalidExponent):
+            interp_norm_from_curve(curve, 0.5, q)
 
     @pytest.mark.parametrize("theta,q", [(0.25, 1.0), (0.5, 2.0), (0.75, math.inf)])
     def test_comparable_to_besov(self, theta, q):

@@ -389,6 +389,15 @@ class TestFieldIO:
         with pytest.raises(IoError):
             field_from_dict(data)
 
+    @pytest.mark.parametrize("k, error", [((1,), InvalidParameter), ((1, 2, 3), InvalidParameter),
+                                          ((5, 0), BandlimitExceeded)])
+    def test_mode_index_checked(self, k, error):
+        lat = make_lattice(2, 4)
+        with pytest.raises(error):
+            field_from_modes(lat, {k: 1.0})
+        with pytest.raises(error):
+            plane_wave(lat, k)
+
     def test_out_of_band_rejected(self):
         data = {"n": 1, "K": 2, "L": TWO_PI, "modes": [[5, 1.0, 0.0]]}
         with pytest.raises(IoError):

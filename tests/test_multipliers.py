@@ -169,6 +169,11 @@ class TestResolventWholespace:
         u = resolvent_wholespace(g, lam)
         assert np.max(np.abs(u.coef - f.coef)) < 1e-12 * f.peak()
 
+    @pytest.mark.parametrize("lam", [math.nan, complex(1.0, math.nan), math.inf])
+    def test_nonfinite_shift_refused(self, lam):
+        with pytest.raises(InvalidParameter):
+            resolvent_wholespace(plane_wave(make_lattice(2, 4), (1, 0)), lam)
+
     def test_lam_zero_needs_zero_dc(self):
         lat = make_lattice(2, 4)
         f = field_from_modes(lat, {(0, 0): 1.0, (1, 0): 1.0})

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fsx.norms as fsx_norms
 from fsx.dyadic import annulus_values, delta_dot
 from fsx.errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
+from fsx.halfspace import far_band_rows
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -25,12 +28,14 @@ from fsx.norms import (
     norm_ignoring_mean,
     pairing,
     parse_space_spec,
+    rectangle_rule,
     seq_norm,
     sobolev_norm,
     space_norm,
     triebel_fubini_l2,
     triebel_norm,
 )
+from grid_reference import lp_norm_reference, sup_reference, triebel_norm_reference
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,18 +90,13 @@ def random_field(lat, seed):
     return Field(lat, coef)
 
 
-def rectangle_rule(u, p, M):
-    values = sample_grid(u, M).values
-    return float(((u.lattice.L / M) ** u.lattice.n * np.sum(np.abs(values) ** p)) ** (1 / p))
-
-
 class TestExactQuadrature:
     @pytest.mark.parametrize("n, K", [(2, 16), (2, 32), (3, 6)])
     def test_plancherel_matches_rectangle_rule(self, n, K):
         lat = make_lattice(n, K)
         for seed in range(3):
             u = random_field(lat, seed)
-            want = rectangle_rule(u, 2.0, default_oversample(lat))
+            want = lp_norm_reference(u, 2.0, "whole", default_oversample(lat))
             for domain in ("whole", "halfspace_zero"):
                 assert lp_norm(u, 2.0, domain) == pytest.approx(want, rel=1e-13)
 
@@ -195,6 +195,46 @@ class TestOccupiedBand:
         sizes = grid_sizes(monkeypatch)
         assert triebel_norm(u, 0.7, 2.0) == pytest.approx(triebel_fubini_l2(u, 0.7), rel=1e-12)
         assert sizes and set(sizes) == {exact_grid(lat, 2.0)}
+
+
+@st.composite
+def zero_mean_fields_and_grids(draw):
+    """A dense zero-mean field with n <= 3, K <= 6, and an explicit grid:
+    the smallest one, 2K+2, or a power of two."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    lat = make_lattice(n, K)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coef = rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape)
+    coef[(K,) * n] = 0.0
+    return Field(lat, coef), draw(st.sampled_from([2 * K + 2, 1 << (2 * K + 1).bit_length()]))
+
+
+RULE_SETTINGS = settings(max_examples=60, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestOneRule:
+    """rectangle_rule, which reads the strip from columns, against the rule on
+    the whole sampled grid cut to the heights it covers."""
+
+    @RULE_SETTINGS
+    @given(zero_mean_fields_and_grids(), st.sampled_from([1.0, 4.0 / 3.0, 2.0, 4.0, math.inf]),
+           st.sampled_from(["whole", "halfspace"]), st.sampled_from([-0.5, 0.7]))
+    def test_norms_match_the_whole_grid_rule(self, case, p, domain, s):
+        u, M = case
+        assert lp_norm(u, p, domain, M=M) == pytest.approx(
+            lp_norm_reference(u, p, domain, M), rel=1e-13)
+        assert triebel_norm(u, s, p, domain, M=M) == pytest.approx(
+            triebel_norm_reference(u, s, p, domain, M), rel=1e-13)
+
+    @RULE_SETTINGS
+    @given(zero_mean_fields_and_grids())
+    def test_sups_match_the_whole_grid_sup(self, case):
+        u, M = case
+        for rows in (np.arange(M // 2 + 1), np.arange(M // 2 + 1, M), far_band_rows(M)):
+            assert rectangle_rule([(1.0, u)], math.inf, rows, M) == pytest.approx(
+                sup_reference(u, rows, M), rel=1e-13)
 
 
 class TestSeqNorm:
@@ -327,6 +367,13 @@ class TestTriebelNorm:
     def test_zero(self):
         lat = make_lattice(2, 16)
         assert triebel_norm(zero_field(lat), 0.5, 2.0) == 0.0
+
+    def test_unknown_domain_refused(self):
+        u, _ = random_zero_dc(make_lattice(2, 8), 5)
+        with pytest.raises(InvalidParameter):
+            triebel_norm(u, 0.5, 2.0, "bogus")
+        with pytest.raises(InvalidParameter):
+            lp_norm(u, 2.0, "bogus")
 
 
 class TestPairing:

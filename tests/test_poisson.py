@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fsx.errors import DimensionTooSmall, HomogeneousDCViolation, InvalidParameter
+from fsx.errors import DimensionTooSmall, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from fsx.lattice import (
     default_oversample,
     evaluate,
@@ -72,6 +72,12 @@ class TestPoissonExtend:
         pf = poisson_extend(g)
         got = pf.evaluate((0.0, math.log(2.0)))
         assert abs(got - 2.0**-5) < 1e-14
+
+    @pytest.mark.parametrize("x", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.5)])
+    def test_nonfinite_point_refused(self, x):
+        pf = poisson_extend(plane_wave(make_lattice(1, 8), (1,)))
+        with pytest.raises(InvalidParameter):
+            pf.evaluate(x)
 
     def test_mixed_modes_against_oracle(self):
         blat = make_lattice(1, 16)
@@ -210,6 +216,19 @@ class TestPoissonBesovNorm:
         lat = make_lattice(2, 8)
         with pytest.raises(InvalidParameter):
             poisson_besov_norm(plane_wave(lat, (1, 0)), -0.1, 0.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("s, alpha", [(math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan),
+                                          (0.5, math.inf)])
+    def test_nonfinite_regularity_refused(self, s, alpha):
+        with pytest.raises(InvalidParameter):
+            poisson_besov_norm(plane_wave(make_lattice(2, 8), (1, 0)), s, alpha, 2.0, 2.0)
+
+    @pytest.mark.parametrize("q", [0.5, math.nan])
+    def test_outer_exponent_below_one_refused(self, q):
+        lat = make_lattice(2, 8)
+        for u in (plane_wave(lat, (1, 0)), zero_field(lat)):
+            with pytest.raises(InvalidExponent):
+                poisson_besov_norm(u, 0.5, 0.0, 2.0, q)
 
     def test_comparable_to_block_norm(self):
         lat = make_lattice(2, 32)

@@ -133,7 +133,8 @@ class TestResolventEstimates:
 class TestDirichletBVP:
     def test_pure_boundary_data_is_poisson_profile(self, lat):
         g = plane_wave(lat.boundary(), (1,))
-        sol = bvp_dirichlet(None, g, lat=lat)
+        sol = bvp_dirichlet(None, g)
+        assert sol.lattice == lat
         rng = np.random.default_rng(80)
         for x1, xn in strip_points(lat, rng):
             want = cmath.exp(-xn) * cmath.exp(1j * x1)
@@ -184,7 +185,8 @@ class TestNeumannBVP:
         # with nu = -e_n the extension e^{-x_n} e^{i x_1} has normal
         # derivative +1 * e^{i x_1} at the boundary
         g = plane_wave(lat.boundary(), (1,))
-        sol = bvp_neumann(None, g, lat=lat)
+        sol = bvp_neumann(None, g)
+        assert sol.lattice == lat
         rng = np.random.default_rng(83)
         for x1, xn in strip_points(lat, rng):
             want = cmath.exp(-xn) * cmath.exp(1j * x1)
