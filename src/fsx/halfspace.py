@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .lattice import (
     Lattice,
     default_oversample,
     exact_phases,
+    occupied,
     project_columns,
     whole_order,
 )
@@ -74,16 +76,23 @@ def reflection_coefficients(m: int) -> ReflectionCoeffs:
     """Solve the moment system sum_j alpha_j (-1/(j+1))^kappa = 1, kappa <= m.
 
     The solution is the Lagrange basis for the nodes -1/(j+1) evaluated at 1,
-    which stays well-conditioned through m = 8.
+    which stays well-conditioned through m = 8.  It depends on m alone, so it
+    is solved once per order, and its alpha is read-only.
     """
     m = whole_order(m, "reflection order")
     if m > MAX_REFLECTION_ORDER:
         raise IllConditioned(f"reflection order {m} > {MAX_REFLECTION_ORDER}")
+    return _solve_reflection(m)
+
+
+@lru_cache(maxsize=MAX_REFLECTION_ORDER + 1)
+def _solve_reflection(m: int) -> ReflectionCoeffs:
     x = np.array([-1.0 / (j + 1) for j in range(m + 1)])
     alpha = np.empty(m + 1)
     for j in range(m + 1):
         others = np.delete(x, j)
         alpha[j] = np.prod(1.0 - others) / np.prod(x[j] - others)
+    alpha.flags.writeable = False
     rc = ReflectionCoeffs(m, alpha)
     res = rc.moment_residual()
     if res > MOMENT_TOL:
@@ -121,13 +130,13 @@ def far_band_rows(M: int) -> np.ndarray:
 
 def make_half_field(f: Field) -> HalfField:
     M = default_oversample(f.lattice)
-    return HalfField(f, rectangle_rule([(1.0, f)], math.inf, far_band_rows(M), M))
+    return HalfField(f, rectangle_rule([(1.0, occupied(f))], math.inf, far_band_rows(M), M))
 
 
 def half_peak(u: HalfField) -> float:
     """Sup of |u| over the upper half (grid estimate)."""
     M = default_oversample(u.field.lattice)
-    return rectangle_rule([(1.0, u.field)], math.inf, np.arange(M // 2 + 1), M)
+    return rectangle_rule([(1.0, occupied(u.field))], math.inf, np.arange(M // 2 + 1), M)
 
 
 def _apply_columns(coef: np.ndarray, table: np.ndarray, K: int) -> tuple[np.ndarray, float]:
@@ -217,7 +226,7 @@ def project_zero(u: Field, m: int) -> Field:
 def lower_half_defect(p0u: Field) -> float:
     """Sup of |v| over the open lower half; the projection's vanishing defect."""
     M = default_oversample(p0u.lattice)
-    return rectangle_rule([(1.0, p0u)], math.inf, np.arange(M // 2 + 1, M), M)
+    return rectangle_rule([(1.0, occupied(p0u))], math.inf, np.arange(M // 2 + 1, M), M)
 
 
 def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:

@@ -11,6 +11,7 @@ with analytic tail terms from the monotonicity envelope of K.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,23 +196,28 @@ def real_interp_norm(u: Field, c: Couple, theta: float, q: float) -> float:
 
 
 def holder_check(
-    u: Field, s0: float, s1: float, p0: float, p1: float, theta: float
-) -> float:
-    """Ratio ||u||_{s,p} / (||u||_{s0,p0}^(1-theta) ||u||_{s1,p1}^theta).
+    u: Field, s0: float, s1: float, p0: float, p1: float, thetas: Sequence[float]
+) -> list[float]:
+    """Ratios ||u||_{s,p} / (||u||_{s0,p0}^(1-theta) ||u||_{s1,p1}^theta), one per theta.
 
     The target indices interpolate linearly: s = (1-theta) s0 + theta s1 and
-    1/p = (1-theta)/p0 + theta/p1.
+    1/p = (1-theta)/p0 + theta/p1.  The two end-point norms are computed once
+    for every theta.
     """
     if u.peak() == 0.0:
         raise ZeroField("ratio undefined for the zero field")
-    if not (0.0 < theta < 1.0):
-        raise InvalidParameter(f"theta must lie in (0, 1), got {theta}")
-    s = (1.0 - theta) * s0 + theta * s1
-    p = 1.0 / ((1.0 - theta) / p0 + theta / p1)
-    num = sobolev_norm(u, SpaceSpec("Hdot", s=s, p=p))
+    for theta in thetas:
+        if not (0.0 < theta < 1.0):
+            raise InvalidParameter(f"theta must lie in (0, 1), got {theta}")
     den0 = sobolev_norm(u, SpaceSpec("Hdot", s=s0, p=p0))
     den1 = sobolev_norm(u, SpaceSpec("Hdot", s=s1, p=p1))
-    den = den0 ** (1.0 - theta) * den1**theta
-    if den == 0.0:
-        raise ZeroField("denominator vanished")
-    return num / den
+    ratios = []
+    for theta in thetas:
+        s = (1.0 - theta) * s0 + theta * s1
+        p = 1.0 / ((1.0 - theta) / p0 + theta / p1)
+        num = sobolev_norm(u, SpaceSpec("Hdot", s=s, p=p))
+        den = den0 ** (1.0 - theta) * den1**theta
+        if den == 0.0:
+            raise ZeroField("denominator vanished")
+        ratios.append(num / den)
+    return ratios

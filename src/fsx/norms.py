@@ -2,7 +2,7 @@
 the frequency-block duality pairing.
 
 Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
-one-part case, triebel_norm its case over the weighted dyadic blocks, and
+one-part case, triebel_norms its case over the weighted dyadic blocks, and
 the half-space sups its p = inf case.  Only p = 2 on the whole torus skips
 it, as the Plancherel mode sum.  Grids are chosen by exactness: for even
 integer p on the whole torus g^p has band pK' for the band K' that u
@@ -11,6 +11,11 @@ every other p, and the strip 0 <= x_n < L/2, keep the oversampled grid of
 u's own lattice, the one approximate quadrature.  Exact strip integrals
 (pairings of band-limited products) use closed-form half-period weights on
 the vertical mode pairs instead.
+
+s and q only reweight values that depend on (u, p) alone, so each dyadic
+block is sampled once per (p, grid) and reduced for every s and q:
+block_norms gives the block L^p norms that seq_norm turns into any Besov
+norm, and triebel_norms streams each block once into one accumulator per s.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,15 +112,19 @@ def get_family(lat: Lattice) -> DyadicFamily:
 # ---------------------------------------------------------------------------
 
 
-def _grid(u: Field, p: float, whole: bool, M: int | None) -> int:
-    """Samples per axis for the rule on u: the explicit M, which must resolve u's
-    lattice, or exact_grid of u's occupied band when the rule is exact and of
-    u's lattice otherwise."""
+def _grid(u: Field, p: float, whole: bool, M: int | None) -> tuple[Field, int]:
+    """u's occupied band, and the samples per axis for the rule on u: the
+    explicit M, which must resolve u's lattice and, on the strip, be even, so
+    that the heights r L/M < L/2 are the r < M/2; or exact_grid of the band
+    when the rule is exact and of u's lattice otherwise."""
+    band = occupied(u)
     if M is None:
-        return exact_grid(occupied(u).lattice if has_exact_grid(p, whole) else u.lattice, p, whole)
+        return band, exact_grid(band.lattice if has_exact_grid(p, whole) else u.lattice, p, whole)
     if M < 2 * u.lattice.K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * u.lattice.K + 2}")
-    return M
+    if not whole and M % 2:
+        raise InvalidParameter(f"the strip needs an even M to end at L/2, got M={M}")
+    return band, M
 
 
 def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
@@ -123,40 +132,56 @@ def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
     return v.coef @ exact_phases(v.lattice.K, rows, M).T
 
 
-def rectangle_rule(parts: list[tuple[float, Field]], p: float, rows: np.ndarray | None,
-                   M: int) -> float:
+def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float,
+                   rows: np.ndarray | None, M: int) -> float | list[float]:
     """Rectangle rule on M samples per axis for the L^p norm of g = sqrt(sum w |v|^2).
 
     parts are pairs (w, v) of a weight and a field, all with the same n and
-    L; each v is read from its occupied band.  With rows None the nodes are
-    the whole M^n grid, sampled by sample_grid.  Otherwise they are the
-    horizontal M^(n-1) grid at the heights r L/M of the integers r in rows,
-    where each part is read as its columns there: at p = 2 the horizontal
-    sum of |v|^2 is M^(n-1) times the columns' sum of squares by Parseval,
-    so no transform runs, and other p sample the columns
-    (horizontal_samples).
+    L; each v is read as given, so a caller passes occupied(v) to read it
+    from its band.  A weight may instead be a row of S weights, the same S
+    for every part, and the rule then returns the S norms, one per column of
+    weights: the parts stream one at a time into S accumulators, so each v
+    is sampled once for all S and no two parts' samples are held at once.
+    With rows None the nodes are the whole M^n grid, sampled by sample_grid.
+    Otherwise they are the horizontal M^(n-1) grid at the heights r L/M of
+    the integers r in rows, where each part is read as its columns there: at
+    p = 2 the horizontal sum of |v|^2 is M^(n-1) times the columns' sum of
+    squares by Parseval, so no transform runs, and other p sample the
+    columns (horizontal_samples).
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
-    bands = [(w, occupied(v)) for w, v in parts]
+    rowed = np.ndim(parts[0][0]) == 1
+    parts = [(np.atleast_1d(w), v) for w, v in parts]
     if rows is not None and p == 2.0:
-        total = 0.0
-        for w, v in bands:
+        totals = [0.0] * len(parts[0][0])
+        for w, v in parts:
             columns = _columns(v, rows, M)
-            total += w * np.vdot(columns, columns).real
-        return float(math.sqrt(cell * float(M) ** (lat.n - 1) * total))
-    samples = ((w, sample_grid(v, M).values if rows is None else
-                horizontal_samples(np.moveaxis(_columns(v, rows, M), -1, 0), v.lattice, M))
-               for w, v in bands)
-    if len(bands) == 1:  # g = sqrt(w) |v|, with no square and root at every node
-        w, values = next(samples)
-        g = np.abs(values)
-        g *= math.sqrt(w)
-    else:
-        g = np.sqrt(sum(w * np.abs(values) ** 2 for w, values in samples))
+            square_sum = np.vdot(columns, columns).real
+            totals = [t + wi * square_sum for t, wi in zip(totals, w)]
+        norms = [float(math.sqrt(cell * float(M) ** (lat.n - 1) * t)) for t in totals]
+        return norms if rowed else norms[0]
+    g = None
+    for w, v in parts:
+        values = sample_grid(v, M).values if rows is None else horizontal_samples(
+            np.moveaxis(_columns(v, rows, M), -1, 0), v.lattice, M)
+        if len(parts) == 1:  # g = sqrt(w) |v|, with no square and root at every node
+            magnitude = np.abs(values)
+            g = [magnitude * math.sqrt(wi) for wi in w]
+            continue
+        square = np.abs(values) ** 2
+        if g is None:
+            g = [wi * square for wi in w]
+        else:
+            for gi, wi in zip(g, w):
+                gi += wi * square
+    if len(parts) > 1:
+        g = [np.sqrt(gi, out=gi) for gi in g]
     if math.isinf(p):
-        return float(g.max()) if g.size else 0.0
-    return float((cell * np.sum(g**p)) ** (1.0 / p))
+        norms = [float(gi.max()) if gi.size else 0.0 for gi in g]
+    else:
+        norms = [float((cell * np.sum(gi**p)) ** (1.0 / p)) for gi in g]
+    return norms if rowed else norms[0]
 
 
 def _on_strip(domain: str) -> bool:
@@ -180,8 +205,8 @@ def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> 
     strip = _on_strip(domain)
     if not strip and p == 2.0 and M is None:
         return float(u.lattice.L ** (u.lattice.n / 2.0) * np.linalg.norm(u.coef.ravel()))
-    M = _grid(u, p, not strip, M)
-    return rectangle_rule([(1.0, u)], p, np.arange(M // 2) if strip else None, M)
+    band, M = _grid(u, p, not strip, M)
+    return rectangle_rule([(1.0, band)], p, np.arange(M // 2) if strip else None, M)
 
 
 def halfspace_product_integral(u: Field, v: Field, conjugate: bool = False) -> complex:
@@ -234,20 +259,25 @@ def _require_admissible(u: Field, what: str) -> None:
         raise HomogeneousDCViolation(f"{what} requires a zero-mean field")
 
 
+def block_norms(u: Field, p: float, domain: str = "whole",
+                inhomogeneous: bool = False) -> dict[int, float]:
+    """The L^p norms {j: ||Delta_j u||_p} of u's dyadic blocks, which every Besov
+    norm of u at this p and domain reweights by its s and q: the annular
+    blocks j of the family (Bdot), or with inhomogeneous the low-pass block
+    k = -1 and the annular blocks k >= 0 (B)."""
+    fam = get_family(u.lattice)
+    if inhomogeneous:
+        return {k: lp_norm(delta_inhom(u, k, fam), p, domain) for k in range(-1, fam.j_max + 1)}
+    _require_admissible(u, "homogeneous Besov norm")
+    return {j: lp_norm(delta_dot(u, j, fam), p, domain) for j in fam.j_range}
+
+
 def besov_norm(u: Field, spec: SpaceSpec) -> float:
-    """Dyadic-block Besov norm, homogeneous (Bdot) or inhomogeneous (B)."""
+    """Dyadic-block Besov norm, homogeneous (Bdot) or inhomogeneous (B): the
+    l^q_s norm of the block norms."""
     if spec.family not in ("B", "Bdot"):
         raise InvalidParameter(f"besov_norm got family {spec.family!r}")
-    fam = get_family(u.lattice)
-    entries: dict[int, float] = {}
-    if spec.family == "Bdot":
-        _require_admissible(u, "homogeneous Besov norm")
-        for j in fam.j_range:
-            entries[j] = lp_norm(delta_dot(u, j, fam), spec.p, spec.domain)
-    else:
-        for k in range(-1, fam.j_max + 1):
-            entries[k] = lp_norm(delta_inhom(u, k, fam), spec.p, spec.domain)
-    return seq_norm(entries, spec.s, spec.q)
+    return seq_norm(block_norms(u, spec.p, spec.domain, spec.family == "B"), spec.s, spec.q)
 
 
 def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
@@ -262,13 +292,15 @@ def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
     return lp_norm(potential, spec.p, spec.domain)
 
 
-def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
-                 M: int | None = None) -> float:
-    """Square-function norm: pointwise l2 over scales of 2^{js} blocks, then L^p.
+def triebel_norms(u: Field, s_values: Sequence[float], p: float, domain: str = "whole",
+                  M: int | None = None) -> list[float]:
+    """Square-function norms, one per s in s_values: pointwise l2 over scales of
+    2^{js} blocks, then L^p.
 
-    rectangle_rule of the blocks with weights 4^{js}, on lp_norm's grid and
-    nodes: exact_grid of u's occupied band for even integer p on the whole
-    torus, where g^p has band pK' and the rule is exact, and of u's lattice
+    rectangle_rule of the blocks, each with its row of weights 4^{js}, so
+    every block is sampled once for all s, on lp_norm's grid and nodes:
+    exact_grid of u's occupied band for even integer p on the whole torus,
+    where g^p has band pK' and the rule is exact, and of u's lattice
     otherwise; each block is read from its own band.  On the strip at p = 2
     the rule sums the blocks' columns, so no grid is sampled.
     """
@@ -276,9 +308,16 @@ def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
     strip = _on_strip(domain)
     _require_admissible(u, "square-function norm")
     fam = get_family(u.lattice)
-    M = _grid(u, p, not strip, M)
-    blocks = [(4.0 ** (j * s), delta_dot(u, j, fam)) for j in fam.j_range]
+    _, M = _grid(u, p, not strip, M)
+    blocks = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
+              for j in fam.j_range]
     return rectangle_rule(blocks, p, np.arange(M // 2) if strip else None, M)
+
+
+def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
+                 M: int | None = None) -> float:
+    """Square-function norm at one s: triebel_norms' one-s case."""
+    return triebel_norms(u, (s,), p, domain, M)[0]
 
 
 def triebel_fubini_l2(u: Field, s: float) -> float:

@@ -58,6 +58,7 @@ from .lattice import (
     dilate,
     field_from_modes,
     make_lattice,
+    occupied,
     plane_wave,
     without_mean,
     xi_norm,
@@ -68,6 +69,7 @@ from .multipliers import derivative, fractional_laplacian, gradient, hessian, la
 from .norms import (
     SpaceSpec,
     besov_norm,
+    block_norms,
     get_family,
     halfspace_product_integral,
     lp_norm,
@@ -76,7 +78,7 @@ from .norms import (
     seq_norm,
     sobolev_norm,
     triebel_fubini_l2,
-    triebel_norm,
+    triebel_norms,
 )
 from .poisson import materialize_poisson, poisson_besov_norm, poisson_extend, trace
 from .report import Report
@@ -302,20 +304,23 @@ def suite_plancherel(cfg: SuiteConfig, rep: Report) -> None:
 
 
 def fubini_exchange_error(fields: list[Field]) -> float:
-    """Largest relative gap between triebel_norm and triebel_fubini_l2 at p = 2."""
+    """Largest relative gap between triebel_norms and triebel_fubini_l2 at p = 2."""
+    s_values = (-0.5, 0.0, 0.7)
     return max(
-        abs(triebel_norm(u, s, 2.0) / triebel_fubini_l2(u, s) - 1.0)
-        for u in fields for s in (-0.5, 0.0, 0.7)
+        abs(norm / triebel_fubini_l2(u, s) - 1.0)
+        for u in fields for s, norm in zip(s_values, triebel_norms(u, s_values, 2.0))
     )
 
 
 def triebel_sobolev_ratios(fields: list[Field]) -> dict[str, float]:
     """Largest and smallest ||u||_{Fdot^s_{p,2}} / ||u||_{Hdot^s_p} over the fields, per p, s."""
     out = {}
+    s_values = (-0.5, 0.0, 0.7)
     for p in (4.0 / 3.0, 2.0, 4.0):
-        for s in (-0.5, 0.0, 0.7):
-            ratios = [triebel_norm(u, s, p) / sobolev_norm(u, SpaceSpec("Hdot", s=s, p=p))
-                      for u in fields]
+        triebel = [triebel_norms(u, s_values, p) for u in fields]
+        for i, s in enumerate(s_values):
+            ratios = [norms[i] / sobolev_norm(u, SpaceSpec("Hdot", s=s, p=p))
+                      for u, norms in zip(fields, triebel)]
             out[f"triebel_over_sobolev_p{p:g}_s{s:g}_max"] = max(ratios)
             out[f"triebel_over_sobolev_p{p:g}_s{s:g}_min"] = min(ratios)
     return out
@@ -348,29 +353,34 @@ def suite_norm_equiv(cfg: SuiteConfig, rep: Report) -> None:
     rep.add_case("cross_lattice_stability", stability, STABILITY_BOUND)
     rep.constants["triebel_sobolev_stability"] = stability
 
-    # gradient equivalence for p != 2 and the block-norm analogue
-    worst_c = 0.0
+    # gradient equivalence for p != 2 and the block-norm analogue, then the
+    # inhomogeneous norm, from one set of Bdot block norms per (field, p)
+    grad_p = [p for p in cfg.p_list if not math.isinf(p)]
+    fam = get_family(cfg.lattice())
+    worst_c, worst = 0.0, 0.0
     for u in corpus.fields:
-        for p in cfg.p_list:
-            if math.isinf(p):
-                continue
+        blocks = {p: block_norms(u, p) for p in dict.fromkeys((*grad_p, 2.0, 4.0))}
+        grads = gradient(u)
+        for p in grad_p:
+            grad_blocks = [block_norms(d, p) for d in grads]
             for s in (-0.5, 0.0):
-                num = sum(sobolev_norm(d, SpaceSpec("Hdot", s=s, p=p)) for d in gradient(u))
+                num = sum(sobolev_norm(d, SpaceSpec("Hdot", s=s, p=p)) for d in grads)
                 den = sobolev_norm(u, SpaceSpec("Hdot", s=s + 1.0, p=p))
                 worst_c = max(worst_c, num / den, den / num)
-                bnum = sum(besov_norm(d, SpaceSpec("Bdot", s=s, p=p, q=2.0)) for d in gradient(u))
-                bden = besov_norm(u, SpaceSpec("Bdot", s=s + 1.0, p=p, q=2.0))
+                bnum = sum(seq_norm(b, s, 2.0) for b in grad_blocks)
+                bden = seq_norm(blocks[p], s + 1.0, 2.0)
                 worst_c = max(worst_c, bnum / bden, bden / bnum)
+        for p in (2.0, 4.0):
+            # B's blocks k >= 0 are Bdot's blocks j >= 0; only the low-pass k = -1 is new
+            inhom = {-1: lp_norm(delta_inhom(u, -1, fam), p),
+                     **{k: b for k, b in blocks[p].items() if k >= 0}}
+            lebesgue = lp_norm(u, p)
+            for s in (0.7, 1.2):
+                num = seq_norm(inhom, s, 2.0)
+                den = lebesgue + seq_norm(blocks[p], s, 2.0)
+                worst = max(worst, num / den, den / num)
     rep.constants["gradient_equivalence"] = worst_c
     rep.add_case("gradient_equivalence", worst_c, 10.0)
-
-    worst = 0.0
-    for u in corpus.fields:
-        for s in (0.7, 1.2):
-            for p in (2.0, 4.0):
-                num = besov_norm(u, SpaceSpec("B", s=s, p=p, q=2.0))
-                den = lp_norm(u, p) + besov_norm(u, SpaceSpec("Bdot", s=s, p=p, q=2.0))
-                worst = max(worst, num / den, den / num)
     rep.constants["inhom_vs_intersection"] = worst
     rep.add_case("inhom_vs_intersection", worst, 4.0)
 
@@ -382,11 +392,10 @@ HOLDER_MIXED_BOUND = 10.0
 def holder_constants(fields: list[Field]) -> tuple[float, float]:
     """Largest holder_check ratio at p = 2 over the fields, and largest either way round
     from p = 4/3 to p = 4 over the first ten."""
-    p2 = max(holder_check(u, -0.5, 0.7, 2.0, 2.0, 0.4) for u in fields)
+    p2 = max(holder_check(u, -0.5, 0.7, 2.0, 2.0, (0.4,))[0] for u in fields)
     mixed = 0.0
     for u in fields[:10]:
-        for theta in (0.25, 0.5, 0.75):
-            r = holder_check(u, -0.5, 0.7, 4.0 / 3.0, 4.0, theta)
+        for r in holder_check(u, -0.5, 0.7, 4.0 / 3.0, 4.0, (0.25, 0.5, 0.75)):
             mixed = max(mixed, r, 1.0 / r)
     return p2, mixed
 
@@ -439,6 +448,7 @@ def interp_besov_ratios(fields: list[Field]) -> tuple[float, float, float, float
     slack, floor = 0.0, math.inf
     for u in fields:
         for p in INTERP_GRID["p"]:
+            blocks = block_norms(u, p)
             for s0, s1 in INTERP_GRID["s_pairs"]:
                 c = Couple(SpaceSpec("Hdot", s=s0, p=p), SpaceSpec("Hdot", s=s1, p=p))
                 curve = best_k_curve(u, c)
@@ -453,7 +463,7 @@ def interp_besov_ratios(fields: list[Field]) -> tuple[float, float, float, float
                     s = (1 - theta) * s0 + theta * s1
                     for q in INTERP_GRID["q"]:
                         num = interp_norm_from_curve(curve, theta, q)
-                        ratio = num / besov_norm(u, SpaceSpec("Bdot", s=s, p=p, q=q))
+                        ratio = num / seq_norm(blocks, s, q)
                         ratio_hi, ratio_lo = max(ratio_hi, ratio), min(ratio_lo, ratio)
     return ratio_lo, ratio_hi, slack, floor
 
@@ -564,7 +574,8 @@ def restriction_excess(u: HalfField) -> float:
     worst = 0.0
     for m in (0, 1, 2):
         ext, res = extend_reflect(u, m, window=True)
-        worst = max(worst, rectangle_rule([(1.0, ext - u.field)], math.inf, upper, M) - 10.0 * res)
+        worst = max(worst, rectangle_rule([(1.0, occupied(ext - u.field))], math.inf, upper, M)
+                    - 10.0 * res)
     return worst
 
 
@@ -695,8 +706,9 @@ def trace_constant(fields: list[Field]) -> float:
         gb = trace(u)
         if gb.peak() <= 1e-14:
             continue
+        blocks = block_norms(gb, 2.0)
         for s in (0.7, 1.2):
-            num = besov_norm(gb, SpaceSpec("Bdot", s=s - 0.5, p=2.0, q=2.0))
+            num = seq_norm(blocks, s - 0.5, 2.0)
             den, _ = restriction_norm(
                 make_half_field(u), SpaceSpec("Hdot", s=s, p=2.0, domain="halfspace")
             )

@@ -109,6 +109,13 @@ class TestReflectionCoefficients:
         with pytest.raises(InvalidParameter):
             reflection_coefficients(m)
 
+    def test_solved_once_per_order(self):
+        rc = reflection_coefficients(2)
+        assert reflection_coefficients(2.0) is rc
+        assert reflection_coefficients(3) is not rc
+        with pytest.raises(ValueError):
+            rc.alpha[0] = 0.0
+
     def test_shifted_coefficients(self):
         rc = reflection_coefficients(1)
         got = shifted_coefficients(rc, 1)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fsx.errors import FsxError, InvalidExponent, NotHilbertCouple, ZeroField
+from fsx.errors import FsxError, InvalidExponent, InvalidParameter, NotHilbertCouple, ZeroField
 from fsx.interp import (
     Couple,
     KCurve,
@@ -200,14 +200,14 @@ class TestHolder:
     def test_single_mode_ratio_one(self):
         lat = make_lattice(2, 16)
         u = plane_wave(lat, (2, 1))
-        r = holder_check(u, s0=0.0, s1=1.0, p0=2.0, p1=2.0, theta=0.3)
+        (r,) = holder_check(u, s0=0.0, s1=1.0, p0=2.0, p1=2.0, thetas=(0.3,))
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_p2_log_convexity(self):
         lat = make_lattice(2, 32)
         for seed in range(6):
             u = random_zero_dc(lat, 30 + seed)
-            r = holder_check(u, s0=-0.5, s1=0.7, p0=2.0, p1=2.0, theta=0.4)
+            (r,) = holder_check(u, s0=-0.5, s1=0.7, p0=2.0, p1=2.0, thetas=(0.4,))
             assert r <= 1.0 + 1e-10
 
     def test_mixed_p_bounded(self):
@@ -215,14 +215,27 @@ class TestHolder:
         worst = 0.0
         for seed in range(4):
             u = random_zero_dc(lat, 40 + seed)
-            r = holder_check(u, s0=-0.5, s1=0.7, p0=4.0 / 3.0, p1=4.0, theta=0.5)
+            (r,) = holder_check(u, s0=-0.5, s1=0.7, p0=4.0 / 3.0, p1=4.0, thetas=(0.5,))
             worst = max(worst, r, 1.0 / r)
         assert worst <= 10.0
+
+    def test_one_ratio_per_theta(self):
+        lat = make_lattice(2, 32)
+        u = random_zero_dc(lat, 44)
+        thetas = (0.25, 0.5, 0.75)
+        got = holder_check(u, -0.5, 0.7, 4.0 / 3.0, 4.0, thetas)
+        assert got == [holder_check(u, -0.5, 0.7, 4.0 / 3.0, 4.0, (t,))[0] for t in thetas]
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, math.nan])
+    def test_theta_outside_refused(self, theta):
+        u = random_zero_dc(make_lattice(2, 8), 45)
+        with pytest.raises(InvalidParameter):
+            holder_check(u, 0.0, 1.0, 2.0, 2.0, (0.5, theta))
 
     def test_zero_field_raises(self):
         lat = make_lattice(2, 8)
         with pytest.raises(ZeroField):
-            holder_check(zero_field(lat), 0.0, 1.0, 2.0, 2.0, 0.5)
+            holder_check(zero_field(lat), 0.0, 1.0, 2.0, 2.0, (0.5,))
 
 
 class TestBestCurve:

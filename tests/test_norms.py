@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fsx.norms as fsx_norms
+import fsx.suites as fsx_suites
+from fsx.corpus import generate_corpus
 from fsx.dyadic import annulus_values, delta_dot
 from fsx.errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from fsx.halfspace import far_band_rows
@@ -15,6 +17,7 @@ from fsx.lattice import (
     exact_grid,
     field_from_modes,
     make_lattice,
+    occupied,
     plane_wave,
     sample_grid,
     zero_field,
@@ -22,6 +25,7 @@ from fsx.lattice import (
 from fsx.norms import (
     SpaceSpec,
     besov_norm,
+    block_norms,
     get_family,
     halfspace_product_integral,
     lp_norm,
@@ -34,7 +38,9 @@ from fsx.norms import (
     space_norm,
     triebel_fubini_l2,
     triebel_norm,
+    triebel_norms,
 )
+from fsx.suites import SuiteConfig, interp_besov_ratios
 from grid_reference import lp_norm_reference, sup_reference, triebel_norm_reference
 
 TWO_PI = 2.0 * math.pi
@@ -81,6 +87,19 @@ class TestLpNorm:
         lat = make_lattice(1, 2)
         with pytest.raises(InvalidExponent):
             lp_norm(plane_wave(lat, (1,)), 0.5)
+
+    @pytest.mark.parametrize("M", [15, 27])
+    def test_odd_grid_refused_on_the_strip(self, M):
+        # the heights r L/M with r < M // 2 would stop short of L/2: the
+        # constant 1 would give 7/15 of the strip at M = 15
+        lat = make_lattice(2, 4)
+        u = field_from_modes(lat, {(0, 0): 1.0})
+        for p in (1.0, 2.0):
+            with pytest.raises(InvalidParameter):
+                lp_norm(u, p, "halfspace", M=M)
+            assert lp_norm(u, p, M=M) == pytest.approx(lat.L ** (2.0 / p), rel=1e-13)
+            got = lp_norm(u, p, "halfspace", M=M + 1) ** p / lat.L**2
+            assert got == pytest.approx(0.5, rel=1e-13)
 
 
 def random_field(lat, seed):
@@ -368,12 +387,112 @@ class TestTriebelNorm:
         lat = make_lattice(2, 16)
         assert triebel_norm(zero_field(lat), 0.5, 2.0) == 0.0
 
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_odd_grid_refused_on_the_strip(self, p):
+        lat = make_lattice(2, 4)
+        u, _ = random_zero_dc(lat, 5)
+        with pytest.raises(InvalidParameter):
+            triebel_norm(u, 0.5, p, "halfspace", M=15)
+        assert triebel_norm(u, 0.5, p, "halfspace", M=16) > 0.0
+
     def test_unknown_domain_refused(self):
         u, _ = random_zero_dc(make_lattice(2, 8), 5)
         with pytest.raises(InvalidParameter):
             triebel_norm(u, 0.5, 2.0, "bogus")
         with pytest.raises(InvalidParameter):
             lp_norm(u, 2.0, "bogus")
+
+
+@st.composite
+def zero_mean_fields_and_default_grids(draw):
+    """A field of zero_mean_fields_and_grids, with its explicit grid or None."""
+    u, M = draw(zero_mean_fields_and_grids())
+    return u, draw(st.sampled_from([None, M]))
+
+
+EXPONENTS = st.sampled_from([1.0, 4.0 / 3.0, 2.0, 4.0, math.inf])
+DOMAINS = st.sampled_from(["whole", "halfspace"])
+
+
+class TestBlocksOnce:
+    """Each dyadic block is sampled once per (p, grid) and reduced for every s
+    and q, with the values of the one-s and one-(s, q) norms to the bit."""
+
+    @RULE_SETTINGS
+    @given(zero_mean_fields_and_default_grids(), EXPONENTS, DOMAINS,
+           st.lists(st.sampled_from([-0.5, 0.0, 0.7, 1.2]), min_size=1, max_size=3))
+    def test_triebel_norms_equal_one_s_at_a_time(self, case, p, domain, s_values):
+        u, M = case
+        assert triebel_norms(u, s_values, p, domain, M) == [
+            triebel_norm(u, s, p, domain, M) for s in s_values]
+
+    @RULE_SETTINGS
+    @given(zero_mean_fields_and_grids(), EXPONENTS, DOMAINS,
+           st.sampled_from([-0.5, 0.7]), st.sampled_from([1.0, 2.0, math.inf]))
+    def test_besov_norm_reweights_block_norms(self, case, p, domain, s, q):
+        u, _ = case
+        dot = block_norms(u, p, domain)
+        inhom = block_norms(u, p, domain, inhomogeneous=True)
+        assert besov_norm(u, SpaceSpec("Bdot", s=s, p=p, q=q, domain=domain)) == seq_norm(dot, s, q)
+        assert besov_norm(u, SpaceSpec("B", s=s, p=p, q=q, domain=domain)) == seq_norm(inhom, s, q)
+        assert {k: b for k, b in inhom.items() if k >= 0} == {j: b for j, b in dot.items() if j >= 0}
+
+    @pytest.mark.parametrize("p, domain", [(4.0 / 3.0, "whole"), (4.0, "whole"),
+                                           (2.0, "halfspace"), (4.0, "halfspace")])
+    def test_triebel_norms_read_each_block_once(self, monkeypatch, p, domain):
+        lat = make_lattice(2, 16)
+        fam = get_family(lat)
+        u = random_field(lat, 6)
+        u.coef[(lat.K,) * lat.n] = 0.0
+        blocks = [occupied(delta_dot(u, j, fam)) for j in fam.j_range]
+        assert all(b.peak() > 0.0 for b in blocks)
+        read = grid_coefficients(monkeypatch)
+        columns = fsx_norms._columns  # the strip reads each block as its columns
+
+        def counted_columns(v, rows, M):
+            read.append(v.coef.tobytes())
+            return columns(v, rows, M)
+
+        monkeypatch.setattr(fsx_norms, "_columns", counted_columns)
+        triebel_norms(u, (-0.5, 0.0, 0.7), p, domain)
+        assert sorted(read) == sorted(b.coef.tobytes() for b in blocks)
+
+    def test_interp_besov_ratios_sample_no_block_twice(self, monkeypatch):
+        cfg = SuiteConfig(bandlimit=8, corpus_size=2)
+        fields = generate_corpus(cfg.seed, "random_bandlimited", 2, cfg.lattice()).fields
+        fam = get_family(cfg.lattice())
+        # the split functional samples parts of its own, one of which (the
+        # Hdot^0 low part below the cut j = 0) equals the block j = -1, so
+        # only the samples taken for the block norms are counted
+        in_blocks = []
+
+        def flagged(*args, **kwargs):
+            in_blocks.append(True)
+            try:
+                return block_norms(*args, **kwargs)
+            finally:
+                in_blocks.pop()
+
+        monkeypatch.setattr(fsx_suites, "block_norms", flagged)
+        sampled = grid_coefficients(monkeypatch, when=lambda: bool(in_blocks))
+        interp_besov_ratios(fields)
+        blocks = [occupied(delta_dot(u, j, fam)).coef.tobytes() for u in fields for j in fam.j_range]
+        # p = 4 samples every block once for its 18 (s, q); p = 2 is the Plancherel sum
+        assert sorted(sampled) == sorted(blocks)
+
+
+def grid_coefficients(monkeypatch, when=lambda: True):
+    """Record the coefficients of every field that fsx.norms samples on a grid
+    while when() holds."""
+    sampled = []
+
+    def counted(u, M):
+        if when():
+            sampled.append(u.coef.tobytes())
+        return sample_grid(u, M)
+
+    monkeypatch.setattr(fsx_norms, "sample_grid", counted)
+    return sampled
 
 
 class TestPairing:
