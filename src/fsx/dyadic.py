@@ -108,11 +108,13 @@ def delta_dot(u: Field, j: int, fam: DyadicFamily) -> Field:
 
 
 def delta_inhom(u: Field, k: int, fam: DyadicFamily) -> Field:
-    """Inhomogeneous block: low-pass catch-all at k = -1, annular for k >= 0."""
-    if k <= -2:
-        return Field(u.lattice, np.zeros_like(u.coef))
+    """Inhomogeneous block: low-pass catch-all at k = -1, annular for k >= 0; zero
+    for k <= -2 and for the k >= 0 below the family's range, where psi_k
+    vanishes on the lattice."""
     if k == -1:
         return _mult(u, lowpass_values(fam.lattice, 0))
+    if k < max(fam.j_min, 0):
+        return Field(u.lattice, np.zeros_like(u.coef))
     return delta_dot(u, k, fam)
 
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .dyadic import lowpass_values
 from .errors import FsxError, InvalidParameter, NotHilbertCouple, ZeroField
-from .lattice import Field, Lattice, xi_norm_sq
-from .multipliers import potential_weight
-from .norms import SpaceSpec, _check_exponent, get_family, norm_ignoring_mean, sobolev_norm
+from .lattice import Field
+from .norms import SpaceSpec, _check_exponent, get_family, mode_sum, norm_ignoring_mean
+from .norms import potential_sq, sobolev_norm
 
 T_EXPONENT = 20
 T_POINTS = 81
@@ -78,26 +78,25 @@ def split_candidates(u: Field, c: Couple) -> list[tuple[float, float, str]]:
     """Cost pairs (A, B) with u = a + b, ||a||_X0 = A, ||b||_X1 = B.
 
     Candidates: the trivial splits and every dyadic low/high cut, with the
-    low-frequency part assigned to the smoother space.
+    low-frequency part assigned to the smoother space.  The cut at j_max + 1
+    keeps all of u below it, and the cut at j_min all of a zero-mean u above
+    it, so both repeat a trivial split and reuse its norm.
     """
     lat = u.lattice
     fam = get_family(lat)
     peak = u.peak()
-    out = [
-        (_part_norm(u, c.X0, peak), 0.0, "all_X0"),
-        (0.0, _part_norm(u, c.X1, peak), "all_X1"),
-    ]
+    a0, b1 = _part_norm(u, c.X0, peak), _part_norm(u, c.X1, peak)
+    out = [(a0, 0.0, "all_X0"), (0.0, b1, "all_X1")]
     low_to_x1 = _space_s(c.X0) <= _space_s(c.X1)
     for j in range(fam.j_min, fam.j_max + 2):
+        if j == fam.j_max + 1 or (j == fam.j_min and u.dc == 0.0):
+            # u lies wholly below the cut at j_max + 1 and above the one at j_min
+            out.append((0.0, b1, f"cut_j{j}") if (j > fam.j_max) == low_to_x1 else
+                       (a0, 0.0, f"cut_j{j}"))
+            continue
         low = Field(lat, u.coef * lowpass_values(lat, j))
-        high = u - low
-        if low_to_x1:
-            a, b = high, low
-        else:
-            a, b = low, high
-        out.append(
-            (_part_norm(a, c.X0, peak), _part_norm(b, c.X1, peak), f"cut_j{j}")
-        )
+        a, b = (u - low, low) if low_to_x1 else (low, u - low)
+        out.append((_part_norm(a, c.X0, peak), _part_norm(b, c.X1, peak), f"cut_j{j}"))
     return out
 
 
@@ -110,34 +109,37 @@ def k_curve_upper(u: Field, c: Couple, tgrid: np.ndarray | None = None) -> KCurv
     return KCurve(tgrid, values, "upper_dyadic")
 
 
-def _hilbert_weights(spec: SpaceSpec, lat: Lattice) -> np.ndarray:
-    """Plancherel weight per mode for p = 2 potential-type spaces."""
+def _hilbert_weight(spec: SpaceSpec):
+    """Squared Plancherel weight of |xi|^2 for p = 2 potential-type spaces."""
     if spec.domain != "whole":
         raise NotHilbertCouple("exact split functional needs whole-domain spaces")
     if not math.isclose(spec.p, 2.0):
         raise NotHilbertCouple(f"exact split functional needs p = 2, got p={spec.p}")
     if spec.family == "Lp":
-        return np.ones(lat.mode_shape)
+        return np.ones_like
     if spec.family in ("Hdot", "H"):
-        return potential_weight(xi_norm_sq(lat), spec.s, bessel=spec.family == "H")
+        return potential_sq(spec.s, bessel=spec.family == "H")
     raise NotHilbertCouple(f"family {spec.family!r} is not a p=2 potential space")
 
 
 def k_curve_exact_hilbert(
     u: Field, c: Couple, tgrid: np.ndarray | None = None
 ) -> KCurve:
-    """Quadratic-mean split functional; between K/sqrt(2) and K."""
+    """Quadratic-mean split functional; between K/sqrt(2) and K.
+
+    K(t)^2 = L^n sum_k |c_k|^2 a b / (a + b) with a = w0^2 and b = t^2 w1^2,
+    one row of mode_sum per t.
+    """
     tgrid = default_tgrid() if tgrid is None else np.asarray(tgrid, dtype=float)
-    lat = u.lattice
-    w0 = _hilbert_weights(c.X0, lat)
-    w1 = _hilbert_weights(c.X1, lat)
-    mass = np.abs(u.coef.reshape(-1)) ** 2
-    a = (w0.reshape(-1) ** 2)[None, :]
-    b = (w1.reshape(-1) ** 2)[None, :] * (tgrid**2)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        harm = np.where(a + b > 0.0, a * b / np.where(a + b > 0.0, a + b, 1.0), 0.0)
-    values = np.sqrt(lat.L**lat.n * harm @ mass)
-    return KCurve(tgrid, values, "exact_hilbert")
+    w0, w1 = _hilbert_weight(c.X0), _hilbert_weight(c.X1)
+
+    def harmonic(rsq: np.ndarray) -> np.ndarray:
+        a = w0(rsq)[None, :]
+        b = w1(rsq)[None, :] * (tgrid**2)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(a + b > 0.0, a * b / np.where(a + b > 0.0, a + b, 1.0), 0.0)
+
+    return KCurve(tgrid, mode_sum(u, harmonic), "exact_hilbert")
 
 
 def best_k_curve(u: Field, c: Couple) -> KCurve:

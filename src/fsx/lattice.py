@@ -15,6 +15,7 @@ import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -119,9 +120,18 @@ def xi_axes(lat: Lattice) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=128)
+def shells(lat: Lattice) -> np.ndarray:
+    """The integer |k|^2 on the full mode grid: the shell of each mode, on which
+    every radial symbol is constant."""
+    total = np.sum((np.indices(lat.mode_shape) - lat.K) ** 2, axis=0)
+    total.flags.writeable = False
+    return total
+
+
+@lru_cache(maxsize=128)
 def xi_norm_sq(lat: Lattice) -> np.ndarray:
-    """|xi|^2 on the full mode grid."""
-    total = np.sum((lat.freq_scale * (np.indices(lat.mode_shape) - lat.K)) ** 2, axis=0)
+    """|xi|^2 = (2 pi/L)^2 |k|^2 on the full mode grid."""
+    total = lat.freq_scale**2 * shells(lat)
     total.flags.writeable = False
     return total
 
@@ -187,13 +197,14 @@ class Field:
 
 def occupied(u: Field) -> Field:
     """The same function on the smallest lattice (K' >= 1) holding its nonzero
-    modes, or u itself when K' = K: its samples on any grid are u's."""
+    modes, or u itself when K' = K: its samples on any grid are u's.  The
+    smaller band is a copy, so u's own array need not outlive it."""
     lat = u.lattice
     K = int(chebyshev_radius(lat)[u.coef != 0].max(initial=1))
     if K == lat.K:
         return u
     inner = (slice(lat.K - K, lat.K + K + 1),) * lat.n
-    return Field(Lattice(lat.n, K, lat.L), u.coef[inner])
+    return Field(Lattice(lat.n, K, lat.L), u.coef[inner].copy())
 
 
 def _check_same_lattice(u: Field, v: Field) -> None:
@@ -280,16 +291,18 @@ def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int) -> np.ndarray:
     """
     if lat.n == 1:
         return sliced.reshape(-1)
-    return _padded_inverse_dft(sliced, lat.K, M, range(1, lat.n))
+    values = _padded_passes(sliced, lat.K, M, range(1, lat.n))
+    values *= float(M) ** (lat.n - 1)
+    return values
 
 
-def _padded_inverse_dft(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
-    """M^len(axes) times the inverse DFT of modes zero-padded to M along axes.
+def _padded_passes(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
+    """The inverse DFT of modes zero-padded to M along axes, unscaled.
 
     Pruned (Markel 1971): axes are padded and transformed one at a time, last
     first as np.fft.ifftn orders them, so in the pass over axis a the axes
     before it still hold only 2K+1 modes: (2K+1)^a M^(n-1-a) rows, not
-    M^(n-1).  Each row gives the values of the one-shot padded transform.
+    M^(n-1).  Each pass transforms its padded array in place.
     """
     if M < 2 * K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
@@ -297,9 +310,41 @@ def _padded_inverse_dft(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
     for a in reversed(axes):
         padded = np.zeros(modes.shape[:a] + (M,) + modes.shape[a + 1:], dtype=complex)
         padded[(slice(None),) * a + (idx,)] = modes
-        modes = np.fft.ifftn(padded, axes=(a,))
-    modes *= float(M) ** len(axes)
+        modes = np.fft.ifftn(padded, axes=(a,), out=padded)
     return modes
+
+
+# Samples per slab of a streamed grid: 512 KiB of complex values.
+SLAB = 1 << 15
+
+
+def per_slab(count: int, size: int) -> int:
+    """How many of count runs of size samples each make one slab: as many as fit
+    in SLAB samples, at least one, at most all."""
+    return min(max(SLAB // size, 1), count)
+
+
+def grid_slabs(u: Field, M: int, buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """u's values on the M^n grid x = (L/M) j, exact, streamed in slabs: the one sampler.
+
+    The grid is read as an M x M^(n-1) matrix, and a slab is a block of
+    w = per_slab(M^(n-1), M) of its columns.  The pruned passes over axes
+    n-1, ..., 1 run once; the last, over axis 0, runs per slab in place in
+    buffer (M x w, made when None), so a slab is valid until the next is
+    drawn, fields can share a buffer, and no M^n array is held.
+    """
+    K = u.lattice.K
+    rows = _padded_passes(u.coef, K, M, range(1, u.lattice.n)).reshape(2 * K + 1, -1)
+    width = per_slab(rows.shape[1], M)
+    buffer = np.empty((M, width), dtype=complex) if buffer is None else buffer
+    idx, scale = k_axis(K) % M, float(M) ** u.lattice.n
+    for start in range(0, rows.shape[1], width):
+        slab = buffer[:, : min(width, rows.shape[1] - start)]
+        slab[K + 1 : M - K] = 0.0
+        slab[idx] = rows[:, start : start + width]
+        np.fft.ifftn(slab, axes=(0,), out=slab)
+        slab *= scale
+        yield slab
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,9 +357,12 @@ class SampleGrid:
 
 
 def sample_grid(u: Field, M: int) -> SampleGrid:
-    """Sample on the M^n grid via zero-padded inverse DFT (exact), pruned."""
-    lat = u.lattice
-    return SampleGrid(lat, M, _padded_inverse_dft(u.coef, lat.K, M, range(lat.n)))
+    """Sample on the M^n grid via zero-padded inverse DFT (exact): grid_slabs, assembled."""
+    values = np.empty((M, M ** (u.lattice.n - 1)), dtype=complex)
+    width = per_slab(values.shape[1], M)
+    for i, slab in enumerate(grid_slabs(u, M)):
+        values[:, i * width : i * width + slab.shape[1]] = slab
+    return SampleGrid(u.lattice, M, values.reshape((M,) * u.lattice.n))
 
 
 def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:

@@ -1,16 +1,26 @@
 """Norm functionals: Lebesgue, Besov, Sobolev (potential), Triebel-type, and
 the frequency-block duality pairing.
 
+Every whole-torus norm at p = 2 is one Plancherel sum, mode_sum: |c|^2 is
+read once and binned by the integer shell |k|^2, and a weight of |xi|^2 is
+evaluated on the occupied shells only.  Lp, the
+Hdot/H potential norms, the Besov blocks (rows psi_j^2 of shell_blocks, one
+table per lattice), the Fubini form of the square function, the exact
+Hilbert K-curve and the p = 2 semigroup norm are its cases.
+
 Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
 one-part case, triebel_norms its case over the weighted dyadic blocks, and
-the half-space sups its p = inf case.  Only p = 2 on the whole torus skips
-it, as the Plancherel mode sum.  Grids are chosen by exactness: for even
-integer p on the whole torus g^p has band pK' for the band K' that u
-occupies (lattice.occupied), so the smallest grid with M > pK' is exact;
-every other p, and the strip 0 <= x_n < L/2, keep the oversampled grid of
-u's own lattice, the one approximate quadrature.  Exact strip integrals
-(pairings of band-limited products) use closed-form half-period weights on
-the vertical mode pairs instead.
+the half-space sups its p = inf case.  It streams: the samples come from
+lattice.grid_slabs (or, on the strip, from columns a run of heights at a
+time) in slabs of about lattice.SLAB values, and each slab is reduced at
+once for every weight and every p, so no M^n array of samples is held.
+Grids are chosen by exactness: for even integer p on the whole torus g^p
+has band pK' for the band K' that u occupies (lattice.occupied), so the
+smallest grid with M > pK' is exact; every other p, and the strip
+0 <= x_n < L/2, keep the oversampled grid of u's own lattice, the one
+approximate quadrature.  Exact strip integrals (pairings of band-limited
+products) use closed-form half-period weights on the vertical mode pairs
+instead.
 
 s and q only reweight values that depend on (u, p) alone, so each dyadic
 block is sampled once per (p, grid) and reduced for every s and q:
@@ -23,26 +33,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dyadic import DyadicFamily, build_dyadic_family, delta_dot, delta_inhom
+from .dyadic import DyadicFamily, build_dyadic_family, delta_dot, delta_inhom, smooth_cut
 from .errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from .lattice import (
     Field,
     Lattice,
     exact_grid,
     exact_phases,
+    grid_slabs,
     has_exact_grid,
     horizontal_samples,
     is_homogeneous_admissible,
     k_axis,
     occupied,
-    sample_grid,
+    shells,
+    per_slab,
     without_mean,
 )
-from .multipliers import bessel_potential, fractional_laplacian
+from .multipliers import bessel_potential, fractional_laplacian, potential_weight
 
 FAMILIES = ("Lp", "Hdot", "H", "Bdot", "B", "Fdot")
 HOMOGENEOUS = ("Hdot", "Bdot", "Fdot")
@@ -108,23 +120,64 @@ def get_family(lat: Lattice) -> DyadicFamily:
 
 
 # ---------------------------------------------------------------------------
+# The p = 2 layer
+# ---------------------------------------------------------------------------
+
+
+def mode_sum(u: Field, weight) -> float | np.ndarray:
+    """sqrt(L^n sum_k w(|xi_k|^2) |c_k|^2): every whole-torus p = 2 norm, by Plancherel.
+
+    |c|^2 is read once and binned by the integer shell |k|^2 (lattice.shells);
+    weight is a function of |xi|^2 = (2 pi/L)^2 |k|^2, evaluated on the
+    occupied shells only, or a table over the shells 0..nK^2.  Either may
+    give rows, one norm each.
+    """
+    lat = u.lattice
+    coef = u.coef.ravel()
+    mass = np.bincount(shells(lat).ravel(), weights=coef.real**2 + coef.imag**2)
+    hit = (mass > 0.0).nonzero()[0]
+    if isinstance(weight, np.ndarray):
+        w = weight[..., hit]
+    else:
+        w = np.asarray(weight(lat.freq_scale**2 * hit))
+    return np.sqrt(lat.L**lat.n * (w @ mass[hit]))
+
+
+@lru_cache(maxsize=64)
+def shell_blocks(lat: Lattice) -> np.ndarray:
+    """Squared block symbols on the shells |k|^2 = 0..nK^2 of lat, one row per
+    block: psi_j^2 for the annular j of the family in order, then the low-pass
+    phi^2 of the inhomogeneous block k = -1."""
+    fam = get_family(lat)
+    r = np.sqrt(lat.freq_scale**2 * np.arange(lat.n * lat.K**2 + 1))
+    rows = [smooth_cut(r / 2.0 ** (j + 1)) - smooth_cut(r / 2.0**j) for j in fam.j_range]
+    table = np.array(rows + [smooth_cut(r)]) ** 2
+    table.flags.writeable = False
+    return table
+
+
+def potential_sq(s: float, bessel: bool = False):
+    """The weight |xi|^(2s) (Riesz, 0 at xi = 0) or (1 + |xi|^2)^s (Bessel) for mode_sum."""
+    return lambda rsq: potential_weight(rsq, s, bessel) ** 2
+
+
+# ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
 
-def _grid(u: Field, p: float, whole: bool, M: int | None) -> tuple[Field, int]:
-    """u's occupied band, and the samples per axis for the rule on u: the
+def _grid_size(u: Field, band: Lattice, p: float, whole: bool, M: int | None) -> int:
+    """Samples per axis for the rule on u, whose occupied band is band: the
     explicit M, which must resolve u's lattice and, on the strip, be even, so
     that the heights r L/M < L/2 are the r < M/2; or exact_grid of the band
     when the rule is exact and of u's lattice otherwise."""
-    band = occupied(u)
     if M is None:
-        return band, exact_grid(band.lattice if has_exact_grid(p, whole) else u.lattice, p, whole)
+        return exact_grid(band if has_exact_grid(p, whole) else u.lattice, p, whole)
     if M < 2 * u.lattice.K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * u.lattice.K + 2}")
     if not whole and M % 2:
         raise InvalidParameter(f"the strip needs an even M to end at L/2, got M={M}")
-    return band, M
+    return M
 
 
 def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
@@ -132,56 +185,69 @@ def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
     return v.coef @ exact_phases(v.lattice.K, rows, M).T
 
 
-def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float,
-                   rows: np.ndarray | None, M: int) -> float | list[float]:
+def _samples(v: Field, rows: np.ndarray | None, M: int,
+             buffer: np.ndarray) -> Iterator[np.ndarray]:
+    """v's values at the rule's nodes, in slabs of about lattice.SLAB samples:
+    the whole grid from grid_slabs, in buffer, or the horizontal grids at the
+    heights of rows, a run of heights at a time, from v's columns there."""
+    if rows is None:
+        return grid_slabs(v, M, buffer)
+    columns = np.moveaxis(_columns(v, rows, M), -1, 0)
+    step = per_slab(len(rows), M ** (v.lattice.n - 1))
+    return (horizontal_samples(columns[i : i + step], v.lattice, M)
+            for i in range(0, len(rows), step))
+
+
+def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float | Sequence[float],
+                   rows: np.ndarray | None, M: int) -> float | list:
     """Rectangle rule on M samples per axis for the L^p norm of g = sqrt(sum w |v|^2).
 
     parts are pairs (w, v) of a weight and a field, all with the same n and
     L; each v is read as given, so a caller passes occupied(v) to read it
     from its band.  A weight may instead be a row of S weights, the same S
     for every part, and the rule then returns the S norms, one per column of
-    weights: the parts stream one at a time into S accumulators, so each v
-    is sampled once for all S and no two parts' samples are held at once.
-    With rows None the nodes are the whole M^n grid, sampled by sample_grid.
-    Otherwise they are the horizontal M^(n-1) grid at the heights r L/M of
-    the integers r in rows, where each part is read as its columns there: at
-    p = 2 the horizontal sum of |v|^2 is M^(n-1) times the columns' sum of
-    squares by Parseval, so no transform runs, and other p sample the
-    columns (horizontal_samples).
+    weights; p may be a sequence, for one result per p.  The parts stream in
+    step, slab by slab (_samples), through one shared buffer, and each slab
+    of g is reduced at once into one sum or sup per (p, S): every part is
+    sampled once for all S and p, and no whole grid of samples is held.
+    With rows None the nodes are the whole M^n grid (grid_slabs).  Otherwise
+    they are the horizontal M^(n-1) grid at the heights r L/M of the integers
+    r in rows, where each part is read as its columns there: at p = 2 the
+    horizontal sum of |v|^2 is M^(n-1) times the columns' sum of squares by
+    Parseval, so no transform runs, and other p sample the columns.
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
-    rowed = np.ndim(parts[0][0]) == 1
-    parts = [(np.atleast_1d(w), v) for w, v in parts]
-    if rows is not None and p == 2.0:
-        totals = [0.0] * len(parts[0][0])
-        for w, v in parts:
-            columns = _columns(v, rows, M)
-            square_sum = np.vdot(columns, columns).real
-            totals = [t + wi * square_sum for t, wi in zip(totals, w)]
-        norms = [float(math.sqrt(cell * float(M) ** (lat.n - 1) * t)) for t in totals]
-        return norms if rowed else norms[0]
-    g = None
-    for w, v in parts:
-        values = sample_grid(v, M).values if rows is None else horizontal_samples(
-            np.moveaxis(_columns(v, rows, M), -1, 0), v.lattice, M)
-        if len(parts) == 1:  # g = sqrt(w) |v|, with no square and root at every node
-            magnitude = np.abs(values)
-            g = [magnitude * math.sqrt(wi) for wi in w]
-            continue
-        square = np.abs(values) ** 2
-        if g is None:
-            g = [wi * square for wi in w]
-        else:
-            for gi, wi in zip(g, w):
-                gi += wi * square
-    if len(parts) > 1:
-        g = [np.sqrt(gi, out=gi) for gi in g]
-    if math.isinf(p):
-        norms = [float(gi.max()) if gi.size else 0.0 for gi in g]
+    exponents = list(p) if np.ndim(p) else [p]
+    weights = np.array([np.atleast_1d(w) for w, _ in parts])
+    if rows is not None and all(q == 2.0 for q in exponents):
+        total = sum(w * np.vdot(c, c).real for w, c in
+                    zip(weights, (_columns(v, rows, M) for _, v in parts)))
+        norms = [np.sqrt(cell * float(M) ** (lat.n - 1) * total)] * len(exponents)
     else:
-        norms = [float((cell * np.sum(gi**p)) ** (1.0 / p)) for gi in g]
-    return norms if rowed else norms[0]
+        # one part reduces |v| itself and scales by sqrt(w) at the end
+        single = len(parts) == 1
+        reduced = np.zeros((len(exponents), 1 if single else weights.shape[1]))
+        buffer = None if rows is not None else np.empty(
+            (M, per_slab(M ** (lat.n - 1), M)), dtype=complex)
+        streams = [_samples(v, rows, M, buffer) for _, v in parts]
+        for slab in streams[0]:
+            if single:
+                g = np.abs(slab).reshape(1, -1)
+            else:  # each part's slab is folded into g before the next part's is drawn
+                g = np.zeros((weights.shape[1], slab.size))
+                for w, stream in zip(weights, streams):
+                    v = slab if stream is streams[0] else next(stream)
+                    g += np.multiply.outer(w, np.abs(v).ravel() ** 2)
+                g = np.sqrt(g, out=g)
+            for i, q in enumerate(exponents):
+                reduced[i] = np.maximum(reduced[i], g.max(axis=1)) if math.isinf(q) else (
+                    reduced[i] + np.sum(g**q, axis=1))
+        scale = np.sqrt(weights[0]) if single else 1.0
+        norms = [scale * (r if math.isinf(q) else (cell * r) ** (1.0 / q))
+                 for q, r in zip(exponents, reduced)]
+    norms = [n.tolist() if np.ndim(parts[0][0]) == 1 else float(n[0]) for n in norms]
+    return norms if np.ndim(p) else norms[0]
 
 
 def _on_strip(domain: str) -> bool:
@@ -190,23 +256,34 @@ def _on_strip(domain: str) -> bool:
     return domain == "halfspace"
 
 
-def lp_norm(u: Field, p: float, domain: str = "whole", M: int | None = None) -> float:
-    """L^p norm over the torus or the strip 0 <= x_n < L/2.
+def lp_norm(u: Field, p: float | Sequence[float], domain: str = "whole",
+            M: int | None = None) -> float | list[float]:
+    """L^p norm over the torus or the strip 0 <= x_n < L/2; one per p when p is
+    a sequence, and the p that share a grid are reduced from one sampling.
 
     "halfspace_zero" (zero-extended functions) is the whole-torus norm.  On
     the whole torus, p = 2 without an explicit M is the Plancherel sum
-    L^(n/2) sqrt(sum |c_k|^2).  Every other case is rectangle_rule of the one
-    part u on M samples per axis: the whole M^n grid, or on the strip the M/2
-    grid heights j L/M < L/2.  The default M is exact_grid of u's occupied
-    band for even integer p on the whole torus, where the rule is exact, and
-    of u's lattice otherwise (oversampled).
+    L^(n/2) sqrt(sum |c_k|^2), mode_sum of the weight 1.  Every other case
+    is rectangle_rule of the one part u on M samples per axis: the whole M^n
+    grid, or on the strip the M/2 grid heights j L/M < L/2.  The default M is
+    exact_grid of u's occupied band for even integer p on the whole torus,
+    where the rule is exact, and of u's lattice otherwise (oversampled).
     """
-    _check_exponent(p, "p")
+    exponents = list(p) if np.ndim(p) else [p]
+    for q in exponents:
+        _check_exponent(q, "p")
     strip = _on_strip(domain)
-    if not strip and p == 2.0 and M is None:
-        return float(u.lattice.L ** (u.lattice.n / 2.0) * np.linalg.norm(u.coef.ravel()))
-    band, M = _grid(u, p, not strip, M)
-    return rectangle_rule([(1.0, band)], p, np.arange(M // 2) if strip else None, M)
+    out, grids, band = {}, {}, None
+    for q in exponents:
+        if not strip and q == 2.0 and M is None:
+            out[q] = float(mode_sum(u, np.ones_like))
+        else:
+            band = band or occupied(u)
+            grids.setdefault(_grid_size(u, band.lattice, q, not strip, M), []).append(q)
+    for size, group in grids.items():
+        out.update(zip(group, rectangle_rule([(1.0, band)], group,
+                                             np.arange(size // 2) if strip else None, size)))
+    return [out[q] for q in exponents] if np.ndim(p) else out[p]
 
 
 def halfspace_product_integral(u: Field, v: Field, conjugate: bool = False) -> complex:
@@ -264,12 +341,19 @@ def block_norms(u: Field, p: float, domain: str = "whole",
     """The L^p norms {j: ||Delta_j u||_p} of u's dyadic blocks, which every Besov
     norm of u at this p and domain reweights by its s and q: the annular
     blocks j of the family (Bdot), or with inhomogeneous the low-pass block
-    k = -1 and the annular blocks k >= 0 (B)."""
+    k = -1 and the annular blocks k >= 0 (B).  On the whole torus at p = 2
+    they are one mode_sum over the rows of shell_blocks."""
     fam = get_family(u.lattice)
-    if inhomogeneous:
-        return {k: lp_norm(delta_inhom(u, k, fam), p, domain) for k in range(-1, fam.j_max + 1)}
-    _require_admissible(u, "homogeneous Besov norm")
-    return {j: lp_norm(delta_dot(u, j, fam), p, domain) for j in fam.j_range}
+    keys = range(-1, fam.j_max + 1) if inhomogeneous else fam.j_range
+    if not inhomogeneous:
+        _require_admissible(u, "homogeneous Besov norm")
+    if p == 2.0 and not _on_strip(domain):
+        *rows, low = mode_sum(u, shell_blocks(u.lattice)).tolist()
+        annular = dict(zip(fam.j_range, rows))
+        # psi_k vanishes on the lattice for the k >= 0 below the family's range
+        return {k: low if inhomogeneous and k == -1 else annular.get(k, 0.0) for k in keys}
+    block = delta_inhom if inhomogeneous else delta_dot
+    return {k: lp_norm(block(u, k, fam), p, domain) for k in keys}
 
 
 def besov_norm(u: Field, spec: SpaceSpec) -> float:
@@ -281,14 +365,16 @@ def besov_norm(u: Field, spec: SpaceSpec) -> float:
 
 
 def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
-    """Potential-norm Sobolev: Riesz (Hdot) or Bessel (H) multiplier then L^p."""
+    """Potential-norm Sobolev: Riesz (Hdot) or Bessel (H) multiplier then L^p;
+    on the whole torus at p = 2, mode_sum with the squared multiplier."""
     if spec.family not in ("H", "Hdot"):
         raise InvalidParameter(f"sobolev_norm got family {spec.family!r}")
-    if spec.family == "Hdot":
+    bessel = spec.family == "H"
+    if not bessel:
         _require_admissible(u, "homogeneous Sobolev norm")
-        potential = fractional_laplacian(u, spec.s)
-    else:
-        potential = bessel_potential(u, spec.s)
+    if spec.p == 2.0 and not _on_strip(spec.domain):
+        return float(mode_sum(u, potential_sq(spec.s, bessel)))
+    potential = bessel_potential(u, spec.s) if bessel else fractional_laplacian(u, spec.s)
     return lp_norm(potential, spec.p, spec.domain)
 
 
@@ -308,7 +394,7 @@ def triebel_norms(u: Field, s_values: Sequence[float], p: float, domain: str = "
     strip = _on_strip(domain)
     _require_admissible(u, "square-function norm")
     fam = get_family(u.lattice)
-    _, M = _grid(u, p, not strip, M)
+    M = _grid_size(u, occupied(u).lattice, p, not strip, M)
     blocks = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
               for j in fam.j_range]
     return rectangle_rule(blocks, p, np.arange(M // 2) if strip else None, M)
@@ -321,12 +407,10 @@ def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
 
 
 def triebel_fubini_l2(u: Field, s: float) -> float:
-    """Exchange-of-sums form of the p = 2 square-function norm."""
-    fam = get_family(u.lattice)
-    total = 0.0
-    for j in fam.j_range:
-        total += 4.0 ** (j * s) * lp_norm(delta_dot(u, j, fam), 2.0) ** 2
-    return math.sqrt(total)
+    """Exchange-of-sums form of the p = 2 square-function norm: the mode_sum of
+    sum_j 4^{js} psi_j^2."""
+    scales = [4.0 ** (j * s) for j in get_family(u.lattice).j_range]
+    return float(mode_sum(u, scales @ shell_blocks(u.lattice)[:-1]))
 
 
 def _mode_pair(u: Field, v: Field) -> complex:

@@ -29,7 +29,7 @@ from .lattice import (
     xi_norm,
 )
 from .multipliers import fractional_laplacian, poisson_decay
-from .norms import _check_exponent, lp_norm
+from .norms import _check_exponent, lp_norm, mode_sum, potential_sq
 
 
 def trace(u: Field) -> Field:
@@ -117,16 +117,15 @@ def poisson_besov_norm(u: Field, s: float, alpha: float, p: float, q: float) -> 
     if u.peak() == 0.0:
         return 0.0
     tgrid = default_tgrid()
-    lat = u.lattice
-    base = fractional_laplacian(u, alpha)
     if math.isclose(p, 2.0):
-        r = xi_norm(lat).reshape(-1)
-        mass = np.abs(base.coef.reshape(-1)) ** 2
-        damp = np.exp(-2.0 * np.outer(tgrid, r))
-        g = np.sqrt(lat.L**lat.n * damp @ mass)
+        # one mode_sum row per depth, depth 0 first: |xi|^(2 alpha) exp(-2 t |xi|)
+        depths, weight = np.concatenate(([0.0], tgrid)), potential_sq(alpha)
+        g0, *g = mode_sum(u, lambda rsq: weight(rsq) * np.exp(-2.0 * np.outer(depths, rsq**0.5)))
+        g = np.array(g)
     else:
+        base = fractional_laplacian(u, alpha)
         g = np.array([lp_norm(poisson_decay(base, t), p) for t in tgrid])
-    g0 = lp_norm(base, p)
+        g0 = lp_norm(base, p)
     weighted = tgrid**s * g
     if math.isinf(q):
         return float(max(weighted.max(), tgrid[0] ** s * g0))

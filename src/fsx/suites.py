@@ -60,7 +60,6 @@ from .lattice import (
     make_lattice,
     occupied,
     plane_wave,
-    without_mean,
     xi_norm,
     xi_norm_sq,
     zero_field,
@@ -73,7 +72,9 @@ from .norms import (
     get_family,
     halfspace_product_integral,
     lp_norm,
+    mode_sum,
     pairing,
+    potential_sq,
     rectangle_rule,
     seq_norm,
     sobolev_norm,
@@ -212,15 +213,17 @@ def suite_lp_partition(cfg: SuiteConfig, rep: Report) -> None:
     rep.add_case("block_orthogonality", ortho, 0.0)
 
     corpus = _random_corpus(cfg, size=min(cfg.corpus_size, 5))
-    for p in (1.0, 2.0, math.inf):
-        worst = 0.0
-        for u in corpus.fields:
-            den = lp_norm(u, p)
-            for j in fam.j_range:
-                worst = max(worst, lp_norm(delta_dot(u, j, fam), p) / den)
+    exponents = (1.0, 2.0, math.inf)
+    worst = dict.fromkeys(exponents, 0.0)
+    for u in corpus.fields:
+        den = lp_norm(u, exponents)
+        for j in fam.j_range:
+            for p, num, d in zip(exponents, lp_norm(delta_dot(u, j, fam), exponents), den):
+                worst[p] = max(worst[p], num / d)
+    for p in exponents:
         key = "inf" if math.isinf(p) else f"{p:g}"
-        rep.constants[f"block_op_norm_p{key}"] = worst
-        rep.add_case(f"block_bound_p{key}", worst, 3.0, digest=corpus.digest())
+        rep.constants[f"block_op_norm_p{key}"] = worst[p]
+        rep.add_case(f"block_bound_p{key}", worst[p], 3.0, digest=corpus.digest())
 
 
 def reconstruction_error(fields: list[Field], fam: DyadicFamily) -> float:
@@ -259,11 +262,6 @@ def suite_reconstruction(cfg: SuiteConfig, rep: Report) -> None:
                  1e-12)
 
 
-def _hdot2_norm(u: Field, s: float) -> float:
-    """Hdot^{s,2} norm of u less its mean: the Plancherel sum over xi != 0."""
-    return sobolev_norm(without_mean(u), SpaceSpec("Hdot", s=s, p=2.0))
-
-
 def gradient_shift_error(fields: list[Field], s: float) -> float:
     """Largest relative gap between sum_i ||d_i u||^2 in Hdot^s_2 and ||u||^2 in Hdot^(s+1)_2."""
     worst = 0.0
@@ -286,7 +284,7 @@ def suite_plancherel(cfg: SuiteConfig, rep: Report) -> None:
     for s in cfg.s_list:
         worst = 0.0
         for u in corpus.fields:
-            plancherel = _hdot2_norm(u, s)
+            plancherel = sobolev_norm(u, SpaceSpec("Hdot", s=s, p=2.0))
             # sobolev_norm at p=2 is the weighted mode sum; an explicit M
             # makes lp_norm sample the grid, so the rectangle rule is checked
             direct = lp_norm(fractional_laplacian(u, s), 2.0, M=M)
@@ -303,24 +301,31 @@ def suite_plancherel(cfg: SuiteConfig, rep: Report) -> None:
     rep.add_case("duality_bound", abs(pairing(u, v)) / bound, 1.0 + ROUNDOFF_TOL)
 
 
-def fubini_exchange_error(fields: list[Field]) -> float:
-    """Largest relative gap between triebel_norms and triebel_fubini_l2 at p = 2."""
-    s_values = (-0.5, 0.0, 0.7)
-    return max(
-        abs(norm / triebel_fubini_l2(u, s) - 1.0)
-        for u in fields for s, norm in zip(s_values, triebel_norms(u, s_values, 2.0))
-    )
+TRIEBEL_S, TRIEBEL_P = (-0.5, 0.0, 0.7), (4.0 / 3.0, 2.0, 4.0)
 
 
-def triebel_sobolev_ratios(fields: list[Field]) -> dict[str, float]:
-    """Largest and smallest ||u||_{Fdot^s_{p,2}} / ||u||_{Hdot^s_p} over the fields, per p, s."""
+def triebel_table(fields: list[Field]) -> dict[float, list[list[float]]]:
+    """Per p of TRIEBEL_P, each field's square-function norms at TRIEBEL_S."""
+    return {p: [triebel_norms(u, TRIEBEL_S, p) for u in fields] for p in TRIEBEL_P}
+
+
+def fubini_exchange_error(fields: list[Field], p2: list[list[float]] | None = None) -> float:
+    """Largest relative gap between triebel_norms and triebel_fubini_l2 at p = 2, from
+    the fields' sampled norms at TRIEBEL_S when given as p2."""
+    p2 = p2 or [triebel_norms(u, TRIEBEL_S, 2.0) for u in fields]
+    return max(abs(norm / triebel_fubini_l2(u, s) - 1.0)
+               for u, norms in zip(fields, p2) for s, norm in zip(TRIEBEL_S, norms))
+
+
+def triebel_sobolev_ratios(fields: list[Field], table: dict | None = None) -> dict[str, float]:
+    """Largest and smallest ||u||_{Fdot^s_{p,2}} / ||u||_{Hdot^s_p} over the fields, per p, s,
+    from the fields' triebel_table when given."""
     out = {}
-    s_values = (-0.5, 0.0, 0.7)
-    for p in (4.0 / 3.0, 2.0, 4.0):
-        triebel = [triebel_norms(u, s_values, p) for u in fields]
-        for i, s in enumerate(s_values):
+    table = table or triebel_table(fields)
+    for p in TRIEBEL_P:
+        for i, s in enumerate(TRIEBEL_S):
             ratios = [norms[i] / sobolev_norm(u, SpaceSpec("Hdot", s=s, p=p))
-                      for u, norms in zip(fields, triebel)]
+                      for u, norms in zip(fields, table[p])]
             out[f"triebel_over_sobolev_p{p:g}_s{s:g}_max"] = max(ratios)
             out[f"triebel_over_sobolev_p{p:g}_s{s:g}_min"] = min(ratios)
     return out
@@ -342,10 +347,12 @@ def lattice_spread(main: dict[str, float], coarse: dict[str, float]) -> float:
 def suite_norm_equiv(cfg: SuiteConfig, rep: Report) -> None:
     size = min(cfg.corpus_size, 5)
     corpus = _random_corpus(cfg, size=size)
-    main = triebel_sobolev_ratios(corpus.fields)
+    table = triebel_table(corpus.fields)
+    main = triebel_sobolev_ratios(corpus.fields, table)
     coarse = triebel_sobolev_ratios(_random_corpus(cfg, size, _coarse_lattice(cfg)).fields)
     rep.constants.update(main)
-    rep.add_case("fubini_exchange_p2", fubini_exchange_error(corpus.fields), ROUNDOFF_TOL)
+    rep.add_case("fubini_exchange_p2", fubini_exchange_error(corpus.fields, table[2.0]),
+                 ROUNDOFF_TOL)
 
     eq_ok = in_window(*main.values())
     stability = lattice_spread(main, coarse)
@@ -511,12 +518,15 @@ INDICATOR_GROWTH_BOUND = 1.5
 def indicator_ratios(fields: list[Field], target: Lattice) -> dict[float, float]:
     """Per s, largest Hdot^s norm of the sharp cut of u over that of u, u embedded in target."""
     worst = dict.fromkeys(INDICATOR_BOUNDED + (INDICATOR_BEYOND,), 0.0)
+    # the Hdot^s_2 norms at every s, of the field less its mean (the weight is 0 at xi = 0)
+    weights = [potential_sq(s) for s in worst]
     for u in fields:
         emb = zero_field(target)
         emb.coef[(slice(target.K - u.lattice.K, target.K + u.lattice.K + 1),) * target.n] = u.coef
         cut, _ = indicator_multiply(emb)
-        for s in worst:
-            worst[s] = max(worst[s], _hdot2_norm(cut, s) / _hdot2_norm(emb, s))
+        norms = [mode_sum(v, lambda rsq: [w(rsq) for w in weights]) for v in (cut, emb)]
+        for s, num, den in zip(worst, *norms):
+            worst[s] = max(worst[s], num / den)
     return worst
 
 

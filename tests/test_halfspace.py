@@ -732,8 +732,9 @@ class TestNoWholeGrid:
         monkeypatch.setattr(np, "cos", counted("cos", np.cos))
         monkeypatch.setattr(np, "sin", counted("sin", np.sin))
         for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson, fsx_suites):
-            if hasattr(mod, "sample_grid"):
-                monkeypatch.setattr(mod, "sample_grid", counted("sample_grid", mod.sample_grid))
+            for name in ("sample_grid", "grid_slabs"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         return calls
 
     @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
@@ -757,7 +758,7 @@ class TestNoWholeGrid:
         g = without_mean(Field(lat.boundary(), u.coef.sum(axis=-1)))
         materialize_poisson(PoissonField(g), lat)
         M = default_oversample(lat)
-        assert not [c for c in grid_calls if c[0] in ("sample_grid", "fftn")]
+        assert not [c for c in grid_calls if c[0] in ("sample_grid", "grid_slabs", "fftn")]
         assert all(shape != (M,) * n for _, shape in grid_calls)
         assert not [c for c in grid_calls if c[0] in ("cos", "sin") and len(c[1]) >= 2]
 
@@ -771,7 +772,7 @@ class TestNoWholeGrid:
             triebel_norm(u, 0.5, p, "halfspace")
         fsx_suites.restriction_excess(make_half_field(u))
         M = default_oversample(lat)
-        assert not [c for c in grid_calls if c[0] in ("sample_grid", "fftn")]
+        assert not [c for c in grid_calls if c[0] in ("sample_grid", "grid_slabs", "fftn")]
         assert all(shape != (M,) * n for _, shape in grid_calls)
 
     def test_strip_l2_still_refuses_an_aliasing_grid(self):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fsx.dyadic import lowpass_values
 from fsx.errors import FsxError, InvalidExponent, InvalidParameter, NotHilbertCouple, ZeroField
 from fsx.interp import (
     Couple,
@@ -16,9 +17,12 @@ from fsx.interp import (
     k_curve_upper,
     log_grid_integral,
     real_interp_norm,
+    _part_norm,
+    _space_s,
+    split_candidates,
 )
-from fsx.lattice import field_from_modes, make_lattice, plane_wave, zero_field
-from fsx.norms import SpaceSpec, besov_norm, sobolev_norm
+from fsx.lattice import Field, field_from_modes, make_lattice, plane_wave, zero_field
+from fsx.norms import SpaceSpec, besov_norm, get_family, sobolev_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,6 +95,38 @@ class TestKFunctionalUpper:
             assert khat <= brute * (1.0 + 1e-12)
             assert khat >= k2 * (1.0 - 1e-12)
             assert khat <= math.sqrt(2.0) * k2 * 3.0
+
+
+def explicit_candidates(u, c):
+    """split_candidates with every cut computed from its two parts."""
+    fam, peak = get_family(u.lattice), u.peak()
+    out = [(_part_norm(u, c.X0, peak), 0.0, "all_X0"), (0.0, _part_norm(u, c.X1, peak), "all_X1")]
+    for j in range(fam.j_min, fam.j_max + 2):
+        low = Field(u.lattice, u.coef * lowpass_values(u.lattice, j))
+        a, b = (u - low, low) if _space_s(c.X0) <= _space_s(c.X1) else (low, u - low)
+        out.append((_part_norm(a, c.X0, peak), _part_norm(b, c.X1, peak), f"cut_j{j}"))
+    return out
+
+
+class TestSplitCandidates:
+    """The cuts at j_min (for zero-mean u) and j_max + 1 repeat the trivial
+    splits; split_candidates reuses those norms, and every value stays bitwise."""
+
+    @pytest.mark.parametrize("x0, x1", [
+        (SpaceSpec("Hdot", s=0.0, p=4.0), SpaceSpec("Hdot", s=1.0, p=4.0)),
+        (SpaceSpec("Hdot", s=0.7, p=4.0 / 3.0), SpaceSpec("Lp", p=4.0 / 3.0)),
+        (SpaceSpec("Lp", p=4.0), SpaceSpec("H", s=1.0, p=4.0))])
+    @pytest.mark.parametrize("mean", [0.0, 0.3])
+    def test_equal_to_explicit_cuts(self, x0, x1, mean):
+        u = random_zero_dc(make_lattice(2, 16), 31)
+        u.coef[(16, 16)] = mean
+        c = Couple(x0, x1)
+        explicit = explicit_candidates(u, c)
+        assert split_candidates(u, c) == explicit
+        aa, bb = (np.array([cand[i] for cand in explicit]) for i in (0, 1))
+        t = default_tgrid()
+        want = np.min(aa[None, :] + t[:, None] * bb[None, :], axis=1)
+        assert np.array_equal(k_curve_upper(u, c).values, want)
 
 
 class TestExactHilbert:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fsx.lattice as fsx_lattice
 import fsx.norms as fsx_norms
 import fsx.suites as fsx_suites
 from fsx.corpus import generate_corpus
@@ -16,6 +18,7 @@ from fsx.lattice import (
     default_oversample,
     exact_grid,
     field_from_modes,
+    grid_slabs,
     make_lattice,
     occupied,
     plane_wave,
@@ -40,7 +43,7 @@ from fsx.norms import (
     triebel_norm,
     triebel_norms,
 )
-from fsx.suites import SuiteConfig, interp_besov_ratios
+from fsx.suites import SuiteConfig, interp_besov_ratios, suite_lp_partition, suite_norm_equiv
 from grid_reference import lp_norm_reference, sup_reference, triebel_norm_reference
 
 TWO_PI = 2.0 * math.pi
@@ -127,7 +130,7 @@ class TestExactQuadrature:
         def refuse(*args):
             raise AssertionError("p=2 on the whole torus sampled a grid")
 
-        monkeypatch.setattr(fsx_norms, "sample_grid", refuse)
+        monkeypatch.setattr(fsx_norms, "grid_slabs", refuse)
         assert lp_norm(u, 2.0) == want
 
     @pytest.mark.parametrize("p", [4.0, 6.0])
@@ -154,14 +157,14 @@ class TestExactQuadrature:
 
 
 def grid_sizes(monkeypatch):
-    """Record the M of every grid that fsx.norms samples."""
+    """Record the M of every grid that fsx.norms samples (grid_slabs, the one sampler)."""
     sizes = []
 
-    def counted(u, M):
+    def counted(u, M, *buffer):
         sizes.append(M)
-        return sample_grid(u, M)
+        return grid_slabs(u, M, *buffer)
 
-    monkeypatch.setattr(fsx_norms, "sample_grid", counted)
+    monkeypatch.setattr(fsx_norms, "grid_slabs", counted)
     return sizes
 
 
@@ -202,7 +205,7 @@ class TestOccupiedBand:
                 raise AssertionError(f"the strip's p=2 square function called {name}")
             return call
 
-        monkeypatch.setattr(fsx_norms, "sample_grid", refuse("sample_grid"))
+        monkeypatch.setattr(fsx_norms, "grid_slabs", refuse("grid_slabs"))
         monkeypatch.setattr(np.fft, "fftn", refuse("fftn"))
         for s, want in grid.items():
             assert triebel_norm(u, s, 2.0, "halfspace") == pytest.approx(want, rel=1e-12)
@@ -254,6 +257,104 @@ class TestOneRule:
         for rows in (np.arange(M // 2 + 1), np.arange(M // 2 + 1, M), far_band_rows(M)):
             assert rectangle_rule([(1.0, u)], math.inf, rows, M) == pytest.approx(
                 sup_reference(u, rows, M), rel=1e-13)
+
+
+def reduce_grid(u, p, M):
+    """The rectangle rule on the assembled sample_grid: the sup, or the sum."""
+    g = np.abs(sample_grid(u, M).values)
+    if math.isinf(p):
+        return g.max()
+    return float(((u.lattice.L / M) ** u.lattice.n * np.sum(g**p)) ** (1.0 / p))
+
+
+STREAM_EXPONENTS = (1.0, 4.0 / 3.0, 3.0, 4.0, math.inf)
+
+
+class TestStreamedRule:
+    """rectangle_rule reduces the slabs of grid_slabs as they stream; the values
+    are those of the rule on the whole sample_grid: sups to the bit, sums to
+    1e-14.  A small SLAB makes many slabs, the last one partial."""
+
+    @pytest.mark.parametrize("n, K, M, slab", [
+        (1, 8, 40, None), (2, 8, 50, 7 * 50), (2, 32, 200, None), (3, 4, 20, 30 * 20),
+        (3, 6, 26, None)])
+    def test_matches_a_reduction_of_sample_grid(self, monkeypatch, n, K, M, slab):
+        if slab:
+            monkeypatch.setattr(fsx_lattice, "SLAB", slab)
+            assert (M ** (n - 1)) % fsx_lattice.per_slab(M ** (n - 1), M) != 0
+        u = random_field(make_lattice(n, K), n)
+        for p in STREAM_EXPONENTS:
+            got, want = lp_norm(u, p, M=M), reduce_grid(u, p, M)
+            if math.isinf(p):
+                assert got == want
+            else:
+                assert abs(got / want - 1.0) <= 1e-14
+        assert lp_norm(u, STREAM_EXPONENTS, M=M) == [lp_norm(u, p, M=M) for p in STREAM_EXPONENTS]
+
+    @pytest.mark.parametrize("n, K, slab", [(2, 6, 3 * 56), (3, 4, 5 * 40 * 40)])
+    def test_small_slabs_change_no_value(self, monkeypatch, n, K, slab):
+        """Whole grid, strip and square function, with SLAB small enough for
+        several slabs and several runs of heights, against the default SLAB."""
+        u, _ = random_zero_dc(make_lattice(n, K), 11, count=30)
+        M = default_oversample(u.lattice)
+        rows = (None, np.arange(M // 2 + 1), far_band_rows(M))
+
+        def values():
+            return ([lp_norm(u, p, d) for p in STREAM_EXPONENTS for d in ("whole", "halfspace")]
+                    + [triebel_norm(u, 0.7, p) for p in STREAM_EXPONENTS]
+                    + [rectangle_rule([(1.0, u)], math.inf, r, M) for r in rows]
+                    + [sample_grid(u, M).values])
+
+        want = values()
+        monkeypatch.setattr(fsx_lattice, "SLAB", slab)
+        got = values()
+        assert all(np.array_equal(g, w) for g, w in zip(got[-1:], want[-1:]))
+        np.testing.assert_allclose(got[:-1], want[:-1], rtol=1e-14)
+        assert got[-4:-1] == want[-4:-1]
+
+    @pytest.mark.parametrize("p", [math.inf, 4.0 / 3.0])
+    def test_no_whole_grid_is_held(self, p):
+        """At (2, 64) the oversampled grid is 512^2: one complex grid is 4 MiB."""
+        lat = make_lattice(2, 64)
+        u = random_field(lat, 12)
+        M = default_oversample(lat)
+        lp_norm(u, p)  # fills the lattice caches
+        tracemalloc.start()
+        try:
+            lp_norm(u, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * M**2
+
+    def test_several_p_sample_once(self, monkeypatch):
+        u = random_field(make_lattice(2, 16), 13)
+        sizes = grid_sizes(monkeypatch)
+        lp_norm(u, (1.0, 2.0, math.inf, 4.0 / 3.0))
+        assert sizes == [default_oversample(u.lattice)]
+
+    def test_lp_partition_samples_each_field_and_block_once(self, monkeypatch):
+        cfg = SuiteConfig(bandlimit=8, corpus_size=2)
+        fields = generate_corpus(cfg.seed, "random_bandlimited", 2, cfg.lattice()).fields
+        sampled = grid_coefficients(monkeypatch)
+        suite_lp_partition(cfg)
+        fam = get_family(cfg.lattice())
+        read = [occupied(v).coef.tobytes()
+                for u in fields for v in (u, *(delta_dot(u, j, fam) for j in fam.j_range))]
+        assert sorted(sampled) == sorted(read)
+
+    def test_norm_equiv_takes_each_triebel_grid_once(self, monkeypatch):
+        cfg = SuiteConfig(bandlimit=16, corpus_size=2)  # the coarse side is K = 8
+        calls = []
+        triebel = fsx_suites.triebel_norms
+
+        def counted(u, s_values, p, *args):
+            calls.append((u.coef.tobytes(), p))
+            return triebel(u, s_values, p, *args)
+
+        monkeypatch.setattr(fsx_suites, "triebel_norms", counted)
+        suite_norm_equiv(cfg)
+        assert len(calls) == len(set(calls)) == 2 * 2 * 3  # two corpora of two, three p
 
 
 class TestSeqNorm:
@@ -486,12 +587,12 @@ def grid_coefficients(monkeypatch, when=lambda: True):
     while when() holds."""
     sampled = []
 
-    def counted(u, M):
+    def counted(u, M, *buffer):
         if when():
             sampled.append(u.coef.tobytes())
-        return sample_grid(u, M)
+        return grid_slabs(u, M, *buffer)
 
-    monkeypatch.setattr(fsx_norms, "sample_grid", counted)
+    monkeypatch.setattr(fsx_norms, "grid_slabs", counted)
     return sampled
 
 
