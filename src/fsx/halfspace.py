@@ -5,11 +5,13 @@ on each vertical grid height it writes a fixed combination of the field's
 values at (possibly other) heights.  The horizontal modes therefore pass
 through untouched, and each operator acts on the column coef[k', :] of each
 horizontal mode k' through one table: the value its output takes at each of
-the M vertical grid heights j L/M, for each vertical mode.  One DFT of that
-table along x_n and a product with the columns give the output's modes; the
-discarded DFT rows give the audited projection residual (_apply_columns).
+the M vertical grid heights j L/M, for each vertical mode.  Building an
+operator is building its table and taking the DFT along x_n; applying it is
+one product with the columns, whose kept rows are the output's modes and
+whose discarded rows give the audited projection residual (_apply_columns).
 This is the sample, overwrite and project round trip on the M^n grid, with
-the horizontal transforms, which cancel, left out.
+the horizontal transforms, which cancel, left out.  The parity reflections
+are built once per lattice, the other operators on every call.
 
 Every height a table reads is a rational multiple of L: a grid height r L/M,
 or its mirror point -r L/(M(j+1)) of order j.  So every entry is an exact
@@ -139,14 +141,12 @@ def half_peak(u: HalfField) -> float:
     return rectangle_rule([(1.0, occupied(u.field))], math.inf, np.arange(M // 2 + 1), M)
 
 
-def _apply_columns(coef: np.ndarray, table: np.ndarray, K: int) -> tuple[np.ndarray, float]:
-    """Modes |k| <= K of the columns coef @ table.T sampled at the M grid heights.
-
-    table[j, k] is what vertical mode k becomes at the grid height j L/M;
-    the output's modes are the kept DFT rows, with the relative l2 size of
-    the discarded rows as the projection residual.
-    """
-    spectral = np.fft.fft(table, axis=0, norm="forward")
+def _apply_columns(coef: np.ndarray, spectral: np.ndarray, K: int) -> tuple[np.ndarray, float]:
+    """Modes |k| <= K of coef's columns sent through the built operator spectral:
+    the DFT along x_n, divided by M, of a table whose [j, k] is what vertical
+    mode k becomes at the grid height j L/M.  Only this product depends on the
+    field; its kept rows are the output's modes, and the relative l2 size of
+    the discarded rows is the projection residual."""
     columns = coef.reshape(-1, coef.shape[-1])  # one row per horizontal mode
     kept, residual = project_columns(spectral @ columns.T, K)
     return kept.reshape(coef.shape[:-1] + (2 * K + 1,)), residual
@@ -168,9 +168,8 @@ def _mirror_table(K: int, coeffs: np.ndarray, rows: np.ndarray, M: int) -> np.nd
     return sum(a * exact_phases(K, -rows, M * (j + 1)) for j, a in enumerate(coeffs))
 
 
-def _extension(u: Field, coeffs: np.ndarray, window: bool = False) -> tuple[Field, float]:
-    """Keep u on the upper half, write the mirror sum of coeffs on the lower half, project."""
-    lat = u.lattice
+def _extension_operator(lat: Lattice, coeffs: np.ndarray, window: bool = False) -> np.ndarray:
+    """Keep the upper half, write the mirror sum of coeffs on the lower half."""
     M = default_oversample(lat)
     half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2]
     below = np.arange(half, M) - M  # the others at (j - M) L/M < 0
@@ -179,8 +178,20 @@ def _extension(u: Field, coeffs: np.ndarray, window: bool = False) -> tuple[Fiel
     table[half:] = _mirror_table(lat.K, coeffs, below, M)
     if window:
         table[half:] *= _window_weights(below * (lat.L / M), lat.L)[:, None]
-    coef, residual = _apply_columns(u.coef, table, lat.K)
-    return Field(lat, coef), residual
+    return np.fft.fft(table, axis=0, norm="forward")
+
+
+def _extension(u: Field, spectral: np.ndarray) -> tuple[Field, float]:
+    coef, residual = _apply_columns(u.coef, spectral, u.lattice.K)
+    return Field(u.lattice, coef), residual
+
+
+@lru_cache(maxsize=2)  # one lattice's two parities; more kept megabyte tables alive between uses
+def _parity_operator(lat: Lattice, parity: str) -> np.ndarray:
+    """The read-only operator of the odd or even reflection on lat, built once."""
+    spectral = _extension_operator(lat, np.array([-1.0 if parity == "odd" else 1.0]))
+    spectral.flags.writeable = False
+    return spectral
 
 
 def extend_reflect(
@@ -195,15 +206,19 @@ def extend_reflect(
     Returns the projected field and the projection residual.
     """
     rc = reflection_coefficients(m)
-    return _extension(u.field, shifted_coefficients(rc, ell), window)
+    spectral = _extension_operator(u.field.lattice, shifted_coefficients(rc, ell), window)
+    return _extension(u.field, spectral)
 
 
 def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
-    """Odd or even reflection across x_n = 0 (mirror the upper half, then project)."""
+    """Odd or even reflection across x_n = 0 (mirror the upper half, then project).
+
+    Its operator depends on the lattice alone: it is built once per lattice
+    and kept, with the other parity's, until another lattice needs the cache.
+    """
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
-    sign = -1.0 if parity == "odd" else 1.0
-    return _extension(u.field, np.array([sign]))
+    return _extension(u.field, _parity_operator(u.field.lattice, parity))
 
 
 def project_zero(u: Field, m: int) -> Field:
@@ -219,7 +234,7 @@ def project_zero(u: Field, m: int) -> Field:
     upper = np.arange(M // 2 + 1)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
     table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, rc.alpha, upper, M)
-    coef, _ = _apply_columns(u.coef, table, lat.K)
+    coef, _ = _apply_columns(u.coef, np.fft.fft(table, axis=0, norm="forward"), lat.K)
     return Field(lat, coef)
 
 
@@ -244,7 +259,7 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
     M = default_oversample(big, factor=2)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
     table[: M // 2] = exact_phases(lat.K, np.arange(M // 2), M)
-    coef, residual = _apply_columns(u.coef, table, big.K)
+    coef, residual = _apply_columns(u.coef, np.fft.fft(table, axis=0, norm="forward"), big.K)
     out = np.zeros(big.mode_shape, dtype=complex)
     inner = slice(big.K - lat.K, big.K + lat.K + 1)
     out[(inner,) * (lat.n - 1)] = coef

@@ -156,8 +156,8 @@ def _random_corpus(cfg: SuiteConfig, size: int | None = None, lat: Lattice | Non
 
 
 def _coarse_lattice(cfg: SuiteConfig) -> Lattice:
-    """The lattice of half the bandlimit, at least 8: the cross-lattice check's other side."""
-    return replace(cfg, bandlimit=max(cfg.bandlimit // 2, 8)).lattice()
+    """The cross-lattice check's other side: half the bandlimit, or 2 at bandlimit 1."""
+    return replace(cfg, bandlimit=cfg.bandlimit // 2 or 2).lattice()
 
 
 # Shared bounds: an exact identity holds to ROUNDOFF_TOL relative to its

@@ -9,7 +9,10 @@ transform of the fully padded array, which also lives here.  fsx reads its
 column tables as exact roots of unity at rational heights
 (lattice.exact_phases); the tests check them against cosines and sines at
 arbitrary heights (vertical_phases, sample_slices), and project_columns
-against the copy-and-mask projection it replaced.  fsx evaluates every
+against the copy-and-mask projection it replaced.  fsx builds the column
+operator of each parity reflection once per lattice; the tests check it
+against the per-call route, which builds the table, transforms it and
+applies it on every call (parity_per_call).  fsx evaluates every
 grid norm and sup by one rule (norms.rectangle_rule), which reads the strip
 from columns; the tests check it against the rule on the whole sampled grid,
 cut to the heights it covers (lp_norm_reference, triebel_norm_reference,
@@ -21,7 +24,16 @@ import math
 import numpy as np
 
 from fsx.dyadic import delta_dot
-from fsx.lattice import Field, horizontal_samples, k_axis, xi_axes
+from fsx.halfspace import _mirror_table
+from fsx.lattice import (
+    Field,
+    default_oversample,
+    exact_phases,
+    horizontal_samples,
+    k_axis,
+    project_columns,
+    xi_axes,
+)
 from fsx.norms import get_family
 
 
@@ -65,6 +77,23 @@ def sample_slices(u, xn_values, M):
     """
     columns = u.coef @ vertical_phases(u.lattice, xn_values).T  # (modes', T)
     return horizontal_samples(np.moveaxis(columns, -1, 0), u.lattice, M)
+
+
+def parity_per_call(u, parity):
+    """reflect_parity of the HalfField u by the per-call route: build the table
+    of the order-0 extension with sign -1 (odd) or +1 (even), take its DFT
+    along x_n and apply it to u's columns, all on this call."""
+    lat = u.field.lattice
+    M = default_oversample(lat)
+    half = M // 2 + 1
+    table = np.empty((M, lat.modes_per_axis), dtype=complex)
+    table[:half] = exact_phases(lat.K, np.arange(half), M)
+    sign = np.array([-1.0 if parity == "odd" else 1.0])
+    table[half:] = _mirror_table(lat.K, sign, np.arange(half, M) - M, M)
+    spectral = np.fft.fft(table, axis=0, norm="forward")
+    columns = u.field.coef.reshape(-1, lat.modes_per_axis)
+    kept, residual = project_columns(spectral @ columns.T, lat.K)
+    return Field(lat, kept.reshape(u.field.coef.shape)), residual
 
 
 def project_columns_by_mask(spectra, K):

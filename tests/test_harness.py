@@ -1,3 +1,5 @@
+import ast
+import glob
 import importlib
 import inspect
 import json
@@ -327,6 +329,50 @@ def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
         and id(obj) not in emptied
     }
     assert not caches, f"caches the benchmark leaves warm: {sorted(caches)}"
+
+
+CACHE_DECORATORS = ("lru_cache", "cache")
+
+
+def nested_caches(source: str) -> list[str]:
+    """Functions under an lru_cache (or functools.cache) decorator that are
+    not defined at module level: methods and nested functions."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(node) in top:
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in CACHE_DECORATORS:
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_nested_caches_finds_methods_and_closures():
+    source = (
+        "import functools\n"
+        "@functools.lru_cache(maxsize=2)\ndef top(x): return x\n"
+        "class A:\n    @functools.lru_cache\n    def method(self): return 1\n"
+        "def outer():\n    @lru_cache(maxsize=None)\n    def inner(): return 2\n    return inner\n"
+    )
+    assert nested_caches(source) == ["method (line 6)", "inner (line 9)"]
+
+
+def test_every_cache_is_at_module_level():
+    """Only module-level caches are among the module attributes that the
+    benchmark's desk_verify sweeps with cache_clear before each round, so
+    that each round starts cold, as a CLI call does; a cache on a method or a
+    nested function would stay warm."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(fsx.__file__), "*.py"))):
+        with open(path) as fh:
+            nested = nested_caches(fh.read())
+        if nested:
+            found[os.path.basename(path)] = nested
+    assert not found, f"caches below module level: {found}"
 
 
 def test_benchmark_traces_every_grid_transform(monkeypatch):

@@ -1,0 +1,115 @@
+"""Property tests of the field format, the norms and the Poisson extension."""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fsx.lattice import (
+    Field,
+    default_oversample,
+    field_from_dict,
+    field_to_dict,
+    make_lattice,
+    without_mean,
+    zero_field,
+)
+from fsx.norms import lp_norm
+from fsx.poisson import poisson_extend
+
+PROPERTY_SETTINGS = settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# no -0.0: a mode whose parts are both zero is not written, and reads back as +0.0
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).filter(
+    lambda x: x == 0.0 or abs(x) > 1e-200).map(lambda x: x + 0.0)
+
+
+@st.composite
+def sparse_fields(draw):
+    """A field on n <= 3, K <= 6 and any period, with a few random modes or none."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    L = draw(st.sampled_from([2.0 * math.pi, 1.0, 5.0, 17.3]))
+    u = zero_field(make_lattice(n, K, L))
+    for _ in range(draw(st.integers(0, 8))):
+        idx = tuple(draw(st.integers(0, 2 * K)) for _ in range(n))
+        u.coef[idx] = complex(draw(finite), draw(finite))
+    return u
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFieldFormat:
+    @PROPERTY_SETTINGS
+    @given(sparse_fields())
+    def test_dict_round_trip_is_bitwise(self, u):
+        back = field_from_dict(field_to_dict(u))
+        assert back.lattice == u.lattice
+        assert same_bits(back.coef, u.coef)
+
+    @PROPERTY_SETTINGS
+    @given(sparse_fields())
+    def test_json_round_trip_is_bitwise(self, u):
+        back = field_from_dict(json.loads(json.dumps(field_to_dict(u))))
+        assert back.lattice == u.lattice
+        assert same_bits(back.coef, u.coef)
+
+
+@st.composite
+def modulated_fields(draw):
+    """A field occupying the band K' and a lattice mode k0 with |k0|inf + K' <= K."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(2, 6 if n < 3 else 4))
+    band = draw(st.integers(1, K - 1))
+    k0 = tuple(draw(st.integers(band - K, K - band)) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lat = make_lattice(n, K)
+    u = zero_field(lat)
+    inner = (slice(K - band, K + band + 1),) * n
+    shape = (2 * band + 1,) * n
+    u.coef[inner] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return u, k0
+
+
+def modulate(u, k0):
+    """u times exp(i k0 . xi x): every mode moves by k0, none leaves the lattice."""
+    return Field(u.lattice, np.roll(u.coef, k0, axis=tuple(range(u.lattice.n))))
+
+
+class TestModulation:
+    @PROPERTY_SETTINGS
+    @given(modulated_fields())
+    def test_lp_norm_is_unchanged(self, case):
+        u, k0 = case
+        v = modulate(u, k0)
+        assert np.count_nonzero(v.coef) == np.count_nonzero(u.coef)  # nothing wrapped
+        M = default_oversample(u.lattice)
+        ps = [1.0, 4.0 / 3.0, 2.0, 4.0, math.inf]
+        for a, b in zip(lp_norm(u, ps, M=M), lp_norm(v, ps, M=M)):
+            assert abs(a - b) <= 1e-13 * a
+
+
+@st.composite
+def boundary_data(draw):
+    """Zero-mean boundary data on n - 1 <= 2 axes, with or without mean dust."""
+    n = draw(st.integers(1, 2))
+    K = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lat = make_lattice(n, K, draw(st.sampled_from([2.0 * math.pi, 3.0])))
+    coef = rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape)
+    coef *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    coef[(K,) * n] = draw(st.sampled_from([0.0, 1e-15])) * np.abs(coef).max()
+    return Field(lat, coef)
+
+
+class TestPoissonTrace:
+    @PROPERTY_SETTINGS
+    @given(boundary_data())
+    def test_trace_of_the_extension_is_the_data(self, g):
+        assert same_bits(poisson_extend(g).slice_field(0.0).coef, without_mean(g).coef)
