@@ -15,7 +15,7 @@ import math
 import sys
 
 from .errors import ConfigError, FsxError
-from .halfspace import make_half_field
+from .halfspace import HalfField
 from .lattice import load_field, save_field
 from .norms import parse_space_spec, space_norm
 from .report import Report, write_report
@@ -149,7 +149,7 @@ def _cmd_solve(args) -> int:
         if f is None:
             raise ConfigError("resolvent problems need --f")
         bc = DIRICHLET if args.problem.startswith("dirichlet") else NEUMANN
-        u, residual = resolvent_halfspace(make_half_field(f), lam, bc)
+        u, residual = resolvent_halfspace(HalfField(f), lam, bc)
         save_field(
             u.field,
             args.out,
@@ -161,7 +161,7 @@ def _cmd_solve(args) -> int:
         )
     else:
         solver = bvp_dirichlet if args.problem.startswith("dirichlet") else bvp_neumann
-        sol = solver(make_half_field(f) if f is not None else None, g)
+        sol = solver(HalfField(f) if f is not None else None, g)
         mat, residual = sol.materialize()
         save_field(
             mat.field,

@@ -95,7 +95,7 @@ def materialize_poisson(pf: PoissonField, lat: Lattice) -> tuple[HalfField, floa
     coef, residual = project_columns(np.fft.fft(profile(heights), axis=0, norm="forward"), lat.K)
     band = profile(heights[far_band_rows(M)])
     leakage = float(np.max(np.abs(horizontal_samples(band, lat, M))))
-    return HalfField(Field(lat, coef), leakage), residual
+    return HalfField(Field(lat, coef), measured_leakage=leakage), residual
 
 
 def poisson_besov_norm(u: Field, s: float, alpha: float, p: float, q: float) -> float:

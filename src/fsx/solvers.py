@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, ZeroField
-from .halfspace import HalfField, half_peak, make_half_field, reflect_parity
+from .halfspace import HalfField, reflect_parity
 from .lattice import Field, Lattice, evaluate, without_mean, zero_field
 from .multipliers import (
     derivative,
@@ -47,7 +47,7 @@ def resolvent_halfspace(f: HalfField, lam: complex, bc: str) -> tuple[HalfField,
     parity = "odd" if bc == DIRICHLET else "even"
     extended, residual = reflect_parity(f, parity)
     u_full = resolvent_wholespace(extended, complex(lam))
-    return make_half_field(u_full), residual
+    return HalfField(u_full), residual
 
 
 def resolvent_estimate_check(
@@ -55,21 +55,19 @@ def resolvent_estimate_check(
 ) -> tuple[float, float, float]:
     """Scaled resolvent ratios (|lam| ||u||, |lam|^1/2 ||grad u||, ||grad2 u||) / ||f||.
 
-    All norms are L2 over the strip.
+    All norms are L2 over the strip.  norm_f is 0 only when f is, or when
+    its squares underflow: the rule reads each column, of degree <= K in
+    x_n, at M/2 >= 4K > 2K heights, more than the zeros it can have.
     """
-    if half_peak(f) == 0.0:
+    norm_f = lp_norm(f.field, 2.0, "halfspace")
+    if norm_f == 0.0:
         raise ZeroField("resolvent estimate undefined for zero source")
     lam = complex(lam)
     u, _ = resolvent_halfspace(f, lam, bc)
-    norm_f = lp_norm(f.field, 2.0, "halfspace")
     n0 = lp_norm(u.field, 2.0, "halfspace")
     n1 = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in gradient(u.field)))
     n2 = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in hessian(u.field)))
-    return (
-        abs(lam) * n0 / norm_f,
-        math.sqrt(abs(lam)) * n1 / norm_f,
-        n2 / norm_f,
-    )
+    return abs(lam) * n0 / norm_f, math.sqrt(abs(lam)) * n1 / norm_f, n2 / norm_f
 
 
 @dataclass(eq=False)
@@ -92,7 +90,7 @@ class BvpSolution:
 
     def materialize(self) -> tuple[HalfField, float]:
         mat, residual = materialize_poisson(self.w, self.lattice)
-        return make_half_field(self.v + mat.field), residual
+        return HalfField(self.v + mat.field), residual
 
     def interior_residual(self) -> float:
         """L2-strip norm of (-Laplacian v) - f; the harmonic part is exact."""
@@ -124,7 +122,7 @@ def _bvp_inputs(f: HalfField | None, g: Field | None) -> tuple[HalfField, Field]
     if f is None and g is None:
         raise InvalidParameter("need at least one of f, g")
     if f is None:
-        f = make_half_field(zero_field(Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)))
+        f = HalfField(zero_field(Lattice(g.lattice.n + 1, g.lattice.K, g.lattice.L)))
     if g is None:
         g = zero_field(f.field.lattice.boundary())
     return f, g

@@ -43,7 +43,6 @@ from .halfspace import (
     far_band_rows,
     indicator_multiply,
     lower_half_defect,
-    make_half_field,
     project_zero,
     reflect_parity,
     reflection_coefficients,
@@ -611,24 +610,24 @@ def suite_reflection(cfg: SuiteConfig, rep: Report) -> None:
     residual, dev = reflection_coefficient_errors()
     rep.add_case("moment_residuals", residual, REFLECTION_TOL)
     rep.add_case("known_orders", dev, REFLECTION_TOL)
-    bump = make_half_field(_one_sided_bump(lat))
+    bump = HalfField(_one_sided_bump(lat))
     rep.add_case("restriction_identity", restriction_excess(bump), ROUNDOFF_TOL)
 
-    sine = make_half_field(_strip_wave(lat, 2, odd=True))
+    sine = HalfField(_strip_wave(lat, 2, odd=True))
     _, res_odd = reflect_parity(sine, "odd")
-    cosine = make_half_field(_strip_wave(lat, 1, odd=False))
+    cosine = HalfField(_strip_wave(lat, 1, odd=False))
     _, res_even = reflect_parity(cosine, "even")
     rep.add_case("parity_exact_on_series", max(res_odd, res_even), 1e-12)
 
     _, res_mismatch_main = reflect_parity(cosine, "odd")
     big = make_lattice(cfg.dim, 2 * cfg.bandlimit, cfg.period)
-    _, res_mismatch_big = reflect_parity(make_half_field(_strip_wave(big, 1, odd=False)), "odd")
+    _, res_mismatch_big = reflect_parity(HalfField(_strip_wave(big, 1, odd=False)), "odd")
     rep.constants["odd_of_cosine_residual_main"] = res_mismatch_main
     rep.constants["odd_of_cosine_residual_big"] = res_mismatch_big
     rep.add_case("jump_residual_decays", res_mismatch_big / res_mismatch_main, 1.0,
                  res_mismatch_big < res_mismatch_main)
 
-    du = make_half_field(derivative(bump.field, (1,) + (0,) * (lat.n - 1)))
+    du = HalfField(derivative(bump.field, (1,) + (0,) * (lat.n - 1)))
     lhs, r1 = extend_reflect(bump, 1, window=True)
     lhs = derivative(lhs, (1,) + (0,) * (lat.n - 1))
     rhs, r2 = extend_reflect(du, 1, window=True)
@@ -637,7 +636,7 @@ def suite_reflection(cfg: SuiteConfig, rep: Report) -> None:
     rep.add_case("tangential_commutation", comm, scale * (1e-9 + 10 * (r1 + r2)))
 
     c_main = extension_ratio(bump)
-    c_big = extension_ratio(make_half_field(_one_sided_bump(big)))
+    c_big = extension_ratio(HalfField(_one_sided_bump(big)))
     rep.constants["extension_norm_ratio_main"] = c_main
     rep.constants["extension_norm_ratio_big"] = c_big
     rep.add_case("extension_ratio_stability", spread(c_main, c_big), STABILITY_BOUND)
@@ -646,7 +645,7 @@ def suite_reflection(cfg: SuiteConfig, rep: Report) -> None:
     hs = SpaceSpec("Hdot", s=1.2, p=2.0, domain="halfspace")
     hs_down = SpaceSpec("Hdot", s=0.2, p=2.0, domain="halfspace")
     den, _ = restriction_norm(bump, hs)
-    num = sum(restriction_norm(make_half_field(d), hs_down)[0] for d in gradient(bump.field))
+    num = sum(restriction_norm(HalfField(d), hs_down)[0] for d in gradient(bump.field))
     ratio = max(num / den, den / num)
     rep.constants["halfspace_gradient_equivalence"] = ratio
     rep.add_case("halfspace_gradient_equivalence", ratio, 20.0)
@@ -720,7 +719,7 @@ def trace_constant(fields: list[Field]) -> float:
         for s in (0.7, 1.2):
             num = seq_norm(blocks, s - 0.5, 2.0)
             den, _ = restriction_norm(
-                make_half_field(u), SpaceSpec("Hdot", s=s, p=2.0, domain="halfspace")
+                HalfField(u), SpaceSpec("Hdot", s=s, p=2.0, domain="halfspace")
             )
             worst = max(worst, num / den)
     return worst
@@ -831,7 +830,7 @@ def image_identity_error(sine: Field, cosine: Field) -> float:
             lam = mod * cmath.exp(1j * theta)
             for f, bc in [(sine, DIRICHLET), (cosine, NEUMANN)]:
                 direct = f.coef / (lam + xi_norm_sq(f.lattice))
-                u, _ = resolvent_halfspace(make_half_field(f), lam, bc)
+                u, _ = resolvent_halfspace(HalfField(f), lam, bc)
                 scale = max(np.abs(direct).max(), 1e-30)
                 worst = max(worst, float(np.max(np.abs(u.field.coef - direct))) / scale)
     return worst
@@ -874,7 +873,7 @@ def suite_resolvent(cfg: SuiteConfig, rep: Report) -> None:
     worst = image_identity_error(sines.fields[0], coss.fields[0])
     rep.add_case("image_identity", worst, ROUNDOFF_TOL, digest=sines.digest())
 
-    table = sector_constants(make_half_field(sines.fields[1]), make_half_field(coss.fields[1]))
+    table = sector_constants(HalfField(sines.fields[1]), HalfField(coss.fields[1]))
     for theta, per_mod in table.items():
         rep.constants[f"sector_constant_ray{theta:.3f}"] = max(per_mod)
         rep.constants[f"sector_constant_ray{theta:.3f}_full_spread"] = max(per_mod) / min(per_mod)
@@ -908,7 +907,7 @@ def bvp_defects(sine: Field, cosine: Field, bump: Field) -> tuple[float, float]:
     gb = 0.2 * plane_wave(blat, (2,) + (0,) * (blat.n - 1))
     worst_res, worst_bc = 0.0, 0.0
     for f, kind in [(sine, DIRICHLET), (cosine, NEUMANN), (bump, DIRICHLET)]:
-        sol = (bvp_dirichlet if kind == DIRICHLET else bvp_neumann)(make_half_field(f), gb)
+        sol = (bvp_dirichlet if kind == DIRICHLET else bvp_neumann)(HalfField(f), gb)
         scale = max(lp_norm(f, 2.0, "halfspace"), 1e-30)
         residual = sol.interior_residual() - 10.0 * sol.reflection_residual
         worst_res = max(worst_res, residual / scale)
@@ -934,11 +933,11 @@ def suite_bvp(cfg: SuiteConfig, rep: Report) -> None:
     rep.add_case("interior_residual", worst_res, BVP_TOL)
     rep.add_case("boundary_mismatch", worst_bc, BVP_TOL)
 
-    u0 = bvp_dirichlet(make_half_field(zero_field(lat)), None)
+    u0 = bvp_dirichlet(HalfField(zero_field(lat)), None)
     zero_ok = u0.v.peak() == 0.0 and u0.w.boundary.peak() == 0.0
     rep.add_case("zero_data_zero_solution", 0.0, 0.0, zero_ok)
 
-    sine0, sine1 = make_half_field(sines.fields[0]), make_half_field(sines.fields[1])
+    sine0, sine1 = HalfField(sines.fields[0]), HalfField(sines.fields[1])
     a = energy_form(sine0, sine0)
     ok = a.real >= 0 and abs(a.imag) <= 1e-12 * max(a.real, 1.0)
     rep.add_case("energy_accretive", a.real, math.inf, ok)

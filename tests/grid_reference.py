@@ -16,7 +16,8 @@ applies it on every call (parity_per_call).  fsx evaluates every
 grid norm and sup by one rule (norms.rectangle_rule), which reads the strip
 from columns; the tests check it against the rule on the whole sampled grid,
 cut to the heights it covers (lp_norm_reference, triebel_norm_reference,
-sup_reference).
+sup_reference).  The tests read the rule's sup of a half field over the
+upper half as the scale of its leakage and residuals (half_peak).
 """
 
 import math
@@ -31,10 +32,11 @@ from fsx.lattice import (
     exact_phases,
     horizontal_samples,
     k_axis,
+    occupied,
     project_columns,
     xi_axes,
 )
-from fsx.norms import get_family
+from fsx.norms import get_family, rectangle_rule
 
 
 def sample_grid_reference(u, M):
@@ -138,3 +140,10 @@ def triebel_norm_reference(u, s, p, domain, M):
 def sup_reference(u, rows, M):
     """Sup of |u| over the whole sampled M^n grid at the vertical rows."""
     return float(np.max(np.abs(sample_grid_reference(u, M)[..., rows])))
+
+
+def half_peak(u):
+    """Sup of the HalfField u over the upper half 0 <= x_n <= L/2, by the
+    rule at the heights j L/M, j <= M/2, of the default grid."""
+    M = default_oversample(u.field.lattice)
+    return rectangle_rule([(1.0, occupied(u.field))], math.inf, np.arange(M // 2 + 1), M)

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsx.halfspace as fsx_halfspace
@@ -18,7 +18,6 @@ from fsx.errors import AliasingRisk, IllConditioned, InvalidParameter
 from fsx.halfspace import (
     extend_reflect,
     extension_candidates,
-    half_peak,
     indicator_multiply,
     lower_half_defect,
     make_half_field,
@@ -43,7 +42,7 @@ from fsx.lattice import (
 from fsx.multipliers import derivative
 from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm, triebel_norm
 from fsx.poisson import PoissonField, materialize_poisson
-from grid_reference import project_bandlimited, sample_slices
+from grid_reference import half_peak, project_bandlimited, sample_slices
 
 TWO_PI = 2.0 * math.pi
 
@@ -569,9 +568,7 @@ def random_fields(draw, min_n=1):
     return Field(lat, coef * draw(st.sampled_from([1e-3, 1.0, 1e3])))
 
 
-COLUMN_SETTINGS = settings(
-    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+COLUMN_SETTINGS = settings(max_examples=25)
 
 
 class TestColumnKernelsMatchGrid:
@@ -745,6 +742,7 @@ class TestNoWholeGrid:
         v = Field(lat, rng.standard_normal(lat.mode_shape) + 0j)
         hf = make_half_field(u)
         half_peak(hf)
+        hf.leakage
         for m in (0, 2):
             extend_reflect(hf, m, window=True, ell=1 if m else 0)
             project_zero(u, m)

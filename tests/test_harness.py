@@ -60,7 +60,8 @@ class TestCorpus:
     def test_boundary_bump_leakage(self):
         # the 1e-8 far-face budget needs the default bandlimit; below ~K=20
         # the uncertainty tradeoff makes it unattainable
-        from fsx.halfspace import half_peak, make_half_field
+        from fsx.halfspace import make_half_field
+        from grid_reference import half_peak
 
         c = generate_corpus(3, "boundary_bump", 3, make_lattice(2, 32))
         for u in c.fields:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsx.errors import AliasingRisk, BandlimitExceeded, InvalidParameter, IoError
@@ -163,7 +163,7 @@ def grid_cases(draw):
 
 
 class TestPrunedTransform:
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=60)
     @given(grid_cases())
     def test_matches_one_shot_transform(self, case):
         u, M = case
@@ -270,7 +270,7 @@ def phase_cases(draw):
 
 
 class TestExactPhases:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(phase_cases())
     def test_matches_cosines_at_the_rational_heights(self, case):
         """The grid heights j L/M and the mirror points -+j L/(M(i+1)) of order i."""
@@ -295,7 +295,7 @@ def column_spectra(draw):
 
 
 class TestProjectColumns:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(column_spectra())
     def test_matches_copy_and_mask(self, case):
         spectra, K = case

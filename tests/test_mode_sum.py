@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsx.dyadic import delta_dot, delta_inhom
@@ -204,8 +204,7 @@ def layer_norms(u):
     ])
 
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
-                             suppress_health_check=[HealthCheck.too_slow])
+PROPERTY_SETTINGS = settings(max_examples=40)
 
 
 class TestLayerProperties:

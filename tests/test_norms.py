@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsx.lattice as fsx_lattice
@@ -232,8 +232,7 @@ def zero_mean_fields_and_grids(draw):
     return Field(lat, coef), draw(st.sampled_from([2 * K + 2, 1 << (2 * K + 1).bit_length()]))
 
 
-RULE_SETTINGS = settings(max_examples=60, deadline=None,
-                         suppress_health_check=[HealthCheck.too_slow])
+RULE_SETTINGS = settings(max_examples=60)
 
 
 class TestOneRule:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsx.halfspace as fsx_halfspace
@@ -64,7 +64,7 @@ def outputs(hf, g, parity, lam):
 
 
 class TestParityOperatorCache:
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=30)
     @given(parity_cases())
     def test_equals_the_per_call_route_cold_and_warm(self, case):
         with mock.patch.object(fsx_solvers, "reflect_parity", parity_per_call):

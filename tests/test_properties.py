@@ -4,7 +4,7 @@ import json
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsx.lattice import (
@@ -16,12 +16,10 @@ from fsx.lattice import (
     without_mean,
     zero_field,
 )
-from fsx.norms import lp_norm
+from fsx.norms import SpaceSpec, besov_norm, lp_norm, triebel_norm
 from fsx.poisson import poisson_extend
 
-PROPERTY_SETTINGS = settings(
-    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+PROPERTY_SETTINGS = settings(max_examples=40)
 
 # no -0.0: a mode whose parts are both zero is not written, and reads back as +0.0
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False).filter(
@@ -113,3 +111,76 @@ class TestPoissonTrace:
     @given(boundary_data())
     def test_trace_of_the_extension_is_the_data(self, g):
         assert same_bits(poisson_extend(g).slice_field(0.0).coef, without_mean(g).coef)
+
+
+@st.composite
+def norm_cases(draw):
+    """A zero-mean field on n <= 3, a domain, an exponent, a whole number of
+    steps L/M of its default grid per axis (0 across x_n on the strip, where
+    only horizontal shifts are symmetries) and a nonzero complex scale."""
+    n = draw(st.integers(1, 3))
+    K = draw(st.integers(2, 6 if n < 3 else 4))
+    lat = make_lattice(n, K, draw(st.sampled_from([2.0 * math.pi, 3.0, 11.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = without_mean(Field(lat, rng.standard_normal(lat.mode_shape)
+                           + 1j * rng.standard_normal(lat.mode_shape)))
+    domain = draw(st.sampled_from(["whole", "halfspace"]))
+    steps = [draw(st.integers(0, 2**16)) for _ in range(n)]
+    if domain == "halfspace":
+        steps[-1] = 0
+    scale = complex(draw(st.floats(-1e3, 1e3).filter(lambda x: abs(x) > 1e-3)),
+                    draw(st.floats(-1e3, 1e3)))
+    p = draw(st.sampled_from([1.0, 4.0 / 3.0, 2.0, 4.0, math.inf]))
+    return u, domain, p, steps, scale
+
+
+def grid_shift(u, steps):
+    """u(x - steps L/M) on its default grid M: mode k picks up the exact root of
+    unity exp(-2 pi i (k . steps mod M) / M), which permutes the grid's nodes."""
+    M = default_oversample(u.lattice)
+    k = np.indices(u.lattice.mode_shape) - u.lattice.K
+    r = sum(k[a] * s for a, s in enumerate(steps)) % M
+    return Field(u.lattice, u.coef * np.exp(-2j * math.pi * r / M))
+
+
+def besov_triebel(u, domain, p):
+    """Bdot and B at two (s, q) each, and the square-function norm at one s."""
+    return np.array([besov_norm(u, SpaceSpec(fam, s=s, p=p, q=q, domain=domain))
+                     for fam in ("Bdot", "B") for s, q in ((0.7, 2.0), (-0.5, math.inf))]
+                    + [triebel_norm(u, 0.4, p, domain)])
+
+
+class TestBesovTriebelStrip:
+    @PROPERTY_SETTINGS
+    @given(norm_cases())
+    def test_grid_translation_invariance(self, case):
+        u, domain, p, steps, _ = case
+        want = besov_triebel(u, domain, p)
+        np.testing.assert_allclose(besov_triebel(grid_shift(u, steps), domain, p), want,
+                                   rtol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(norm_cases())
+    def test_homogeneity(self, case):
+        u, domain, p, _, scale = case
+        want = abs(scale) * besov_triebel(u, domain, p)
+        np.testing.assert_allclose(besov_triebel(scale * u, domain, p), want, rtol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(norm_cases())
+    def test_besov_does_not_increase_with_q(self, case):
+        u, domain, p, _, _ = case
+        for fam in ("Bdot", "B"):
+            values = [besov_norm(u, SpaceSpec(fam, s=0.3, p=p, q=q, domain=domain))
+                      for q in (1.0, 4.0 / 3.0, 2.0, 4.0, math.inf)]
+            for wider, narrower in zip(values, values[1:]):
+                assert narrower <= wider * (1.0 + 1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(norm_cases(), st.sampled_from([1.0, 4.0 / 3.0, math.inf]), st.integers(0, 8))
+    def test_strip_norm_is_at_most_the_whole_norm(self, case, p, extra):
+        """On one M the strip's nodes are some of the torus's, so its sum or
+        sup is at most the whole one, up to the rounding of the two samplers."""
+        u = case[0]
+        M = 2 * u.lattice.K + 2 + 2 * extra
+        assert lp_norm(u, p, "halfspace", M=M) <= lp_norm(u, p, M=M) * (1.0 + 1e-12)

@@ -129,6 +129,23 @@ class TestResolventEstimates:
         with pytest.raises(ZeroField):
             resolvent_estimate_check(make_half_field(zero_field(lat)), 1.0, DIRICHLET)
 
+    def test_source_whose_squares_underflow_is_refused(self, lat):
+        f = make_half_field(sine_mode(lat, amp=1e-200))
+        with pytest.raises(ZeroField):
+            resolvent_estimate_check(f, 1.0, DIRICHLET)
+
+    @pytest.mark.parametrize("K", [1, 2, 8])
+    def test_no_nonzero_strip_mode_reads_zero(self, K):
+        """The zero-source test reads the strip L2 norm: a column of degree
+        <= K cannot vanish at the M/2 >= 4K heights the rule reads, so no
+        single sine or cosine mode reads 0."""
+        lat = make_lattice(2, K)
+        for kx in range(-K, K + 1):
+            for k in range(K + 1):
+                for sign in (1.0, -1.0)[: 2 if k else 1]:
+                    u = field_from_modes(lat, {(kx, k): 0.5, (kx, -k): 0.5 * sign})
+                    assert lp_norm(u, 2.0, "halfspace") > 0.0
+
 
 class TestDirichletBVP:
     def test_pure_boundary_data_is_poisson_profile(self, lat):
