@@ -11,7 +11,8 @@ one product with the columns, whose kept rows are the output's modes and
 whose discarded rows give the audited projection residual (_apply_columns).
 This is the sample, overwrite and project round trip on the M^n grid, with
 the horizontal transforms, which cancel, left out.  The parity reflections
-are built once per lattice, the other operators on every call.
+and the restriction norm's witnesses (only their kept rows) are built once
+per lattice, the other operators on every call.
 
 Every height a table reads is a rational multiple of L: a grid height r L/M,
 or its mirror point -r L/(M(j+1)) of order j.  So every entry is an exact
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -126,6 +128,8 @@ class HalfField:
     measured_leakage: InitVar[float | None] = None
 
     def __post_init__(self, measured_leakage: float | None) -> None:
+        if not isinstance(self.field, Field):
+            raise InvalidParameter(f"HalfField needs a Field, got {type(self.field).__name__}")
         if measured_leakage is not None:
             self.__dict__["leakage"] = measured_leakage
 
@@ -208,6 +212,8 @@ def extend_reflect(
     ell rescales the coefficients for the vertical-derivative commutation.
     Returns the projected field and the projection residual.
     """
+    if not isinstance(window, bool):
+        raise InvalidParameter(f"window must be True or False, got {window!r}")
     rc = reflection_coefficients(m)
     spectral = _extension_operator(u.field.lattice, shifted_coefficients(rc, ell), window)
     return _extension(u.field, spectral)
@@ -274,37 +280,51 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 
-def extension_candidates(u: HalfField) -> dict[str, tuple[Field, float]]:
-    """Witness set of extensions: plain and windowed reflections of orders 0-4,
-    and the odd reflection ED.  The even reflection is E0, so it is not repeated."""
-    out: dict[str, tuple[Field, float]] = {}
-    for m in range(5):
-        out[f"E{m}"] = extend_reflect(u, m)
-        out[f"E{m}w"] = extend_reflect(u, m, window=True)
-    out["ED"] = reflect_parity(u, "odd")
-    return out
+WITNESSES = tuple(f"E{m}{w}" for m in range(5) for w in ("", "w")) + ("ED",)
+
+
+@lru_cache(maxsize=4)  # halfspace_solves walks three lattices
+def _witness_operators(lat: Lattice) -> np.ndarray:
+    """Read-only kept rows |q| <= K, in mode order, of each witness's operator
+    on lat, in the order of WITNESSES; one M-row operator is alive at a time."""
+    ops = np.empty((len(WITNESSES), lat.modes_per_axis, lat.modes_per_axis), dtype=complex)
+    for i, name in enumerate(WITNESSES):
+        coeffs = np.array([-1.0]) if name == "ED" else reflection_coefficients(int(name[1])).alpha
+        spectral = _extension_operator(lat, coeffs, window=name.endswith("w"))
+        ops[i] = project_columns(spectral, lat.K)[0].T
+    ops.flags.writeable = False
+    return ops
+
+
+def extension_candidates(u: HalfField) -> Iterator[tuple[str, Field]]:
+    """The witness extensions (name, field), one at a time: plain and windowed
+    reflections of orders 0-4, then the odd one ED (the even one is E0), each one
+    product of u's columns with its cached kept rows, and no projection residual."""
+    lat, coef = u.field.lattice, u.field.coef
+    columns = coef.reshape(-1, coef.shape[-1])  # one row per horizontal mode
+    for name, op in zip(WITNESSES, _witness_operators(lat)):
+        yield name, Field(lat, np.ascontiguousarray((op @ columns.T).T).reshape(coef.shape))
 
 
 def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:
     """Upper bound on the quotient norm inf {||U||_X : U|_half = u}.
 
-    Minimizes the whole-space norm over the witness extension set and returns
-    the value with the winning witness id.  For the Lp family the exact
-    half-domain quadrature is a lower bound, asserted not to exceed the value.
+    Minimizes the whole-space norm over the witness extensions, streamed one
+    at a time, and returns the value with the winning witness id.  For the Lp
+    family the exact half-domain quadrature is a lower bound on the value.
     """
+    if not isinstance(u, HalfField):
+        raise InvalidParameter(f"restriction_norm needs a HalfField, got {type(u).__name__}")
     if spec.domain != "halfspace":
         raise InvalidParameter("restriction_norm needs a halfspace-domain spec")
     whole = replace(spec, domain="whole")
-    best = math.inf
-    witness = ""
-    for name, (cand, _res) in extension_candidates(u).items():
+    best, witness = math.inf, ""
+    for name, cand in extension_candidates(u):
         val = norm_ignoring_mean(cand, whole)
         if val < best:
             best, witness = val, name
     if spec.family == "Lp":
         lower = lp_norm(u.field, spec.p, domain="halfspace")
         if best < lower * (1.0 - 1e-9):
-            raise FsxError(
-                f"witness norm {best} fell below the exact half-domain bound {lower}"
-            )
+            raise FsxError(f"witness norm {best} fell below the exact half-domain bound {lower}")
     return best, witness

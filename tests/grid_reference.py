@@ -12,7 +12,10 @@ arbitrary heights (vertical_phases, sample_slices), and project_columns
 against the copy-and-mask projection it replaced.  fsx builds the column
 operator of each parity reflection once per lattice; the tests check it
 against the per-call route, which builds the table, transforms it and
-applies it on every call (parity_per_call).  fsx evaluates every
+applies it on every call (parity_per_call); it builds the restriction
+norm's witness operators once per lattice, keeping only their kept rows, and
+the tests check each witness against the full extension built on the call
+(witnesses_per_call).  fsx evaluates every
 grid norm and sup by one rule (norms.rectangle_rule), which reads the strip
 from columns; the tests check it against the rule on the whole sampled grid,
 cut to the heights it covers (lp_norm_reference, triebel_norm_reference,
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from fsx.dyadic import delta_dot
-from fsx.halfspace import _mirror_table
+from fsx.halfspace import _mirror_table, extend_reflect, reflect_parity
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -96,6 +99,15 @@ def parity_per_call(u, parity):
     columns = u.field.coef.reshape(-1, lat.modes_per_axis)
     kept, residual = project_columns(spectral @ columns.T, lat.K)
     return Field(lat, kept.reshape(u.field.coef.shape)), residual
+
+
+def witnesses_per_call(u):
+    """The restriction norm's witnesses of the HalfField u as (name, field), in
+    its order, each built and applied whole on this call: the plain and windowed
+    reflection extensions of orders 0-4, then the odd reflection ED."""
+    out = [(f"E{m}{'w' if window else ''}", extend_reflect(u, m, window)[0])
+           for m in range(5) for window in (False, True)]
+    return out + [("ED", reflect_parity(u, "odd")[0])]
 
 
 def project_columns_by_mask(spectra, K):

@@ -130,6 +130,11 @@ class TestHalfField:
         u = make_half_field(sine_mode(lat))
         assert u.leakage > 0.1  # sin is O(1) near the far face
 
+    def test_refuses_what_is_not_a_field(self, lat):
+        for data in (None, 0.0, sine_mode(lat).coef):
+            with pytest.raises(InvalidParameter, match="HalfField needs a Field"):
+                make_half_field(data)
+
 
 class TestExtendReflect:
     def test_restriction_identity_even_extension_of_sine(self, lat):
@@ -212,6 +217,11 @@ class TestExtendReflect:
     def test_bad_derivative_order_refused(self, lat, ell):
         with pytest.raises(InvalidParameter):
             extend_reflect(make_half_field(sine_mode(lat)), 2, ell=ell)
+
+    @pytest.mark.parametrize("window", ["no", 0, 1, None, np.True_])
+    def test_window_that_is_not_a_bool_refused(self, lat, window):
+        with pytest.raises(InvalidParameter, match="window"):
+            extend_reflect(make_half_field(sine_mode(lat)), 1, window=window)
 
 
 class TestParityReflection:
@@ -403,6 +413,10 @@ class TestRestrictionNorm:
         with pytest.raises(InvalidParameter):
             restriction_norm(u, SpaceSpec("Lp", p=2.0))
 
+    def test_needs_a_half_field(self, lat):
+        with pytest.raises(InvalidParameter, match="needs a HalfField, got Field"):
+            restriction_norm(sine_mode(lat), SpaceSpec("Lp", p=2.0, domain="halfspace"))
+
     def test_lp_value_dominates_half_quadrature(self, lat):
         u = make_half_field(one_sided_bump(lat))
         spec = SpaceSpec("Lp", p=2.0, domain="halfspace")
@@ -412,9 +426,9 @@ class TestRestrictionNorm:
     def test_witnesses_are_distinct(self, lat):
         # a witness equal to another costs an extension and a norm for nothing
         f = generate_corpus(7, "cosine_strip", 1, lat).fields[0]
-        cands = extension_candidates(make_half_field(f))
+        cands = dict(extension_candidates(make_half_field(f)))
         for a, b in itertools.combinations(cands, 2):
-            gap = float(np.max(np.abs(cands[a][0].coef - cands[b][0].coef)))
+            gap = float(np.max(np.abs(cands[a].coef - cands[b].coef)))
             assert gap > 1e-9 * f.peak(), (a, b)
 
 

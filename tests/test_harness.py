@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fsx
+import fsx.halfspace
 import fsx.lattice
 import fsx.suites
 from fsx.cli import main as cli_main, parse_lambda
@@ -330,6 +331,22 @@ def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
         and id(obj) not in emptied
     }
     assert not caches, f"caches the benchmark leaves warm: {sorted(caches)}"
+
+
+def test_benchmark_sweep_empties_the_witness_operators(monkeypatch):
+    """desk_verify's sweep (the module-level objects of fsx modules that have
+    cache_clear) reaches the restriction norm's witness operators, so each
+    round builds them cold, as a CLI call does."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    desk = importlib.import_module("workloads").DeskVerify(0)
+    desk.load()
+    witness_operators = fsx.halfspace._witness_operators
+    assert id(witness_operators) in {id(clear.__self__) for clear in desk.caches}
+    witness_operators(make_lattice(2, 4))
+    for clear in desk.caches:
+        clear()
+    assert witness_operators.cache_info().currsize == 0
 
 
 CACHE_DECORATORS = ("lru_cache", "cache")
