@@ -26,7 +26,7 @@ from .solvers import (
     bvp_neumann,
     resolvent_halfspace,
 )
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, SuiteConfig, require_floors, run_suite
 
 
 def parse_lambda(text: str) -> complex:
@@ -99,6 +99,7 @@ def _cmd_verify(args) -> int:
         s_list=args.s,
     )
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    require_floors(names, cfg)  # refuse before any suite runs
     reports: list[Report] = []
     all_pass = True
     for name in names:

@@ -7,12 +7,13 @@ through untouched, and each operator acts on the column coef[k', :] of each
 horizontal mode k' through one table: the value its output takes at each of
 the M vertical grid heights j L/M, for each vertical mode.  Building an
 operator is building its table and taking the DFT along x_n; applying it is
-one product with the columns, whose kept rows are the output's modes and
-whose discarded rows give the audited projection residual (_apply_columns).
-This is the sample, overwrite and project round trip on the M^n grid, with
-the horizontal transforms, which cancel, left out.  The parity reflections
-and the restriction norm's witnesses (only their kept rows) are built once
-per lattice, the other operators on every call.
+one product of its kept rows |q| <= K with the columns, and the relative l2
+size of the product of its discarded rows, or of their triangular factor
+(lattice.energy_factor), is the audited projection residual (_apply_columns).
+This is the sample, overwrite and project round trip on the M^n grid, less
+the horizontal transforms, which cancel.  Cached per lattice, (2K+1)^2
+entries each: the parities' kept rows and factors, the zero projection's
+kept rows per order, the 11 witnesses' kept rows; the rest build per call.
 
 Every height a table reads is a rational multiple of L: a grid height r L/M,
 or its mirror point -r L/(M(j+1)) of order j.  So every entry is an exact
@@ -44,6 +45,7 @@ from .lattice import (
     Field,
     Lattice,
     default_oversample,
+    energy_factor,
     exact_phases,
     occupied,
     project_columns,
@@ -148,15 +150,27 @@ def far_band_rows(M: int) -> np.ndarray:
 make_half_field = HalfField  # the name bench/workloads.py and the tests build with
 
 
-def _apply_columns(coef: np.ndarray, spectral: np.ndarray, K: int) -> tuple[np.ndarray, float]:
-    """Modes |k| <= K of coef's columns sent through the built operator spectral:
-    the DFT along x_n, divided by M, of a table whose [j, k] is what vertical
-    mode k becomes at the grid height j L/M.  Only this product depends on the
-    field; its kept rows are the output's modes, and the relative l2 size of
-    the discarded rows is the projection residual."""
-    columns = coef.reshape(-1, coef.shape[-1])  # one row per horizontal mode
-    kept, residual = project_columns(spectral @ columns.T, K)
-    return kept.reshape(coef.shape[:-1] + (2 * K + 1,)), residual
+def _columns_through(u: Field, kept: np.ndarray) -> Field:
+    """u's columns, one per horizontal mode, sent through an operator's kept rows."""
+    out = kept @ u.coef.reshape(-1, u.coef.shape[-1]).T
+    return Field(u.lattice, np.ascontiguousarray(out.T).reshape(u.coef.shape))
+
+
+def _apply_columns(u: Field, kept: np.ndarray, tail: np.ndarray) -> tuple[Field, float]:
+    """_columns_through, and the relative l2 size of tail @ columns, for tail the
+    operator's discarded rows or their energy_factor: the projection residual."""
+    out = _columns_through(u, kept)
+    lost = tail @ u.coef.reshape(-1, u.coef.shape[-1]).T
+    lost_sq, kept_sq = float(np.vdot(lost, lost).real), float(np.vdot(out.coef, out.coef).real)
+    return out, (math.sqrt(lost_sq / (lost_sq + kept_sq)) if lost_sq > 0.0 else 0.0)
+
+
+def _split_rows(spectral: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only rows |q| <= K, in mode order, of a built operator, and the rest."""
+    M = spectral.shape[0]
+    kept = np.concatenate([spectral[M - K :], spectral[: K + 1]])
+    kept.flags.writeable = False
+    return kept, spectral[K + 1 : M - K]
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +189,10 @@ def _mirror_table(K: int, coeffs: np.ndarray, rows: np.ndarray, M: int) -> np.nd
     return sum(a * exact_phases(K, -rows, M * (j + 1)) for j, a in enumerate(coeffs))
 
 
-def _extension_operator(lat: Lattice, coeffs: np.ndarray, window: bool = False) -> np.ndarray:
-    """Keep the upper half, write the mirror sum of coeffs on the lower half."""
+def _extension_operator(lat: Lattice, coeffs: np.ndarray,
+                        window: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the upper half, write the mirror sum of coeffs on the lower half: the
+    operator's kept rows and the rest (_split_rows)."""
     M = default_oversample(lat)
     half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2]
     below = np.arange(half, M) - M  # the others at (j - M) L/M < 0
@@ -185,20 +201,14 @@ def _extension_operator(lat: Lattice, coeffs: np.ndarray, window: bool = False) 
     table[half:] = _mirror_table(lat.K, coeffs, below, M)
     if window:
         table[half:] *= _window_weights(below * (lat.L / M), lat.L)[:, None]
-    return np.fft.fft(table, axis=0, norm="forward")
+    return _split_rows(np.fft.fft(table, axis=0, norm="forward"), lat.K)
 
 
-def _extension(u: Field, spectral: np.ndarray) -> tuple[Field, float]:
-    coef, residual = _apply_columns(u.coef, spectral, u.lattice.K)
-    return Field(u.lattice, coef), residual
-
-
-@lru_cache(maxsize=2)  # one lattice's two parities; more kept megabyte tables alive between uses
-def _parity_operator(lat: Lattice, parity: str) -> np.ndarray:
-    """The read-only operator of the odd or even reflection on lat, built once."""
-    spectral = _extension_operator(lat, np.array([-1.0 if parity == "odd" else 1.0]))
-    spectral.flags.writeable = False
-    return spectral
+@lru_cache(maxsize=6)  # halfspace_solves' three lattices, two parities each
+def _parity_operator(lat: Lattice, parity: str) -> tuple[np.ndarray, np.ndarray]:
+    """The kept rows of lat's odd or even reflection and the energy_factor of the rest."""
+    kept, tail = _extension_operator(lat, np.array([-1.0 if parity == "odd" else 1.0]))
+    return kept, energy_factor(tail)
 
 
 def extend_reflect(
@@ -215,19 +225,19 @@ def extend_reflect(
     if not isinstance(window, bool):
         raise InvalidParameter(f"window must be True or False, got {window!r}")
     rc = reflection_coefficients(m)
-    spectral = _extension_operator(u.field.lattice, shifted_coefficients(rc, ell), window)
-    return _extension(u.field, spectral)
+    return _apply_columns(
+        u.field, *_extension_operator(u.field.lattice, shifted_coefficients(rc, ell), window))
 
 
 def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
     """Odd or even reflection across x_n = 0 (mirror the upper half, then project).
 
-    Its operator depends on the lattice alone: it is built once per lattice
-    and kept, with the other parity's, until another lattice needs the cache.
+    Its operator depends on the lattice alone: its kept rows and the factor of
+    the rest are built once per lattice.
     """
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
-    return _extension(u.field, _parity_operator(u.field.lattice, parity))
+    return _apply_columns(u.field, *_parity_operator(u.field.lattice, parity))
 
 
 def project_zero(u: Field, m: int) -> Field:
@@ -237,14 +247,18 @@ def project_zero(u: Field, m: int) -> Field:
     exact zero on the lower half at the sample level, idempotent as an
     operator on sampled functions, band-limited by one final projection.
     """
-    rc = reflection_coefficients(m)
-    lat = u.lattice
+    return _columns_through(u, _zero_operator(u.lattice, reflection_coefficients(m).m))
+
+
+@lru_cache(maxsize=8)  # halfspace_solves' three lattices, m = 0 and 1 each
+def _zero_operator(lat: Lattice, m: int) -> np.ndarray:
+    """The read-only kept rows of project_zero's operator of order m on lat."""
+    alpha = reflection_coefficients(m).alpha
     M = default_oversample(lat)
     upper = np.arange(M // 2 + 1)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, rc.alpha, upper, M)
-    coef, _ = _apply_columns(u.coef, np.fft.fft(table, axis=0, norm="forward"), lat.K)
-    return Field(lat, coef)
+    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, alpha, upper, M)
+    return _split_rows(np.fft.fft(table, axis=0, norm="forward"), lat.K)[0]
 
 
 def lower_half_defect(p0u: Field) -> float:
@@ -268,10 +282,11 @@ def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
     M = default_oversample(big, factor=2)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
     table[: M // 2] = exact_phases(lat.K, np.arange(M // 2), M)
-    coef, residual = _apply_columns(u.coef, np.fft.fft(table, axis=0, norm="forward"), big.K)
+    columns = u.coef.reshape(-1, lat.modes_per_axis).T
+    coef, residual = project_columns(np.fft.fft(table, axis=0, norm="forward") @ columns, big.K)
     out = np.zeros(big.mode_shape, dtype=complex)
     inner = slice(big.K - lat.K, big.K + lat.K + 1)
-    out[(inner,) * (lat.n - 1)] = coef
+    out[(inner,) * (lat.n - 1)] = coef.reshape(u.coef.shape[:-1] + (big.modes_per_axis,))
     return Field(big, out), residual
 
 
@@ -290,8 +305,7 @@ def _witness_operators(lat: Lattice) -> np.ndarray:
     ops = np.empty((len(WITNESSES), lat.modes_per_axis, lat.modes_per_axis), dtype=complex)
     for i, name in enumerate(WITNESSES):
         coeffs = np.array([-1.0]) if name == "ED" else reflection_coefficients(int(name[1])).alpha
-        spectral = _extension_operator(lat, coeffs, window=name.endswith("w"))
-        ops[i] = project_columns(spectral, lat.K)[0].T
+        ops[i] = _extension_operator(lat, coeffs, window=name.endswith("w"))[0]
     ops.flags.writeable = False
     return ops
 
@@ -300,10 +314,8 @@ def extension_candidates(u: HalfField) -> Iterator[tuple[str, Field]]:
     """The witness extensions (name, field), one at a time: plain and windowed
     reflections of orders 0-4, then the odd one ED (the even one is E0), each one
     product of u's columns with its cached kept rows, and no projection residual."""
-    lat, coef = u.field.lattice, u.field.coef
-    columns = coef.reshape(-1, coef.shape[-1])  # one row per horizontal mode
-    for name, op in zip(WITNESSES, _witness_operators(lat)):
-        yield name, Field(lat, np.ascontiguousarray((op @ columns.T).T).reshape(coef.shape))
+    for name, op in zip(WITNESSES, _witness_operators(u.field.lattice)):
+        yield name, _columns_through(u.field, op)
 
 
 def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:

@@ -386,6 +386,14 @@ def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:
     return np.concatenate([np.moveaxis(b, 0, -1) for b in kept], axis=-1), residual
 
 
+def energy_factor(rows: np.ndarray) -> np.ndarray:
+    """The triangular R of the QR of rows, read-only: ||rows @ a|| = ||R @ a|| for
+    every a.  The Gram matrix squares the condition of rows: its factor loses small energies."""
+    factor = np.linalg.qr(rows, mode="r")
+    factor.flags.writeable = False
+    return factor
+
+
 def whole_order(m, what: str) -> int:
     """m as an int, or InvalidParameter unless it is a whole number >= 0."""
     if not (isinstance(m, numbers.Real) and math.isfinite(m) and m >= 0 and m == int(m)):

@@ -81,25 +81,7 @@ def derivative(u: Field, alpha: tuple[int, ...]) -> Field:
 
 def gradient(u: Field) -> list[Field]:
     n = u.lattice.n
-    out = []
-    for a in range(n):
-        alpha = [0] * n
-        alpha[a] = 1
-        out.append(derivative(u, tuple(alpha)))
-    return out
-
-
-def hessian(u: Field) -> list[Field]:
-    """All n^2 second derivatives d_a d_b u, row by row (mixed ones twice)."""
-    n = u.lattice.n
-    out = []
-    for a in range(n):
-        for b in range(n):
-            alpha = [0] * n
-            alpha[a] += 1
-            alpha[b] += 1
-            out.append(derivative(u, tuple(alpha)))
-    return out
+    return [derivative(u, tuple(int(a == b) for b in range(n))) for a in range(n)]
 
 
 def horizontal_norm_sq(lat: Lattice) -> np.ndarray:

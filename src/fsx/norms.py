@@ -18,9 +18,11 @@ Grids are chosen by exactness: for even integer p on the whole torus g^p
 has band pK' for the band K' that u occupies (lattice.occupied), so the
 smallest grid with M > pK' is exact; every other p, and the strip
 0 <= x_n < L/2, keep the oversampled grid of u's own lattice, the one
-approximate quadrature.  Exact strip integrals (pairings of band-limited
-products) use closed-form half-period weights on the vertical mode pairs
-instead.
+approximate quadrature.  On the strip at p = 2 it is a factor norm: strip_rows
+reads each column's sum of squares at the M/2 heights as ||R a||^2, for R
+the triangular QR factor of their phases.  Exact strip integrals (pairings
+of band-limited products) use closed-form half-period weights on the
+vertical mode pairs instead.
 
 s and q only reweight values that depend on (u, p) alone, so each dyadic
 block is sampled once per (p, grid) and reduced for every s and q:
@@ -42,6 +44,8 @@ from .errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, Inval
 from .lattice import (
     Field,
     Lattice,
+    default_oversample,
+    energy_factor,
     exact_grid,
     exact_phases,
     grid_slabs,
@@ -53,6 +57,8 @@ from .lattice import (
     shells,
     per_slab,
     without_mean,
+    xi_axes,
+    xi_norm_sq,
 )
 from .multipliers import bessel_potential, fractional_laplacian, potential_weight
 
@@ -185,6 +191,31 @@ def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
     return v.coef @ exact_phases(v.lattice.K, rows, M).T
 
 
+@lru_cache(maxsize=64)
+def _strip_factor(K: int, M: int) -> np.ndarray:
+    """energy_factor of the column phases at the strip's heights r L/M, r < M/2."""
+    return energy_factor(exact_phases(K, np.arange(M // 2), M))
+
+
+def strip_rows(v: Field, M: int) -> np.ndarray:
+    """sum_{r < M/2} |column(r)|^2 for each horizontal mode of v, its column read
+    at the strip's heights r L/M: the row sums of |a @ R^T|^2, R = _strip_factor."""
+    b = (v.coef.reshape(-1, v.lattice.modes_per_axis) @ _strip_factor(v.lattice.K, M).T).view(float)
+    return np.einsum("ij,ij->i", b, b)
+
+
+def strip_derivative_norms(u: Field, order: int) -> list[float]:
+    """Strip L^2 norms, on lp_norm's grid, of u's derivative tensors of orders
+    0..order (u, its gradient, its n^2 second derivatives, ...), no derivative
+    built: a horizontal derivative scales a whole column, so with q_e the
+    strip_rows of xi_n^e u and h = |xi'|^2, order j is sum_e C(j, e) h^(j-e) q_e."""
+    lat, M = u.lattice, default_oversample(u.lattice)
+    q = [strip_rows(Field(lat, u.coef * xi_axes(lat)[-1] ** e), M) for e in range(order + 1)]
+    h, cell = xi_norm_sq(lat)[..., lat.K].ravel(), (lat.L / M) ** lat.n * float(M) ** (lat.n - 1)
+    return [math.sqrt(cell * float(np.sum(sum(math.comb(j, e) * h ** (j - e) * q[e]
+                                              for e in range(j + 1))))) for j in range(order + 1)]
+
+
 def _samples(v: Field, rows: np.ndarray | None, M: int,
              buffer: np.ndarray) -> Iterator[np.ndarray]:
     """v's values at the rule's nodes, in slabs of about lattice.SLAB samples:
@@ -212,17 +243,16 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     sampled once for all S and p, and no whole grid of samples is held.
     With rows None the nodes are the whole M^n grid (grid_slabs).  Otherwise
     they are the horizontal M^(n-1) grid at the heights r L/M of the integers
-    r in rows, where each part is read as its columns there: at p = 2 the
-    horizontal sum of |v|^2 is M^(n-1) times the columns' sum of squares by
-    Parseval, so no transform runs, and other p sample the columns.
+    r in rows, where each part is read as its columns there: on the strip's
+    rows r < M/2 at p = 2 the horizontal sum of |v|^2 is M^(n-1) times the
+    columns' sum of squares by Parseval, read by strip_rows, and others sample.
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
     exponents = list(p) if np.ndim(p) else [p]
     weights = np.array([np.atleast_1d(w) for w, _ in parts])
-    if rows is not None and all(q == 2.0 for q in exponents):
-        total = sum(w * np.vdot(c, c).real for w, c in
-                    zip(weights, (_columns(v, rows, M) for _, v in parts)))
+    if all(q == 2.0 for q in exponents) and np.array_equal(rows, np.arange(M // 2)):
+        total = sum(w * strip_rows(v, M).sum() for w, (_, v) in zip(weights, parts))
         norms = [np.sqrt(cell * float(M) ** (lat.n - 1) * total)] * len(exponents)
     else:
         # one part reduces |v| itself and scales by sqrt(w) at the end

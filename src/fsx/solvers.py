@@ -16,15 +16,8 @@ from dataclasses import dataclass
 from .errors import InvalidParameter, ZeroField
 from .halfspace import HalfField, reflect_parity
 from .lattice import Field, Lattice, evaluate, without_mean, zero_field
-from .multipliers import (
-    derivative,
-    fractional_laplacian,
-    gradient,
-    hessian,
-    laplacian,
-    resolvent_wholespace,
-)
-from .norms import halfspace_product_integral, lp_norm
+from .multipliers import derivative, fractional_laplacian, gradient, laplacian, resolvent_wholespace
+from .norms import halfspace_product_integral, lp_norm, strip_derivative_norms
 from .poisson import PoissonField, materialize_poisson, poisson_extend, trace
 
 DIRICHLET = "dirichlet"
@@ -55,18 +48,17 @@ def resolvent_estimate_check(
 ) -> tuple[float, float, float]:
     """Scaled resolvent ratios (|lam| ||u||, |lam|^1/2 ||grad u||, ||grad2 u||) / ||f||.
 
-    All norms are L2 over the strip.  norm_f is 0 only when f is, or when
-    its squares underflow: the rule reads each column, of degree <= K in
-    x_n, at M/2 >= 4K > 2K heights, more than the zeros it can have.
+    All norms are L2 over the strip, norms.strip_derivative_norms.  norm_f is
+    0 only when f is, or when its squares underflow: the rule reads each
+    column through the factor R of the phases at M/2 >= 4K > 2K heights,
+    which have full column rank, so R is nonsingular.
     """
-    norm_f = lp_norm(f.field, 2.0, "halfspace")
+    (norm_f,) = strip_derivative_norms(f.field, 0)
     if norm_f == 0.0:
         raise ZeroField("resolvent estimate undefined for zero source")
     lam = complex(lam)
     u, _ = resolvent_halfspace(f, lam, bc)
-    n0 = lp_norm(u.field, 2.0, "halfspace")
-    n1 = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in gradient(u.field)))
-    n2 = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in hessian(u.field)))
+    n0, n1, n2 = strip_derivative_norms(u.field, 2)
     return abs(lam) * n0 / norm_f, math.sqrt(abs(lam)) * n1 / norm_f, n2 / norm_f
 
 

@@ -64,7 +64,7 @@ from .lattice import (
     xi_norm_sq,
     zero_field,
 )
-from .multipliers import derivative, fractional_laplacian, gradient, hessian, laplacian
+from .multipliers import derivative, fractional_laplacian, gradient, laplacian
 from .norms import (
     SpaceSpec,
     besov_norm,
@@ -78,6 +78,7 @@ from .norms import (
     rectangle_rule,
     seq_norm,
     sobolev_norm,
+    strip_derivative_norms,
     triebel_fubini_l2,
     triebel_norms,
 )
@@ -129,10 +130,12 @@ class SuiteConfig:
 
 
 SUITES: dict[str, Callable[[SuiteConfig], Report]] = {}
+FLOORS: dict[str, tuple[int, int]] = {}
 
 
-def suite(name: str, *verifies: str):
-    """Register body(cfg, rep) as the suite name; each run fills a fresh, timed report."""
+def suite(name: str, *verifies: str, floor: tuple[int, int] = (1, 1)):
+    """Register body(cfg, rep) as the suite name; each run fills a fresh, timed report.
+    floor is the least (dim, bandlimit) at which the suite's premises hold."""
 
     def register(body):
         @functools.wraps(body)
@@ -143,7 +146,7 @@ def suite(name: str, *verifies: str):
             rep.wall_time = time.perf_counter() - t0
             return rep
 
-        SUITES[name] = run
+        SUITES[name], FLOORS[name] = run, floor
         return run
 
     return register
@@ -604,6 +607,7 @@ def extension_ratio(u: HalfField) -> float:
     "parity reflections exact on compatible series",
     "tangential derivative commutes with the extension",
     "extension operator norms stable across lattices",
+    floor=(2, 2),
 )
 def suite_reflection(cfg: SuiteConfig, rep: Report) -> None:
     lat = cfg.lattice()
@@ -729,6 +733,7 @@ def trace_constant(fields: list[Field]) -> float:
     "trace",
     "boundary restriction collapses vertical modes",
     "boundary block norm controlled by the half-space potential norm",
+    floor=(2, 3),
 )
 def suite_trace(cfg: SuiteConfig, rep: Report) -> None:
     lat = cfg.lattice()
@@ -776,6 +781,7 @@ def semigroup_ratios(fields: list[Field]) -> tuple[float, float]:
     "semigroup characterization matches the scalar gamma integral",
     "semigroup norm comparable to the block norm",
     "extension bounded from boundary block norms into strip potential norms",
+    floor=(2, 4),
 )
 def suite_poisson(cfg: SuiteConfig, rep: Report) -> None:
     lat = cfg.lattice()
@@ -801,7 +807,7 @@ def suite_poisson(cfg: SuiteConfig, rep: Report) -> None:
     rng = np.random.default_rng(cfg.seed + 5)
     for _ in range(3):
         modes = {}
-        while len(modes) < 10:
+        while len(modes) < min(10, (2 * blat.K + 1) ** blat.n - 1):  # the distinct nonzero modes
             k = tuple(int(v) for v in rng.integers(-blat.K, blat.K + 1, size=blat.n))
             if any(k):
                 modes[k] = complex(rng.standard_normal(), rng.standard_normal()) * (
@@ -920,6 +926,7 @@ def bvp_defects(sine: Field, cosine: Field, bump: Field) -> tuple[float, float]:
     "inhomogeneous Dirichlet and Neumann problems solved by the split",
     "pure boundary data reproduces the decaying harmonic profile",
     "energy form identities",
+    floor=(2, 2),
 )
 def suite_bvp(cfg: SuiteConfig, rep: Report) -> None:
     lat = cfg.lattice()
@@ -947,8 +954,7 @@ def suite_bvp(cfg: SuiteConfig, rep: Report) -> None:
 
     # second-order estimate constant for the Dirichlet problem at s = 0, p = 2
     gb = 0.3 * plane_wave(blat, (1,) + (0,) * (blat.n - 1))
-    mat, _ = bvp_dirichlet(sine1, gb).materialize()
-    num = math.sqrt(sum(lp_norm(d, 2.0, "halfspace") ** 2 for d in hessian(mat.field)))
+    num = strip_derivative_norms(bvp_dirichlet(sine1, gb).materialize()[0].field, 2)[2]
     den = lp_norm(sine1.field, 2.0, "halfspace") + besov_norm(
         gb, SpaceSpec("Bdot", s=2.0 - 0.5, p=2.0, q=2.0)
     )
@@ -966,13 +972,14 @@ def dilation_error(u: Field, s_values: tuple[float, ...]) -> float:
     return worst
 
 
-@suite("scaling", "dyadic dilation scales potential norms with the whole-space exponent")
+@suite("scaling", "dyadic dilation scales potential norms with the whole-space exponent",
+       floor=(1, 4))
 def suite_scaling(cfg: SuiteConfig, rep: Report) -> None:
     lat = cfg.lattice()
     rng = np.random.default_rng(cfg.seed)
     kmax = max(lat.K // 4, 1)  # leaves room for two dyadic dilations
     modes = {}
-    while len(modes) < 12:
+    while len(modes) < min(12, (2 * kmax + 1) ** lat.n - 1):  # the distinct nonzero modes
         k = tuple(int(v) for v in rng.integers(-kmax, kmax + 1, size=lat.n))
         if any(k):
             modes[k] = complex(rng.standard_normal(), rng.standard_normal())
@@ -982,13 +989,21 @@ def suite_scaling(cfg: SuiteConfig, rep: Report) -> None:
     rep.add_case("dilation_composition", dev, 1e-14)
 
 
+def require_floors(names, cfg: SuiteConfig) -> None:
+    """Refuse an unknown suite, or one whose floor (dim, bandlimit) cfg is below."""
+    for name in names:
+        if name not in SUITES:
+            raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+        if cfg.dim < FLOORS[name][0] or cfg.bandlimit < FLOORS[name][1]:
+            raise ConfigError(f"suite {name} needs dim >= {FLOORS[name][0]} and bandlimit >= "
+                              f"{FLOORS[name][1]}, got dim={cfg.dim}, bandlimit={cfg.bandlimit}")
+
+
 def run_suite(name: str, cfg: SuiteConfig) -> Report:
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITES)}") from None
-    return fn(cfg)
+    require_floors([name], cfg)
+    return SUITES[name](cfg)
 
 
 def run_all(cfg: SuiteConfig) -> list[Report]:
+    require_floors(SUITES, cfg)
     return [run_suite(name, cfg) for name in SUITES]

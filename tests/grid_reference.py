@@ -11,15 +11,21 @@ column tables as exact roots of unity at rational heights
 arbitrary heights (vertical_phases, sample_slices), and project_columns
 against the copy-and-mask projection it replaced.  fsx builds the column
 operator of each parity reflection once per lattice; the tests check it
-against the per-call route, which builds the table, transforms it and
-applies it on every call (parity_per_call); it builds the restriction
-norm's witness operators once per lattice, keeping only their kept rows, and
-the tests check each witness against the full extension built on the call
-(witnesses_per_call).  fsx evaluates every
-grid norm and sup by one rule (norms.rectangle_rule), which reads the strip
-from columns; the tests check it against the rule on the whole sampled grid,
-cut to the heights it covers (lp_norm_reference, triebel_norm_reference,
-sup_reference).  The tests read the rule's sup of a half field over the
+against the per-call route, which builds the M-row table, transforms it and
+applies it on every call, residual from the M - 2K - 1 discarded rows
+(parity_per_call), and likewise the zero-boundary projection
+(project_zero_per_call); it builds the restriction norm's witness operators
+once per lattice, keeping only their kept rows, and the tests check each
+witness against the full extension built on the call (witnesses_per_call).
+fsx evaluates every grid norm and sup by one rule (norms.rectangle_rule),
+which reads the strip from columns; the tests check it against the rule on
+the whole sampled grid, cut to the heights it covers (lp_norm_reference,
+triebel_norm_reference, sup_reference).  At p = 2 on the strip the rule
+reads each column's sum of squares from a triangular factor
+(norms.strip_rows); the tests check it against the columns formed at the
+M/2 heights and summed (strip_rows_by_columns, strip_l2_by_columns), and
+the derivative norms of the resolvent estimate against the derivative
+fields built one by one (hessian, resolvent_estimate_by_fields).  The tests read the rule's sup of a half field over the
 upper half as the scale of its leakage and residuals (half_peak).
 """
 
@@ -28,7 +34,7 @@ import math
 import numpy as np
 
 from fsx.dyadic import delta_dot
-from fsx.halfspace import _mirror_table, extend_reflect, reflect_parity
+from fsx.halfspace import _mirror_table, extend_reflect, reflect_parity, reflection_coefficients
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -39,7 +45,9 @@ from fsx.lattice import (
     project_columns,
     xi_axes,
 )
+from fsx.multipliers import derivative, gradient
 from fsx.norms import get_family, rectangle_rule
+from fsx.solvers import resolvent_halfspace
 
 
 def sample_grid_reference(u, M):
@@ -101,6 +109,21 @@ def parity_per_call(u, parity):
     return Field(lat, kept.reshape(u.field.coef.shape)), residual
 
 
+def project_zero_per_call(u, m):
+    """project_zero of the Field u by the per-call route: the M-row table of
+    the upper half less the order-m mirror sum, its DFT along x_n and the
+    product with u's columns, projected to |k| <= K, all on this call."""
+    lat = u.lattice
+    M = default_oversample(lat)
+    upper = np.arange(M // 2 + 1)
+    alpha = reflection_coefficients(m).alpha
+    table = np.zeros((M, lat.modes_per_axis), dtype=complex)
+    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, alpha, upper, M)
+    spectral = np.fft.fft(table, axis=0, norm="forward")
+    kept, _ = project_columns(spectral @ u.coef.reshape(-1, lat.modes_per_axis).T, lat.K)
+    return Field(lat, kept.reshape(u.coef.shape))
+
+
 def witnesses_per_call(u):
     """The restriction norm's witnesses of the HalfField u as (name, field), in
     its order, each built and applied whole on this call: the plain and windowed
@@ -159,3 +182,37 @@ def half_peak(u):
     rule at the heights j L/M, j <= M/2, of the default grid."""
     M = default_oversample(u.field.lattice)
     return rectangle_rule([(1.0, occupied(u.field))], math.inf, np.arange(M // 2 + 1), M)
+
+
+def strip_rows_by_columns(v, M):
+    """For each horizontal mode of v, the sum over the strip's heights r L/M,
+    r < M/2, of |column(r)|^2, the columns formed at those heights."""
+    columns = v.coef @ exact_phases(v.lattice.K, np.arange(M // 2), M).T
+    return np.sum(np.abs(columns.reshape(-1, M // 2)) ** 2, axis=1)
+
+
+def strip_l2_by_columns(v, M=None):
+    """The strip rule at p = 2 on M (default: lp_norm's) from the columns' sums
+    of squares: sqrt((L/M)^n M^(n-1) sum)."""
+    lat = v.lattice
+    M = M or default_oversample(lat)
+    return math.sqrt((lat.L / M) ** lat.n * float(M) ** (lat.n - 1)
+                     * float(np.sum(strip_rows_by_columns(v, M))))
+
+
+def hessian(u):
+    """All n^2 second derivatives d_a d_b u, row by row (mixed ones twice)."""
+    n = u.lattice.n
+    return [derivative(u, tuple(int(a == i) + int(b == i) for i in range(n)))
+            for a in range(n) for b in range(n)]
+
+
+def resolvent_estimate_by_fields(f, lam, bc):
+    """resolvent_estimate_check by building u's n gradient and n^2 Hessian
+    fields and taking each one's strip L2 norm from its formed columns."""
+    norm_f = strip_l2_by_columns(f.field)
+    u, _ = resolvent_halfspace(f, complex(lam), bc)
+    n0 = strip_l2_by_columns(u.field)
+    n1 = math.sqrt(sum(strip_l2_by_columns(d) ** 2 for d in gradient(u.field)))
+    n2 = math.sqrt(sum(strip_l2_by_columns(d) ** 2 for d in hessian(u.field)))
+    return abs(lam) * n0 / norm_f, math.sqrt(abs(lam)) * n1 / norm_f, n2 / norm_f

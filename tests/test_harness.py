@@ -349,6 +349,28 @@ def test_benchmark_sweep_empties_the_witness_operators(monkeypatch):
     assert witness_operators.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("cache, args", [
+    ("halfspace._parity_operator", (make_lattice(2, 4), "odd")),
+    ("halfspace._zero_operator", (make_lattice(2, 4), 1)),
+    ("norms._strip_factor", (4, 32)),
+])
+def test_benchmark_sweep_empties_the_column_caches(monkeypatch, cache, args):
+    """desk_verify's sweep reaches the parity reflections' kept rows and
+    factors, the zero projection's kept rows and the strip's factors, so each
+    round builds them cold, as a CLI call does."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    desk = importlib.import_module("workloads").DeskVerify(0)
+    desk.load()
+    mod, name = cache.split(".")
+    cached = getattr(importlib.import_module(f"fsx.{mod}"), name)
+    assert id(cached) in {id(clear.__self__) for clear in desk.caches}
+    cached(*args)
+    for clear in desk.caches:
+        clear()
+    assert cached.cache_info().currsize == 0
+
+
 CACHE_DECORATORS = ("lru_cache", "cache")
 
 

@@ -4,8 +4,8 @@ The solvers and the suites build half fields whose far-face leakage nobody
 reads, so building one samples nothing.  The first read runs the rule's sup
 over the far band, bitwise equal to taking it directly (eager_leakage);
 later reads return it.  materialize_poisson supplies the sup of its sampled
-profile instead.  resolvent_estimate_check takes no strip sup: it refuses a
-zero source by its strip L2 norm.
+profile instead.  resolvent_estimate_check samples nothing: it refuses a
+zero source by its strip L2 norm, read from a triangular factor.
 """
 
 import json
@@ -114,11 +114,16 @@ class TestLazyLeakage:
             assert u.leakage == eager_leakage(u.field)
         assert len(strip_sups(sampled)) == 4  # bvp_neumann(hf, g) shares hf
 
-    def test_estimate_check_takes_no_strip_sup(self, sampled):
+    def test_estimate_check_takes_no_strip_sup(self, sampled, monkeypatch):
+        """It samples nothing: its four strip L2 sums, f's and u's times 1,
+        xi_n and xi_n^2, are read from the strip's triangular factor."""
+        read = []
+        monkeypatch.setattr(fsx_norms, "strip_rows",
+                            lambda v, M, rows=fsx_norms.strip_rows: read.append(M) or rows(v, M))
         lat = make_lattice(2, 8)
         f = make_half_field(field_from_modes(lat, {(1, 1): 0.5j, (1, -1): -0.5j, (2, 3): 0.25}))
         resolvent_estimate_check(f, 1.0, DIRICHLET)
-        assert sampled and strip_sups(sampled) == []
+        assert sampled == [] and read == [default_oversample(lat)] * 4
 
     def test_materialize_poisson_keeps_its_profile_value(self, sampled):
         lat = make_lattice(2, 16)

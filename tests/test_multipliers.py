@@ -10,13 +10,13 @@ from fsx.multipliers import (
     derivative,
     fractional_laplacian,
     gradient,
-    hessian,
     horizontal_fractional,
     horizontal_laplacian,
     laplacian,
     poisson_decay,
     resolvent_wholespace,
 )
+from grid_reference import hessian
 
 
 def random_zero_dc(lat, seed, count=12):

@@ -547,13 +547,13 @@ class TestBlocksOnce:
         blocks = [occupied(delta_dot(u, j, fam)) for j in fam.j_range]
         assert all(b.peak() > 0.0 for b in blocks)
         read = grid_coefficients(monkeypatch)
-        columns = fsx_norms._columns  # the strip reads each block as its columns
+        # the strip reads each block as its columns, or at p = 2 its strip_rows
+        for name in ("_columns", "strip_rows"):
+            def counted(v, *args, fn=getattr(fsx_norms, name)):
+                read.append(v.coef.tobytes())
+                return fn(v, *args)
 
-        def counted_columns(v, rows, M):
-            read.append(v.coef.tobytes())
-            return columns(v, rows, M)
-
-        monkeypatch.setattr(fsx_norms, "_columns", counted_columns)
+            monkeypatch.setattr(fsx_norms, name, counted)
         triebel_norms(u, (-0.5, 0.0, 0.7), p, domain)
         assert sorted(read) == sorted(b.coef.tobytes() for b in blocks)
 

@@ -1,8 +1,11 @@
 """The parity reflections' column operators, built once per lattice.
 
-reflect_parity reads the operator of each (lattice, parity) from a cache;
-every output must be bitwise what the per-call route gives
-(grid_reference.parity_per_call), with the cache cold and warm.
+reflect_parity reads the kept rows of each (lattice, parity), and the
+triangular factor of its discarded rows, from a cache.  Every coefficient
+array must be bitwise what the per-call route gives
+(grid_reference.parity_per_call), with the cache cold and warm; a projection
+residual, read from the factor instead of the discarded rows, agrees to
+round-off (residuals_agree).
 """
 
 import math
@@ -50,17 +53,25 @@ def parity_cases(draw):
     return make_half_field(Field(lat, coef)), g, parity, lam
 
 
+def residuals_agree(a, b):
+    """Two projection residuals equal to round-off: 1e-12 relative or 1e-15 absolute."""
+    return abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 1e-15)
+
+
 def outputs(hf, g, parity, lam):
-    """Every output of reflect_parity and the solvers that reflect hf with parity."""
+    """Every output of reflect_parity and the solvers that reflect hf with parity:
+    the coefficient arrays and values, then the projection residuals."""
     field, residual = fsx_solvers.reflect_parity(hf, parity)
-    out = [field.coef, residual]
+    out, residuals = [field.coef], [residual]
     bc = "dirichlet" if parity == "odd" else "neumann"
     u, res = resolvent_halfspace(hf, lam, bc)
-    out += [u.field.coef, u.leakage, res]
+    out += [u.field.coef, u.leakage]
+    residuals.append(res)
     if g is not None:
         sol = (bvp_dirichlet if parity == "odd" else bvp_neumann)(hf, g)
-        out += [sol.v.coef, sol.w.boundary.coef, sol.reflection_residual]
-    return out
+        out += [sol.v.coef, sol.w.boundary.coef]
+        residuals.append(sol.reflection_residual)
+    return out, residuals
 
 
 class TestParityOperatorCache:
@@ -73,22 +84,26 @@ class TestParityOperatorCache:
         cold = outputs(*case)
         warm = outputs(*case)
         assert fsx_halfspace._parity_operator.cache_info().misses == 1
-        for got in (cold, warm):
-            assert len(got) == len(want)
-            assert all(same_bits(a, b) for a, b in zip(got, want))
+        for got, residuals in (cold, warm):
+            assert len(got) == len(want[0]) and len(residuals) == len(want[1])
+            assert all(same_bits(a, b) for a, b in zip(got, want[0]))
+            assert all(residuals_agree(a, b) for a, b in zip(residuals, want[1]))
 
     def test_reflect_parity_equals_the_per_call_route(self):
-        hf = make_half_field(generate_corpus(42, "sine_strip", 1, make_lattice(2, 32)).fields[0])
-        for parity in ("odd", "even"):
-            got, res = reflect_parity(hf, parity)
-            want, want_res = parity_per_call(hf, parity)
-            assert same_bits(got.coef, want.coef) and res == want_res
+        for kind in ("sine_strip", "cosine_strip"):
+            hf = make_half_field(generate_corpus(42, kind, 1, make_lattice(2, 32)).fields[0])
+            for parity in ("odd", "even"):
+                got, res = reflect_parity(hf, parity)
+                want, want_res = parity_per_call(hf, parity)
+                assert same_bits(got.coef, want.coef) and residuals_agree(res, want_res)
 
     def test_cached_operator_is_read_only(self):
         for parity in ("odd", "even"):
-            op = fsx_halfspace._parity_operator(make_lattice(2, 4), parity)
-            with pytest.raises(ValueError):
-                op[0, 0] = 1.0
+            kept, factor = fsx_halfspace._parity_operator(make_lattice(2, 4), parity)
+            assert kept.shape == factor.shape == (9, 9)
+            for op in (kept, factor):
+                with pytest.raises(ValueError):
+                    op[0, 0] = 1.0
 
     def test_built_once_per_parity(self):
         lat = make_lattice(2, 8)
