@@ -18,7 +18,7 @@ from .errors import ConfigError, FsxError
 from .halfspace import HalfField
 from .lattice import load_field, save_field
 from .norms import parse_space_spec, space_norm
-from .report import Report, write_report
+from .report import nest_reports, write_report
 from .solvers import (
     DIRICHLET,
     NEUMANN,
@@ -100,38 +100,13 @@ def _cmd_verify(args) -> int:
     )
     names = list(SUITES) if args.suite == "all" else [args.suite]
     require_floors(names, cfg)  # refuse before any suite runs
-    reports: list[Report] = []
-    all_pass = True
+    reports = []
     for name in names:
-        rep = run_suite(name, cfg)
-        reports.append(rep)
-        all_pass &= rep.passed
-        print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
-    if len(reports) == 1:
-        write_report(reports[0], args.out)
-    else:
-        combined = Report(
-            suite="all",
-            params=reports[0].params,
-            cases=[
-                {
-                    "case": f"{r.suite}",
-                    "digest": "",
-                    "value": 1.0 if r.passed else 0.0,
-                    "bound": 1.0,
-                    "passed": r.passed,
-                }
-                for r in reports
-            ],
-            constants={
-                f"{r.suite}.{k}": v for r in reports for k, v in r.constants.items()
-            },
-            verifies=[lbl for r in reports for lbl in r.verifies],
-            wall_time=sum(r.wall_time for r in reports),
-        )
-        write_report(combined, args.out)
+        reports.append(run_suite(name, cfg))
+        print(f"{name}: {'pass' if reports[-1].passed else 'FAIL'}")
+    write_report(reports[0] if len(reports) == 1 else nest_reports(reports), args.out)
     print(f"report written to {args.out}")
-    return 0 if all_pass else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_norm(args) -> int:

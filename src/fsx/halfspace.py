@@ -32,7 +32,6 @@ rows they cover; a HalfField's far-face leakage is one, taken on its first read.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, replace
 from functools import cached_property, lru_cache
@@ -267,19 +266,17 @@ def lower_half_defect(p0u: Field) -> float:
     return rectangle_rule([(1.0, occupied(p0u))], math.inf, np.arange(M // 2 + 1, M), M)
 
 
-def indicator_multiply(u: Field, enlarge: int = 4) -> tuple[Field, float]:
+def indicator_multiply(u: Field) -> tuple[Field, float]:
     """Multiply by the sharp indicator of {0 <= x_n < L/2}.
 
-    The output is projected to an enlarged lattice (bandlimit enlarge * K) to
-    capture the slowly decaying tail the cut creates; the discarded-tail
-    residual is returned alongside.  The cut only acts along x_n, so the
-    output's horizontal modes stay those of u, |k'| <= K.
+    The output is projected to the enlarged lattice of bandlimit 4K, on twice
+    the default grid, to capture the slowly decaying tail the cut creates; the
+    discarded-tail residual is returned alongside.  The cut only acts along
+    x_n, so the output's horizontal modes stay those of u, |k'| <= K.
     """
-    if isinstance(enlarge, bool) or not isinstance(enlarge, numbers.Integral) or enlarge < 1:
-        raise InvalidParameter(f"enlarge must be an integer >= 1, got {enlarge!r}")
     lat = u.lattice
-    big = Lattice(lat.n, int(enlarge) * lat.K, lat.L)
-    M = default_oversample(big, factor=2)
+    big = Lattice(lat.n, 4 * lat.K, lat.L)
+    M = 2 * default_oversample(lat)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
     table[: M // 2] = exact_phases(lat.K, np.arange(M // 2), M)
     columns = u.coef.reshape(-1, lat.modes_per_axis).T

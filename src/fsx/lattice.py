@@ -64,10 +64,9 @@ def make_lattice(n: int, K: int, L: float = TWO_PI) -> Lattice:
     return Lattice(int(n), int(K), float(L))
 
 
-def default_oversample(lat: Lattice, factor: int = 4) -> int:
-    """Samples per axis: factor * 2K rounded up to a power of two."""
-    target = max(factor * 2 * lat.K, 2 * lat.K + 2)
-    return 1 << (target - 1).bit_length()
+def default_oversample(lat: Lattice) -> int:
+    """Samples per axis: 8K rounded up to a power of two."""
+    return 1 << (8 * lat.K - 1).bit_length()
 
 
 def exact_grid(lat: Lattice, p: float, whole: bool = True) -> int:
@@ -76,7 +75,7 @@ def exact_grid(lat: Lattice, p: float, whole: bool = True) -> int:
     For even integer p on the whole torus, |u|^p = (u conj(u))^(p/2) is
     band-limited at pK, so the rectangle rule is exact on every M > pK; this
     returns the smallest 2*3*5-smooth such M that is also at least 2K+2, the
-    floor of sample_grid; for a field on a smaller band, pass occupied(u)'s
+    floor of grid_slabs; for a field on a smaller band, pass occupied(u)'s
     lattice.  Every other exponent, and the strip's half interval
     (whole=False), has no exact grid and gets default_oversample.
     """
@@ -345,24 +344,6 @@ def grid_slabs(u: Field, M: int, buffer: np.ndarray | None = None) -> Iterator[n
         np.fft.ifftn(slab, axes=(0,), out=slab)
         slab *= scale
         yield slab
-
-
-@dataclass(frozen=True, eq=False)
-class SampleGrid:
-    """Values of a field on the regular grid x = (L/M) * j."""
-
-    lattice: Lattice
-    M: int
-    values: np.ndarray
-
-
-def sample_grid(u: Field, M: int) -> SampleGrid:
-    """Sample on the M^n grid via zero-padded inverse DFT (exact): grid_slabs, assembled."""
-    values = np.empty((M, M ** (u.lattice.n - 1)), dtype=complex)
-    width = per_slab(values.shape[1], M)
-    for i, slab in enumerate(grid_slabs(u, M)):
-        values[:, i * width : i * width + slab.shape[1]] = slab
-    return SampleGrid(u.lattice, M, values.reshape((M,) * u.lattice.n))
 
 
 def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:

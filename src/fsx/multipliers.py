@@ -1,10 +1,9 @@
 """Exact Fourier-multiplier engine on band-limited fields.
 
 Symbols are evaluated in double precision at the exact lattice frequencies.
-A symbol may be undefined on part of the frequency set (typically xi = 0, or
-the plane xi' = 0 for boundary-tangential operators); applying it to a field
-carrying non-negligible amplitude there raises HomogeneousDCViolation,
-otherwise the offending modes are zeroed.
+A symbol may be undefined on part of the frequency set (typically xi = 0);
+applying it to a field carrying non-negligible amplitude there raises
+HomogeneousDCViolation, otherwise the offending modes are zeroed.
 """
 
 from __future__ import annotations
@@ -82,26 +81,6 @@ def derivative(u: Field, alpha: tuple[int, ...]) -> Field:
 def gradient(u: Field) -> list[Field]:
     n = u.lattice.n
     return [derivative(u, tuple(int(a == b) for b in range(n))) for a in range(n)]
-
-
-def horizontal_norm_sq(lat: Lattice) -> np.ndarray:
-    """|xi'|^2 over the mode grid (all axes except the last, vertical one)."""
-    comps = _xi_components(lat)
-    total = np.zeros(lat.mode_shape)
-    for c in comps[:-1]:
-        total = total + c**2
-    return total
-
-
-def horizontal_laplacian(u: Field) -> Field:
-    """Laplacian in the first n-1 variables: multiplier -|xi'|^2."""
-    return _apply_values(u, -horizontal_norm_sq(u.lattice), None, "horizontal_laplacian")
-
-
-def horizontal_fractional(u: Field, s: float) -> Field:
-    """(-Laplacian')^(s/2): multiplier |xi'|^s, undefined on the plane xi' = 0."""
-    rsq = horizontal_norm_sq(u.lattice)
-    return _apply_values(u, potential_weight(rsq, s), rsq == 0.0, "horizontal_fractional")
 
 
 def poisson_decay(u: Field, t: float) -> Field:

@@ -449,17 +449,11 @@ def _mode_pair(u: Field, v: Field) -> complex:
     return complex(u.lattice.L ** u.lattice.n * np.sum(u.coef * flipped))
 
 
-def pairing(u: Field, v: Field, domain: str = "whole") -> complex:
-    """Bilinear duality pairing via near-diagonal frequency blocks.
-
-    On the whole torus this equals the integral of u * v for zero-mean
-    fields; on the half-space domain it is the exact strip integral of
-    the product.
-    """
+def pairing(u: Field, v: Field) -> complex:
+    """Bilinear duality pairing via near-diagonal frequency blocks: the integral
+    of u * v over the torus, for zero-mean fields."""
     if u.lattice != v.lattice:
         raise InvalidParameter("fields live on different lattices")
-    if domain == "halfspace":
-        return halfspace_product_integral(u, v, conjugate=False)
     _require_admissible(u, "duality pairing")
     _require_admissible(v, "duality pairing")
     fam = get_family(u.lattice)

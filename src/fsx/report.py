@@ -88,10 +88,24 @@ def report_digest(r: Report) -> str:
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 
 
-def write_report(r: Report, path: str) -> None:
+def nest_reports(reports: list[Report]) -> dict:
+    """Several suites' reports as one: each in full under "reports", with the
+    shared params, whether every one passed and their total wall time on top."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "suite": "all",
+        "params": reports[0].params,
+        "reports": [r.to_dict() for r in reports],
+        "passed": all(r.passed for r in reports),
+        "wall_time": sum(r.wall_time for r in reports),
+    }
+
+
+def write_report(r: Report | dict, path: str) -> None:
+    """Write a Report, or the dict of nest_reports, as canonical JSON."""
     try:
         with open(path, "w") as fh:
-            fh.write(canonical_json(r.to_dict()))
+            fh.write(canonical_json(r if isinstance(r, dict) else r.to_dict()))
             fh.write("\n")
     except OSError as exc:
         raise IoError(str(exc)) from exc

@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import DEFAULT_BUMP_SIGMA, bump_field, generate_corpus
 from .dyadic import (
+    PARTITION_TOL,
     BlockSeq,
     DyadicFamily,
     annulus_values,
@@ -158,6 +159,17 @@ def _random_corpus(cfg: SuiteConfig, size: int | None = None, lat: Lattice | Non
     )
 
 
+def distinct_modes(rng: np.random.Generator, n: int, kmax: int, count: int) -> dict:
+    """min(count, (2 kmax + 1)^n - 1) distinct nonzero modes k with |k_i| <= kmax, each
+    with a complex standard-normal amplitude; a mode drawn again takes the new one."""
+    modes = {}
+    while len(modes) < min(count, (2 * kmax + 1) ** n - 1):
+        k = tuple(int(v) for v in rng.integers(-kmax, kmax + 1, size=n))
+        if any(k):
+            modes[k] = complex(rng.standard_normal(), rng.standard_normal())
+    return modes
+
+
 def _coarse_lattice(cfg: SuiteConfig) -> Lattice:
     """The cross-lattice check's other side: half the bandlimit, or 2 at bandlimit 1."""
     return replace(cfg, bandlimit=cfg.bandlimit // 2 or 2).lattice()
@@ -179,9 +191,6 @@ def spread(a: float, b: float) -> float:
 def in_window(*ratios: float) -> bool:
     """Whether every ratio lies inside EQUIVALENCE_WINDOW."""
     return all(EQUIVALENCE_WINDOW[0] <= r <= EQUIVALENCE_WINDOW[1] for r in ratios)
-
-
-PARTITION_TOL = 1e-12
 
 
 def partition_defects(fam: DyadicFamily) -> tuple[float, float, float]:
@@ -806,14 +815,8 @@ def suite_poisson(cfg: SuiteConfig, rep: Report) -> None:
     worst = 0.0
     rng = np.random.default_rng(cfg.seed + 5)
     for _ in range(3):
-        modes = {}
-        while len(modes) < min(10, (2 * blat.K + 1) ** blat.n - 1):  # the distinct nonzero modes
-            k = tuple(int(v) for v in rng.integers(-blat.K, blat.K + 1, size=blat.n))
-            if any(k):
-                modes[k] = complex(rng.standard_normal(), rng.standard_normal()) * (
-                    1 + math.hypot(*k)
-                ) ** -2.0
-        gb = field_from_modes(blat, modes)
+        modes = distinct_modes(rng, blat.n, blat.K, 10)
+        gb = field_from_modes(blat, {k: c * (1 + math.hypot(*k)) ** -2.0 for k, c in modes.items()})
         hf, _ = materialize_poisson(poisson_extend(gb), lat)
         for s, p in [(0.5, 2.0), (1.0, 2.0), (1.5, 2.0), (1.0, 4.0)]:
             num = sobolev_norm(hf.field, SpaceSpec("Hdot", s=s, p=p, domain="halfspace"))
@@ -978,12 +981,7 @@ def suite_scaling(cfg: SuiteConfig, rep: Report) -> None:
     lat = cfg.lattice()
     rng = np.random.default_rng(cfg.seed)
     kmax = max(lat.K // 4, 1)  # leaves room for two dyadic dilations
-    modes = {}
-    while len(modes) < min(12, (2 * kmax + 1) ** lat.n - 1):  # the distinct nonzero modes
-        k = tuple(int(v) for v in rng.integers(-kmax, kmax + 1, size=lat.n))
-        if any(k):
-            modes[k] = complex(rng.standard_normal(), rng.standard_normal())
-    u = field_from_modes(lat, modes)
+    u = field_from_modes(lat, distinct_modes(rng, lat.n, kmax, 12))
     rep.add_case("dilation_scaling", dilation_error(u, cfg.s_list), ROUNDOFF_TOL)
     dev = float(np.max(np.abs(dilate(dilate(u, 1), 1).coef - dilate(u, 2).coef)))
     rep.add_case("dilation_composition", dev, 1e-14)

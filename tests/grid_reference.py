@@ -2,10 +2,12 @@
 
 fsx applies its half-space operators to columns (lattice.project_columns)
 and samples no whole grid.  The tests check those kernels against the
-sample, overwrite and project round trip on the M^n grid, whose projection
-step lives here.  fsx samples a grid by a pruned transform, one axis at a
-time (lattice.sample_grid); the tests check it against the one-shot
-transform of the fully padded array, which also lives here.  fsx reads its
+sample, overwrite and project round trip on the M^n grid, whose sampling
+and projection steps live here (sample_grid_reference, project_bandlimited).
+fsx has one sampler, lattice.grid_slabs: a pruned transform, one axis at a
+time, streamed in slabs; the tests assemble its slabs into the whole grid
+(slab_grid) and check it against the one-shot transform of the fully padded
+array (sample_grid_reference).  fsx reads its
 column tables as exact roots of unity at rational heights
 (lattice.exact_phases); the tests check them against cosines and sines at
 arbitrary heights (vertical_phases, sample_slices), and project_columns
@@ -39,6 +41,7 @@ from fsx.lattice import (
     Field,
     default_oversample,
     exact_phases,
+    grid_slabs,
     horizontal_samples,
     k_axis,
     occupied,
@@ -58,14 +61,21 @@ def sample_grid_reference(u, M):
     return np.fft.ifftn(padded) * float(M) ** lat.n
 
 
-def project_bandlimited(s, target):
-    """Truncate the DFT of the sample grid s to the target bandlimit.
+def slab_grid(u, M):
+    """u's values on the M^n grid, lattice.grid_slabs's slabs assembled."""
+    slabs = [slab.copy() for slab in grid_slabs(u, M)]
+    return np.concatenate(slabs, axis=1).reshape((M,) * u.lattice.n)
+
+
+def project_bandlimited(values, target):
+    """Truncate the DFT of the M^n grid of samples values to the target bandlimit.
 
     Returns the projected field and the relative l2 magnitude of the
     discarded tail (0 for exactly band-limited input).
     """
-    chat = np.fft.fftn(s.values) / float(s.M) ** target.n
-    idx = np.ix_(*([k_axis(target.K) % s.M] * target.n))
+    M = values.shape[0]
+    chat = np.fft.fftn(values) / float(M) ** target.n
+    idx = np.ix_(*([k_axis(target.K) % M] * target.n))
     kept = chat[idx].copy()
     chat[idx] = 0.0
     tail = float(np.sum(np.abs(chat) ** 2))

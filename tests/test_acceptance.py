@@ -15,7 +15,7 @@ import numpy as np
 
 from fsx import suites
 from fsx.corpus import DEFAULT_BUMP_SIGMA, bump_field, generate_corpus
-from fsx.dyadic import build_dyadic_family
+from fsx.dyadic import PARTITION_TOL, build_dyadic_family
 from fsx.halfspace import make_half_field
 from fsx.lattice import field_from_modes, make_lattice
 from fsx.report import report_digest
@@ -49,17 +49,12 @@ def _bump(lat, lower=False):
 def _random_modes(lat, count, kmax):
     """count distinct nonzero modes with |k_i| <= kmax and normal amplitudes."""
     rng = np.random.default_rng(SEED)
-    modes = {}
-    while len(modes) < count:
-        k = tuple(int(v) for v in rng.integers(-kmax, kmax + 1, size=lat.n))
-        if any(k):
-            modes[k] = complex(rng.standard_normal(), rng.standard_normal())
-    return field_from_modes(lat, modes)
+    return field_from_modes(lat, suites.distinct_modes(rng, lat.n, kmax, count))
 
 
 def test_criterion_01_dyadic_partition():
     dev, support, ortho = suites.partition_defects(FAM)
-    ok = dev <= suites.PARTITION_TOL and support == 0.0 and ortho == 0.0
+    ok = dev <= PARTITION_TOL and support == 0.0 and ortho == 0.0
     _announce(1, "dyadic partition exact", ok,
               f"partition_dev={dev:.2e} support={support:.1e} ortho={ortho:.1e}")
 

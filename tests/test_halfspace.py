@@ -30,19 +30,17 @@ from fsx.halfspace import (
 from fsx.lattice import (
     Field,
     Lattice,
-    SampleGrid,
     default_oversample,
     evaluate,
     field_from_modes,
     make_lattice,
-    sample_grid,
     without_mean,
     zero_field,
 )
 from fsx.multipliers import derivative
 from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm, triebel_norm
 from fsx.poisson import PoissonField, materialize_poisson
-from grid_reference import half_peak, project_bandlimited, sample_slices
+from grid_reference import half_peak, project_bandlimited, sample_grid_reference, sample_slices
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,8 +75,8 @@ def one_sided_bump(lat, center=None, sigma=None, lower=False):
 def restriction_error(field_out, field_in, M=None):
     """Sup difference over the upper-half grid."""
     M = M or default_oversample(field_in.lattice)
-    a = sample_grid(field_out, M).values[..., : M // 2 + 1]
-    b = sample_grid(field_in, M).values[..., : M // 2 + 1]
+    a = sample_grid_reference(field_out, M)[..., : M // 2 + 1]
+    b = sample_grid_reference(field_in, M)[..., : M // 2 + 1]
     return float(np.max(np.abs(a - b)))
 
 
@@ -268,7 +266,7 @@ class TestProjectZero:
         u = one_sided_bump(lat, lower=True)
         p = project_zero(u, 0)
         M = default_oversample(lat)
-        vals = sample_grid(p, M).values[..., : M // 2]
+        vals = sample_grid_reference(p, M)[..., : M // 2]
         assert np.max(np.abs(vals)) > 0.5 * lp_norm(u, math.inf)
 
     def test_idempotent_on_upper_bumps(self, lat):
@@ -307,15 +305,11 @@ class TestProjectZero:
 
 
 class TestIndicator:
-    @pytest.mark.parametrize("enlarge", [0, -1, 2.5, True, "4", None])
-    def test_enlarge_must_be_a_positive_integer(self, lat, enlarge):
-        with pytest.raises(InvalidParameter, match="enlarge"):
-            indicator_multiply(plane_wave_field(lat), enlarge)
-
-    @pytest.mark.parametrize("enlarge", [1, 2, np.int64(3)])
-    def test_integer_enlarge_sets_the_output_bandlimit(self, lat, enlarge):
-        cut, _ = indicator_multiply(plane_wave_field(lat), enlarge)
-        assert cut.lattice.K == int(enlarge) * lat.K
+    @pytest.mark.parametrize("n, K", [(1, 3), (2, 8), (3, 4)])
+    def test_output_bandlimit_is_four_times_the_input(self, n, K):
+        lat = make_lattice(n, K)
+        cut, _ = indicator_multiply(field_from_modes(lat, {(1,) * n: 1.0}))
+        assert cut.lattice == Lattice(n, 4 * K, lat.L)
 
     def test_upper_bump_passes_through(self, lat):
         u = one_sided_bump(lat)
@@ -441,7 +435,7 @@ class TestBumpQuality:
     def test_bump_vanishes_at_boundaries(self, lat):
         u = one_sided_bump(lat)
         M = default_oversample(lat)
-        vals = sample_grid(u, M).values
+        vals = sample_grid_reference(u, M)
         boundary = np.abs(vals[..., 0]).max()
         far = np.abs(vals[..., M // 2]).max()
         assert boundary <= 1e-8 * u.peak()
@@ -474,59 +468,59 @@ def grid_mirror_sum(u, coeffs, heights, M):
 def grid_extend(u, coeffs, window=False):
     lat = u.lattice
     M = default_oversample(lat)
-    values = sample_grid(u, M).values.copy()
+    values = sample_grid_reference(u, M)
     sn = signed_heights(M, lat.L)
     lower = np.nonzero(sn < 0.0)[0]
     acc = grid_mirror_sum(u, coeffs, sn[lower], M)
     if window:
         acc = acc * smooth_cut((6.0 / lat.L) * np.abs(sn[lower]))
     values[..., lower] = acc
-    return project_bandlimited(SampleGrid(lat, M, values), lat)
+    return project_bandlimited(values, lat)
 
 
 def grid_parity(u, sign):
     lat = u.lattice
     M = default_oversample(lat)
-    values = sample_grid(u, M).values.copy()
+    values = sample_grid_reference(u, M)
     lower = np.nonzero(signed_heights(M, lat.L) < 0.0)[0]
     values[..., lower] = sign * values[..., M - lower]
-    return project_bandlimited(SampleGrid(lat, M, values), lat)
+    return project_bandlimited(values, lat)
 
 
 def grid_project_zero(u, m):
     lat = u.lattice
     M = default_oversample(lat)
-    values = sample_grid(u, M).values.copy()
+    values = sample_grid_reference(u, M)
     sn = signed_heights(M, lat.L)
     upper = np.nonzero(sn >= 0.0)[0]
     values[..., upper] -= grid_mirror_sum(u, reflection_coefficients(m).alpha, sn[upper], M)
     values[..., sn < 0.0] = 0.0
-    return project_bandlimited(SampleGrid(lat, M, values), lat)[0]
+    return project_bandlimited(values, lat)[0]
 
 
-def grid_indicator(u, enlarge):
+def grid_indicator(u):
     lat = u.lattice
-    big = Lattice(lat.n, enlarge * lat.K, lat.L)
-    M = default_oversample(big, factor=2)
-    values = sample_grid(u, M).values.copy()
+    big = Lattice(lat.n, 4 * lat.K, lat.L)
+    M = 2 * default_oversample(lat)
+    values = sample_grid_reference(u, M)
     values[..., M // 2 :] = 0.0
-    return project_bandlimited(SampleGrid(big, M, values), big)
+    return project_bandlimited(values, big)
 
 
 def grid_poisson(pf, lat):
     """The profile sampled height by height on the x'-grid, projected; and its far-band sup."""
     M = default_oversample(lat)
     heights = np.arange(M) * (lat.L / M)
-    values = np.stack([sample_grid(pf.slice_field(h), M).values for h in heights], axis=-1)
+    values = np.stack([sample_grid_reference(pf.slice_field(h), M) for h in heights], axis=-1)
     band = max(int(M / 16), 1)
     leakage = float(np.max(np.abs(values[..., M // 2 - band : M // 2 + 1])))
-    field, residual = project_bandlimited(SampleGrid(lat, M, values), lat)
+    field, residual = project_bandlimited(values, lat)
     return field, residual, leakage
 
 
 def grid_strip_l2(u, M=None):
     M = M or default_oversample(u.lattice)
-    values = sample_grid(u, M).values[..., : M // 2]
+    values = sample_grid_reference(u, M)[..., : M // 2]
     return math.sqrt((u.lattice.L / M) ** u.lattice.n * np.sum(np.abs(values) ** 2))
 
 
@@ -534,8 +528,8 @@ def grid_product_integral(u, v, conjugate):
     """Strip integral from the DFT of the sampled product and half-period weights."""
     lat = u.lattice
     M = default_oversample(lat)
-    su = sample_grid(u, M).values
-    sv = sample_grid(v, M).values
+    su = sample_grid_reference(u, M)
+    sv = sample_grid_reference(v, M)
     phat = np.fft.fftn(su * (np.conj(sv) if conjugate else sv)) / float(M) ** lat.n
     vertical = phat[(0,) * (lat.n - 1)]
     r = ((np.arange(M) + M // 2) % M) - M // 2
@@ -616,10 +610,10 @@ class TestColumnKernelsMatchGrid:
         assert_same_field(project_zero(u, m), grid_project_zero(u, m), u, growth=growth)
 
     @COLUMN_SETTINGS
-    @given(random_fields(), st.sampled_from([1, 4]))
-    def test_indicator_multiply(self, u, enlarge):
-        got, res = indicator_multiply(u, enlarge)
-        want, want_res = grid_indicator(u, enlarge)
+    @given(random_fields())
+    def test_indicator_multiply(self, u):
+        got, res = indicator_multiply(u)
+        want, want_res = grid_indicator(u)
         assert_same_field(got, want, u, (res, want_res))
 
     @COLUMN_SETTINGS
@@ -643,7 +637,7 @@ class TestColumnKernelsMatchGrid:
     @given(random_fields())
     def test_sups(self, u):
         M = default_oversample(u.lattice)
-        values = np.abs(sample_grid(u, M).values)
+        values = np.abs(sample_grid_reference(u, M))
         band = max(int(M / 16), 1)
         hf = make_half_field(u)
         assert hf.leakage == pytest.approx(
@@ -743,9 +737,8 @@ class TestNoWholeGrid:
         monkeypatch.setattr(np, "cos", counted("cos", np.cos))
         monkeypatch.setattr(np, "sin", counted("sin", np.sin))
         for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson, fsx_suites):
-            for name in ("sample_grid", "grid_slabs"):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+            if hasattr(mod, "grid_slabs"):
+                monkeypatch.setattr(mod, "grid_slabs", counted("grid_slabs", mod.grid_slabs))
         return calls
 
     @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
@@ -770,7 +763,7 @@ class TestNoWholeGrid:
         g = without_mean(Field(lat.boundary(), u.coef.sum(axis=-1)))
         materialize_poisson(PoissonField(g), lat)
         M = default_oversample(lat)
-        assert not [c for c in grid_calls if c[0] in ("sample_grid", "grid_slabs", "fftn")]
+        assert not [c for c in grid_calls if c[0] in ("grid_slabs", "fftn")]
         assert all(shape != (M,) * n for _, shape in grid_calls)
         assert not [c for c in grid_calls if c[0] in ("cos", "sin") and len(c[1]) >= 2]
 
@@ -784,7 +777,7 @@ class TestNoWholeGrid:
             triebel_norm(u, 0.5, p, "halfspace")
         fsx_suites.restriction_excess(make_half_field(u))
         M = default_oversample(lat)
-        assert not [c for c in grid_calls if c[0] in ("sample_grid", "grid_slabs", "fftn")]
+        assert not [c for c in grid_calls if c[0] in ("grid_slabs", "fftn")]
         assert all(shape != (M,) * n for _, shape in grid_calls)
 
     def test_strip_l2_still_refuses_an_aliasing_grid(self):

@@ -21,10 +21,10 @@ from fsx.corpus import generate_corpus
 from fsx.errors import ConfigError, InvalidParameter, UnknownSuite
 from fsx.lattice import (
     field_from_modes,
+    grid_slabs,
     load_field,
     make_lattice,
     plane_wave,
-    sample_grid,
     save_field,
 )
 from fsx.poisson import trace
@@ -313,6 +313,18 @@ class TestCli:
         assert params["period"] == pytest.approx(2.0 * math.pi, rel=1e-12)
         assert (params["dim"], params["bandlimit"], params["corpus_size"]) == (2, 8, 1)
 
+    def test_all_report_nests_every_suite_report(self, tmp_path, capsys):
+        out = str(tmp_path / "rep.json")
+        rc = cli_main(["verify", "--suite", "all", "--bandlimit", "8", "--size", "1", "--out", out])
+        data = read_report(out)
+        nested = data["reports"]
+        assert [r["suite"] for r in nested] == list(fsx.suites.SUITES)
+        assert all(r["params"] == data["params"] and r["cases"] for r in nested)
+        assert data["passed"] == all(r["passed"] for r in nested) == (rc == 0)
+        assert data["wall_time"] == pytest.approx(sum(r["wall_time"] for r in nested))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [f"{r['suite']}: {'pass' if r['passed'] else 'FAIL'}" for r in nested]
+
 
 def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
     """Every lru_cache of fsx is reachable from the modules whose caches the
@@ -417,7 +429,7 @@ def test_every_cache_is_at_module_level():
 
 def test_benchmark_traces_every_grid_transform(monkeypatch):
     """The benchmark times FFTs by wrapping np.fft.fftn and np.fft.ifftn, so
-    sample_grid runs its passes through np.fft.ifftn, one per axis, and never
+    grid_slabs runs its passes through np.fft.ifftn, one per axis, and never
     through np.fft.ifft, which the benchmark does not see."""
     bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
     monkeypatch.syspath_prepend(bench)
@@ -436,7 +448,7 @@ def test_benchmark_traces_every_grid_transform(monkeypatch):
     monkeypatch.setattr(np.fft, "ifft", untraced)
     for n in (1, 2, 3):
         calls.clear()
-        sample_grid(plane_wave(make_lattice(n, 3), (1,) * n), 8)
+        list(grid_slabs(plane_wave(make_lattice(n, 3), (1,) * n), 8))
         assert sorted(calls) == [(a,) for a in range(n)]
 
 
@@ -451,3 +463,19 @@ def test_benchmark_times_every_registered_suite(monkeypatch):
     registry = list(fsx.suites.SUITES)
     assert set(desk) <= set(registry)
     assert sorted(desk, key=registry.index) == list(desk)
+
+
+@pytest.mark.parametrize("name, ops", [("halfspace_solves", 120), ("norm_queries", 114)])
+def test_benchmark_stream_round_fails_no_operation(monkeypatch, name, ops):
+    """One checked round of a stream workload at the benchmark's default seed,
+    after its set-up: every operation returns and passes its check against
+    bench/reference.py, so an fsx name or parameter the benchmark calls cannot
+    be deleted unnoticed."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    workload = importlib.import_module("workloads").WORKLOADS[name](42)
+    workload.load()
+    workload.prepare()
+    outcomes = workload.round(None).outcomes
+    assert len(outcomes) == ops
+    assert [o.name for o in outcomes if o.failed] == []

@@ -10,8 +10,6 @@ from fsx.multipliers import (
     derivative,
     fractional_laplacian,
     gradient,
-    horizontal_fractional,
-    horizontal_laplacian,
     laplacian,
     poisson_decay,
     resolvent_wholespace,
@@ -101,12 +99,6 @@ class TestDerivative:
         with pytest.raises(InvalidParameter):
             derivative(plane_wave(make_lattice(2, 4), (1, 0)), (order, 0))
 
-    def test_horizontal_laplacian_uses_first_axes(self):
-        lat = make_lattice(2, 8)
-        u = plane_wave(lat, (2, 7))
-        v = horizontal_laplacian(u)
-        assert np.max(np.abs(v.coef + 4.0 * u.coef)) < 1e-13
-
     def test_mixed_derivative_oracle(self):
         lat = make_lattice(2, 10)
         u, modes = random_zero_dc(lat, 6)
@@ -115,18 +107,6 @@ class TestDerivative:
             want = c * (1j * k[0]) ** 2 * (1j * k[1])
             got = v.coef[tuple(ki + lat.K for ki in k)]
             assert abs(got - want) < 1e-14 * max(abs(want), 1.0)
-
-    def test_horizontal_fractional_rejects_vertical_line(self):
-        lat = make_lattice(2, 4)
-        u = plane_wave(lat, (0, 2))  # xi' = 0
-        with pytest.raises(HomogeneousDCViolation):
-            horizontal_fractional(u, 0.5)
-
-    def test_horizontal_fractional_values(self):
-        lat = make_lattice(2, 8)
-        u = plane_wave(lat, (3, 5))
-        v = horizontal_fractional(u, 2.0)
-        assert np.max(np.abs(v.coef - 9.0 * u.coef)) < 1e-13
 
 
 class TestCommutation:

@@ -22,7 +22,6 @@ from fsx.lattice import (
     make_lattice,
     occupied,
     plane_wave,
-    sample_grid,
     zero_field,
 )
 from fsx.norms import (
@@ -44,7 +43,13 @@ from fsx.norms import (
     triebel_norms,
 )
 from fsx.suites import SuiteConfig, interp_besov_ratios, suite_lp_partition, suite_norm_equiv
-from grid_reference import lp_norm_reference, sup_reference, triebel_norm_reference
+from grid_reference import (
+    lp_norm_reference,
+    sample_grid_reference,
+    slab_grid,
+    sup_reference,
+    triebel_norm_reference,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,8 +264,8 @@ class TestOneRule:
 
 
 def reduce_grid(u, p, M):
-    """The rectangle rule on the assembled sample_grid: the sup, or the sum."""
-    g = np.abs(sample_grid(u, M).values)
+    """The rectangle rule on the assembled grid_slabs: the sup, or the sum."""
+    g = np.abs(slab_grid(u, M))
     if math.isinf(p):
         return g.max()
     return float(((u.lattice.L / M) ** u.lattice.n * np.sum(g**p)) ** (1.0 / p))
@@ -271,7 +276,7 @@ STREAM_EXPONENTS = (1.0, 4.0 / 3.0, 3.0, 4.0, math.inf)
 
 class TestStreamedRule:
     """rectangle_rule reduces the slabs of grid_slabs as they stream; the values
-    are those of the rule on the whole sample_grid: sups to the bit, sums to
+    are those of the rule on the whole assembled grid: sups to the bit, sums to
     1e-14.  A small SLAB makes many slabs, the last one partial."""
 
     @pytest.mark.parametrize("n, K, M, slab", [
@@ -302,7 +307,7 @@ class TestStreamedRule:
             return ([lp_norm(u, p, d) for p in STREAM_EXPONENTS for d in ("whole", "halfspace")]
                     + [triebel_norm(u, 0.7, p) for p in STREAM_EXPONENTS]
                     + [rectangle_rule([(1.0, u)], math.inf, r, M) for r in rows]
-                    + [sample_grid(u, M).values])
+                    + [slab_grid(u, M)])
 
         want = values()
         monkeypatch.setattr(fsx_lattice, "SLAB", slab)
@@ -613,8 +618,8 @@ class TestPairing:
         u, _ = random_zero_dc(lat, 6)
         v, _ = random_zero_dc(lat, 7)
         M = 128
-        su = sample_grid(u, M).values
-        sv = sample_grid(v, M).values
+        su = sample_grid_reference(u, M)
+        sv = sample_grid_reference(v, M)
         want = (lat.L / M) ** 2 * np.sum(su * sv)
         got = pairing(u, v)
         assert abs(got - want) < 1e-12 * max(abs(want), 1.0)
@@ -686,8 +691,8 @@ class TestHalfspaceIntegral:
         exact = halfspace_product_integral(u, v)
         errs = []
         for M in (2**10, 2**14):
-            su = sample_grid(u, M).values[: M // 2]
-            sv = sample_grid(v, M).values[: M // 2]
+            su = sample_grid_reference(u, M)[: M // 2]
+            sv = sample_grid_reference(v, M)[: M // 2]
             errs.append(abs((lat.L / M) * np.sum(su * sv) - exact))
         assert errs[1] < errs[0] / 8.0
         assert errs[1] < 5e-3

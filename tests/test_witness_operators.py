@@ -26,8 +26,9 @@ from grid_reference import witnesses_per_call
 SPECS = [SpaceSpec("Lp", p=p, domain="halfspace") for p in (4.0 / 3.0, 2.0, 4.0)] + [
     SpaceSpec("Hdot", s=0.7, p=2.0, domain="halfspace")
 ]
-# the bound fails where projecting the extensions moves their upper half,
-# as on some random fields at K = 1
+# the bound fails where projecting the extensions moves their upper half, as
+# on many random fields at small K: for complex standard-normal fields at p in
+# {4/3, 2, 4}, on about 1 in 3 (n, K) = (2, 1) pairs and 1 in 16 at (2, 4)
 BELOW = "witness norm below the exact half-domain bound"
 
 
