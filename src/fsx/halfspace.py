@@ -22,18 +22,20 @@ at the integer index r k mod N: no angle is rounded and no cosine taken.
 
 Higher-order reflection extensions write, on the lower half, the data at
 the rescaled mirror points -x_n/(j+1) combined with moment coefficients
-solving a Vandermonde system.  Parity reflections, the zero-boundary
-projection and sharp indicator multiplication are other tables; a
-witness-set estimator for the quotient (restriction) norm uses the
-reflections.  Sups are norms.rectangle_rule at p = inf on only the grid
-rows they cover; a HalfField's far-face leakage is one, taken on its first read.
+solving a Vandermonde system.  Parity reflections and the zero-boundary
+projection are other tables; a witness-set estimator for the quotient
+(restriction) norm uses the reflections.  The sharp indicator needs no table
+and no grid: its product is the Toeplitz convolution of the columns with the
+closed-form half-period weights, exact.  Sups are norms.rectangle_rule at
+p = inf on only the grid rows they cover; a HalfField's far-face leakage is
+one, taken on its first read.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -47,10 +49,9 @@ from .lattice import (
     energy_factor,
     exact_phases,
     occupied,
-    project_columns,
     whole_order,
 )
-from .norms import SpaceSpec, lp_norm, norm_ignoring_mean, rectangle_rule
+from .norms import SpaceSpec, half_period_weights, lp_norm, norm_ignoring_mean, rectangle_rule
 
 MAX_REFLECTION_ORDER = 8
 MOMENT_TOL = 1e-9
@@ -121,18 +122,14 @@ class HalfField:
 
     leakage is the absolute sup of |u| over the band of width L/16 hugging
     the far face x_n = L/2, where the declared data should have died out.
-    It is sampled on first read and kept, unless the builder passes it as
-    measured_leakage, as only poisson.materialize_poisson does.
+    It is sampled on first read and kept.
     """
 
     field: Field
-    measured_leakage: InitVar[float | None] = None
 
-    def __post_init__(self, measured_leakage: float | None) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.field, Field):
             raise InvalidParameter(f"HalfField needs a Field, got {type(self.field).__name__}")
-        if measured_leakage is not None:
-            self.__dict__["leakage"] = measured_leakage
 
     @cached_property
     def leakage(self) -> float:
@@ -267,24 +264,28 @@ def lower_half_defect(p0u: Field) -> float:
 
 
 def indicator_multiply(u: Field) -> tuple[Field, float]:
-    """Multiply by the sharp indicator of {0 <= x_n < L/2}.
+    """Multiply by the sharp indicator of {0 <= x_n < L/2}, exactly.
 
-    The output is projected to the enlarged lattice of bandlimit 4K, on twice
-    the default grid, to capture the slowly decaying tail the cut creates; the
-    discarded-tail residual is returned alongside.  The cut only acts along
-    x_n, so the output's horizontal modes stay those of u, |k'| <= K.
+    The product's vertical modes are the Toeplitz convolution
+    out[k', a] = sum_b h(a - b) c[k', b] with the half_period_weights h, kept
+    on the enlarged lattice of bandlimit 4K for the slowly decaying tail the
+    cut creates.  The cut only acts along x_n, so the output's horizontal
+    modes stay those of u, |k'| <= K.  The residual is the relative l2 size
+    of the discarded tail, exact by Parseval: the strip energy
+    sum conj(c_b) h(b - b2) c_b2 of the columns less the kept energy.
     """
     lat = u.lattice
     big = Lattice(lat.n, 4 * lat.K, lat.L)
-    M = 2 * default_oversample(lat)
-    table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    table[: M // 2] = exact_phases(lat.K, np.arange(M // 2), M)
-    columns = u.coef.reshape(-1, lat.modes_per_axis).T
-    coef, residual = project_columns(np.fft.fft(table, axis=0, norm="forward") @ columns, big.K)
+    h = half_period_weights(5 * lat.K)
+    i, j = np.arange(big.modes_per_axis), np.arange(lat.modes_per_axis)
+    columns = u.coef.reshape(-1, lat.modes_per_axis)
+    coef = columns @ h[i[None, :] - j[:, None] + 2 * lat.K]
+    strip = float(np.vdot(columns, columns @ h[j[None, :] - j[:, None] + 5 * lat.K]).real)
+    kept = float(np.vdot(coef, coef).real)
     out = np.zeros(big.mode_shape, dtype=complex)
     inner = slice(big.K - lat.K, big.K + lat.K + 1)
     out[(inner,) * (lat.n - 1)] = coef.reshape(u.coef.shape[:-1] + (big.modes_per_axis,))
-    return Field(big, out), residual
+    return Field(big, out), (math.sqrt(max(strip - kept, 0.0) / strip) if strip > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------

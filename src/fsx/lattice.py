@@ -346,27 +346,6 @@ def grid_slabs(u: Field, M: int, buffer: np.ndarray | None = None) -> Iterator[n
         yield slab
 
 
-def project_columns(spectra: np.ndarray, K: int) -> tuple[np.ndarray, float]:
-    """Truncate vertical DFT rows to the bandlimit K.
-
-    spectra holds, along its first axis, the M DFT bins (divided by M) of
-    columns sampled at the M vertical grid heights j L/M.  Returns the kept
-    rows |k| <= K in mode order, moved to the last axis, and the relative l2
-    magnitude of the discarded rows (0 for exactly band-limited columns).
-    """
-    M = spectra.shape[0]
-    if M < 2 * K + 2:
-        raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
-    # k % M for k = -K..K names two slices: the bins M-K..M-1, then 0..K
-    kept = (spectra[M - K :], spectra[: K + 1])
-    # sum the discarded bins directly; subtracting two near-equal totals would
-    # drown small tails in cancellation noise
-    tail, *retained = (float(np.vdot(b, b).real) for b in (spectra[K + 1 : M - K], *kept))
-    total = tail + sum(retained)
-    residual = math.sqrt(tail / total) if total > 0.0 else 0.0
-    return np.concatenate([np.moveaxis(b, 0, -1) for b in kept], axis=-1), residual
-
-
 def energy_factor(rows: np.ndarray) -> np.ndarray:
     """The triangular R of the QR of rows, read-only: ||rows @ a|| = ||R @ a|| for
     every a.  The Gram matrix squares the condition of rows: its factor loses small energies."""

@@ -52,7 +52,6 @@ from .lattice import (
     has_exact_grid,
     horizontal_samples,
     is_homogeneous_admissible,
-    k_axis,
     occupied,
     shells,
     per_slab,
@@ -316,28 +315,33 @@ def lp_norm(u: Field, p: float | Sequence[float], domain: str = "whole",
     return [out[q] for q in exponents] if np.ndim(p) else out[p]
 
 
-def halfspace_product_integral(u: Field, v: Field, conjugate: bool = False) -> complex:
-    """Exact integral of u * v (or u * conj v) over the strip 0 <= x_n < L/2.
+def half_period_weights(R: int) -> np.ndarray:
+    """The Fourier coefficients h_r = (1/L) int_0^{L/2} exp(-i xi_r x) dx of the
+    strip's indicator, r = -R..R at index r + R: 1/2 at r = 0, 0 at even r and
+    1/(i pi r) at odd r.  They do not depend on L."""
+    r = np.arange(-R, R + 1)
+    h = np.zeros(r.shape, dtype=complex)
+    h[R] = 0.5
+    odd = r % 2 != 0
+    h[odd] = 1.0 / (1j * math.pi * r[odd])
+    return h
+
+
+def halfspace_product_integral(u: Field, v: Field) -> complex:
+    """Exact integral of u * conj v over the strip 0 <= x_n < L/2.
 
     Horizontal modes integrate to L^(n-1) on the pairs whose product is
     constant in x', so the integral is
-        L^(n-1) sum_{k'} sum_{k, k2} a[k', k] b[k', k2] h(k - k2)
-    with a = coef(u), b = conj(coef(v)) (or coef(v) reversed in every axis,
-    pairing mode k with -k, when conjugate is False), and the closed-form
-    half-period weights h(r) = int_0^{L/2} exp(i xi_r x) dx: L/2 at r = 0,
-    0 at even r and i L / (pi r) at odd r.
+        L^(n-1) sum_{k'} sum_{k, k2} a[k', k] conj(b[k', k2]) L h(k2 - k)
+    with a, b the coefficients of u, v and h the half_period_weights, since
+    int_0^{L/2} exp(i xi_r x) dx = L h(-r).
     """
     lat = u.lattice
     if v.lattice != lat:
         raise InvalidParameter("fields live on different lattices")
-    b = np.conj(v.coef) if conjugate else np.flip(v.coef)
-    k = k_axis(lat.K)
-    r = k[:, None] - k[None, :]
-    weights = np.zeros(r.shape, dtype=complex)
-    weights[r == 0] = lat.L / 2.0
-    odd = (r % 2) != 0
-    weights[odd] = 1j * lat.L / (math.pi * r[odd])
-    return complex(lat.L ** (lat.n - 1) * np.sum((u.coef @ weights) * b))
+    i = np.arange(lat.modes_per_axis)
+    weights = lat.L * half_period_weights(2 * lat.K)[i[None, :] - i[:, None] + 2 * lat.K]
+    return complex(lat.L ** (lat.n - 1) * np.sum((u.coef @ weights) * np.conj(v.coef)))
 
 
 # ---------------------------------------------------------------------------

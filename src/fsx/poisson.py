@@ -3,8 +3,10 @@
 The extension of zero-mean boundary data g is kept semi-analytic: a list of
 horizontal modes with exponential vertical profiles exp(-x_n |xi'|), exact to
 evaluate anywhere in the strip and exactly harmonic mode by mode.  Lattice
-materialization (for norm computations) is explicit and residual-audited,
-since the profile is not periodic in x_n.
+materialization (for norm computations) is explicit and residual-audited: it
+projects the even profile exp(-|x_n| |xi'|), which agrees with the extension
+on the strip and has no jump at the seam x_n = 0, from its closed-form
+Fourier coefficients, with no grid.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from .lattice import (
     evaluate,
     horizontal_samples,
     is_homogeneous_admissible,
-    project_columns,
+    k_axis,
     without_mean,
+    xi_axes,
     xi_norm,
 )
 from .multipliers import fractional_laplacian, poisson_decay
@@ -63,6 +66,17 @@ class PoissonField:
             raise InvalidParameter("point dimension must be boundary dim + 1")
         return evaluate(self.slice_field(float(x[-1])), x[:-1])
 
+    def leakage(self) -> float:
+        """Sup of |w| over the band of width L/16 hugging the far face x_n = L/2,
+        sampled on the default grid of the strip's lattice: the decay, of order
+        exp(-(L/2) |xi'|), that the strip's finite height leaves."""
+        blat = self.boundary.lattice
+        lat = Lattice(blat.n + 1, blat.K, blat.L)
+        M = default_oversample(lat)
+        heights = far_band_rows(M) * (lat.L / M)
+        band = self.boundary.coef * np.exp(-np.multiply.outer(heights, self.decay_rates))
+        return float(np.max(np.abs(horizontal_samples(band, lat, M))))
+
 
 def poisson_extend(g: Field) -> PoissonField:
     """Harmonic extension of zero-mean boundary data."""
@@ -72,30 +86,28 @@ def poisson_extend(g: Field) -> PoissonField:
 
 
 def materialize_poisson(pf: PoissonField, lat: Lattice) -> tuple[HalfField, float]:
-    """Sample the extension over the vertical grid and project to the lattice.
+    """The extension projected to the lattice, from exact Fourier coefficients.
 
-    The profile exp(-x_n |xi'|) is sampled over 0 <= x_n < L and keeps
-    decaying past x_n = L/2, so the far face carries leakage of order
-    exp(-(L/2) |xi'|), and the periodized profile jumps at the seam x_n = 0
-    by 1 - exp(-L |xi'|), its value at 0 less its value at L.  Both are
-    reported: leakage on the HalfField (the sup of the sampled profile over
-    the far band), seam damage in the projection residual.  Each horizontal
-    mode's profile is projected by one DFT along x_n.
+    Each horizontal mode's profile exp(-x_n a), a = |xi'|, is taken as the even
+    profile exp(-|x_n| a) of period L: the same on the strip 0 <= x_n <= L/2,
+    and with no jump at the seam x_n = 0.  Its vertical coefficients are
+        c_q = (2a/L) (1 - (-1)^q exp(-aL/2)) / (a^2 + xi_q^2)
+    (1 at q = 0 and 0 elsewhere for a = 0), and its energy per period is
+    (1 - exp(-aL)) / (aL), so the residual, the relative l2 size of the
+    coefficients |q| > K left out, is exact by Parseval.
     """
     blat = pf.boundary.lattice
     if lat.n != blat.n + 1 or lat.K != blat.K or lat.L != blat.L:
         raise InvalidParameter("target lattice must extend the boundary lattice")
-    M = default_oversample(lat)
-
-    def profile(xn: np.ndarray) -> np.ndarray:
-        # (heights, boundary modes...): amplitudes damped per height
-        return pf.boundary.coef * np.exp(-np.multiply.outer(xn, pf.decay_rates))
-
-    heights = np.arange(M) * (lat.L / M)
-    coef, residual = project_columns(np.fft.fft(profile(heights), axis=0, norm="forward"), lat.K)
-    band = profile(heights[far_band_rows(M)])
-    leakage = float(np.max(np.abs(horizontal_samples(band, lat, M))))
-    return HalfField(Field(lat, coef), measured_leakage=leakage), residual
+    flat = pf.decay_rates[..., None] == 0.0  # the horizontal mean, whose profile is 1
+    a, q, L = np.where(flat, 1.0, pf.decay_rates[..., None]), k_axis(lat.K), lat.L
+    profile = np.where(flat, q == 0, (2.0 * a / L) * (1.0 - (-1.0) ** q * np.exp(-0.5 * a * L))
+                       / (a**2 + xi_axes(lat)[-1] ** 2))
+    coef = pf.boundary.coef[..., None] * profile
+    energy = np.where(flat, 1.0, -np.expm1(-a * L) / (a * L))[..., 0]
+    total = float(np.sum(np.abs(pf.boundary.coef) ** 2 * energy))
+    lost = max(total - float(np.vdot(coef, coef).real), 0.0)
+    return HalfField(Field(lat, coef)), (math.sqrt(lost / total) if total > 0.0 else 0.0)
 
 
 def poisson_besov_norm(u: Field, s: float, alpha: float, p: float, q: float) -> float:

@@ -168,5 +168,5 @@ def energy_form(u: HalfField, v: HalfField) -> complex:
     """Sesquilinear Dirichlet form: exact strip integral of grad u . conj grad v."""
     total = 0.0 + 0.0j
     for du, dv in zip(gradient(u.field), gradient(v.field)):
-        total += halfspace_product_integral(du, dv, conjugate=True)
+        total += halfspace_product_integral(du, dv)
     return total

@@ -1,9 +1,10 @@
 """Grid references for the tests: one-shot n-D transforms of whole grids.
 
-fsx applies its half-space operators to columns (lattice.project_columns)
-and samples no whole grid.  The tests check those kernels against the
-sample, overwrite and project round trip on the M^n grid, whose sampling
-and projection steps live here (sample_grid_reference, project_bandlimited).
+fsx applies its half-space operators to columns and samples no whole grid.
+The tests check those kernels against the sample, overwrite and project
+round trip on the M^n grid, whose sampling and projection steps live here
+(sample_grid_reference, project_bandlimited), and the per-call routes below
+against the projection of whole columns of DFT bins (project_columns).
 fsx has one sampler, lattice.grid_slabs: a pruned transform, one axis at a
 time, streamed in slabs; the tests assemble its slabs into the whole grid
 (slab_grid) and check it against the one-shot transform of the fully padded
@@ -11,7 +12,9 @@ array (sample_grid_reference).  fsx reads its
 column tables as exact roots of unity at rational heights
 (lattice.exact_phases); the tests check them against cosines and sines at
 arbitrary heights (vertical_phases, sample_slices), and project_columns
-against the copy-and-mask projection it replaced.  fsx builds the column
+against the copy-and-mask projection it replaced.  fsx's strip integral is
+sesquilinear; the bilinear one, u v with no conjugate, is
+bilinear_strip_integral.  fsx builds the column
 operator of each parity reflection once per lattice; the tests check it
 against the per-call route, which builds the M-row table, transforms it and
 applies it on every call, residual from the M - 2K - 1 discarded rows
@@ -36,6 +39,7 @@ import math
 import numpy as np
 
 from fsx.dyadic import delta_dot
+from fsx.errors import AliasingRisk
 from fsx.halfspace import _mirror_table, extend_reflect, reflect_parity, reflection_coefficients
 from fsx.lattice import (
     Field,
@@ -45,11 +49,10 @@ from fsx.lattice import (
     horizontal_samples,
     k_axis,
     occupied,
-    project_columns,
     xi_axes,
 )
 from fsx.multipliers import derivative, gradient
-from fsx.norms import get_family, rectangle_rule
+from fsx.norms import get_family, halfspace_product_integral, rectangle_rule
 from fsx.solvers import resolvent_halfspace
 
 
@@ -143,10 +146,38 @@ def witnesses_per_call(u):
     return out + [("ED", reflect_parity(u, "odd")[0])]
 
 
+def project_columns(spectra, K):
+    """Truncate vertical DFT rows to the bandlimit K.
+
+    spectra holds, along its first axis, the M DFT bins (divided by M) of
+    columns sampled at the M vertical grid heights j L/M.  Returns the kept
+    rows |k| <= K in mode order, moved to the last axis, and the relative l2
+    magnitude of the discarded rows (0 for exactly band-limited columns).
+    """
+    M = spectra.shape[0]
+    if M < 2 * K + 2:
+        raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
+    # k % M for k = -K..K names two slices: the bins M-K..M-1, then 0..K
+    kept = (spectra[M - K :], spectra[: K + 1])
+    # sum the discarded bins directly; subtracting two near-equal totals would
+    # drown small tails in cancellation noise
+    tail, *retained = (float(np.vdot(b, b).real) for b in (spectra[K + 1 : M - K], *kept))
+    total = tail + sum(retained)
+    residual = math.sqrt(tail / total) if total > 0.0 else 0.0
+    return np.concatenate([np.moveaxis(b, 0, -1) for b in kept], axis=-1), residual
+
+
+def bilinear_strip_integral(u, v):
+    """Exact integral of u * v over the strip 0 <= x_n < L/2: the sesquilinear
+    halfspace_product_integral against conj v, whose modes are v's reversed
+    in every axis and conjugated."""
+    return halfspace_product_integral(u, Field(v.lattice, np.conj(np.flip(v.coef))))
+
+
 def project_columns_by_mask(spectra, K):
     """The kept DFT rows |k| <= K of spectra, whose bins lie on its last axis,
     by a copy with the kept rows masked out, and the relative l2 size of the
-    rest: lattice.project_columns as it was, for bins on the last axis."""
+    rest: project_columns as it was, for bins on the last axis."""
     idx = (..., k_axis(K) % spectra.shape[-1])
     rest = spectra.copy()
     kept = rest[idx]

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -40,7 +42,13 @@ from fsx.lattice import (
 from fsx.multipliers import derivative
 from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm, triebel_norm
 from fsx.poisson import PoissonField, materialize_poisson
-from grid_reference import half_peak, project_bandlimited, sample_grid_reference, sample_slices
+from grid_reference import (
+    bilinear_strip_integral,
+    half_peak,
+    project_bandlimited,
+    sample_grid_reference,
+    sample_slices,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -498,26 +506,6 @@ def grid_project_zero(u, m):
     return project_bandlimited(values, lat)[0]
 
 
-def grid_indicator(u):
-    lat = u.lattice
-    big = Lattice(lat.n, 4 * lat.K, lat.L)
-    M = 2 * default_oversample(lat)
-    values = sample_grid_reference(u, M)
-    values[..., M // 2 :] = 0.0
-    return project_bandlimited(values, big)
-
-
-def grid_poisson(pf, lat):
-    """The profile sampled height by height on the x'-grid, projected; and its far-band sup."""
-    M = default_oversample(lat)
-    heights = np.arange(M) * (lat.L / M)
-    values = np.stack([sample_grid_reference(pf.slice_field(h), M) for h in heights], axis=-1)
-    band = max(int(M / 16), 1)
-    leakage = float(np.max(np.abs(values[..., M // 2 - band : M // 2 + 1])))
-    field, residual = project_bandlimited(values, lat)
-    return field, residual, leakage
-
-
 def grid_strip_l2(u, M=None):
     M = M or default_oversample(u.lattice)
     values = sample_grid_reference(u, M)[..., : M // 2]
@@ -566,9 +554,9 @@ def assert_same_field(got, want, given, residuals=None, growth=1.0):
 
 
 @st.composite
-def random_fields(draw, min_n=1):
-    n = draw(st.integers(min_n, 3))
-    K = draw(st.integers(1, 6))
+def random_fields(draw, min_n=1, max_n=3, max_K=6):
+    n = draw(st.integers(min_n, max_n))
+    K = draw(st.integers(1, max_K))
     seed = draw(st.integers(0, 2**32 - 1))
     lat = make_lattice(n, K)
     rng = np.random.default_rng(seed)
@@ -611,23 +599,6 @@ class TestColumnKernelsMatchGrid:
 
     @COLUMN_SETTINGS
     @given(random_fields())
-    def test_indicator_multiply(self, u):
-        got, res = indicator_multiply(u)
-        want, want_res = grid_indicator(u)
-        assert_same_field(got, want, u, (res, want_res))
-
-    @COLUMN_SETTINGS
-    @given(random_fields(min_n=2))
-    def test_materialize_poisson(self, u):
-        g = without_mean(Field(u.lattice.boundary(), u.coef.sum(axis=-1)))
-        pf = PoissonField(g)
-        hf, res = materialize_poisson(pf, u.lattice)
-        want, want_res, want_leak = grid_poisson(pf, u.lattice)
-        assert_same_field(hf.field, want, g, (res, want_res))
-        assert hf.leakage == pytest.approx(want_leak, rel=1e-12, abs=1e-300)
-
-    @COLUMN_SETTINGS
-    @given(random_fields())
     def test_strip_l2(self, u):
         M = 2 * u.lattice.K + 2
         assert lp_norm(u, 2.0, "halfspace") == pytest.approx(grid_strip_l2(u), rel=1e-12)
@@ -645,6 +616,156 @@ class TestColumnKernelsMatchGrid:
         )
         assert half_peak(hf) == pytest.approx(np.max(values[..., : M // 2 + 1]), rel=1e-12)
         assert lower_half_defect(u) == pytest.approx(np.max(values[..., M // 2 + 1 :]), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The exact kernels against oracles of their own
+# ---------------------------------------------------------------------------
+
+
+def cut_weight(r):
+    """The strip indicator's Fourier coefficient (1/L) int_0^{L/2} exp(-i xi_r x) dx."""
+    return 0.5 if r == 0 else (1.0 - (-1.0) ** r) / (2j * math.pi * r)
+
+
+def toeplitz_cut(u):
+    """The cut's vertical modes |a| <= 4K, summed term by term:
+    out[k', a] = sum_b cut_weight(a - b) u[k', b]."""
+    K = u.lattice.K
+    out = np.zeros(u.coef.shape[:-1] + (8 * K + 1,), dtype=complex)
+    for a in range(-4 * K, 4 * K + 1):
+        for b in range(-K, K + 1):
+            out[..., a + 4 * K] += cut_weight(a - b) * u.coef[..., b + K]
+    return out
+
+
+def residual_between(kept, tail, rest):
+    """The bounds sqrt(t / (kept + t)) on a residual whose tail energy t lies in
+    [tail, tail + rest]: the function is increasing in t."""
+    return math.sqrt(tail / (kept + tail)), math.sqrt((tail + rest) / (kept + tail + rest))
+
+
+def cut_residual_bounds(u, Q):
+    """Bounds on the cut's residual from its tail summed directly over
+    4K < |a| <= Q, and, past Q, |out_a| <= sum_b |c_b| / (pi (|a| - K))."""
+    K = u.lattice.K
+    columns = u.coef.reshape(-1, 2 * K + 1)
+    a = np.concatenate([np.arange(-Q, -4 * K), np.arange(4 * K + 1, Q + 1)])
+    r = a[:, None] - np.arange(-K, K + 1)[None, :]
+    weights = np.where(r % 2 != 0, 1.0 / (1j * math.pi * r), 0.0)
+    tail = float(np.sum(np.abs(columns @ weights.T) ** 2))
+    rest = 2.0 * float(np.sum(np.abs(columns).sum(axis=1) ** 2)) / (math.pi**2 * (Q - K))
+    return residual_between(float(np.sum(np.abs(toeplitz_cut(u)) ** 2)), tail, rest)
+
+
+def even_profile_by_grid(pf, lat, M):
+    """The modes |q| <= K of the even profile exp(-|x_n| |xi'|) times the
+    boundary data, from M samples over one period: the profile has kinks at
+    x_n = 0 and L/2, so the aliased modes converge like M^-2."""
+    x = np.arange(M) * (lat.L / M)
+    samples = np.exp(-np.multiply.outer(pf.decay_rates, np.minimum(x, lat.L - x)))
+    spectrum = np.fft.fft(samples, axis=-1) / M
+    return pf.boundary.coef[..., None] * spectrum[..., np.arange(-lat.K, lat.K + 1) % M]
+
+
+def profile_residual_bounds(pf, lat, Q):
+    """Bounds on materialize_poisson's residual from the closed-form coefficients
+    c_q = (2a/L) (1 - (-1)^q e^{-aL/2}) / (a^2 + xi_q^2) summed directly over
+    |q| <= Q, and, past Q, c_q^2 <= (4a/L)^2 / xi_q^4."""
+    weight = np.abs(pf.boundary.coef.ravel()) ** 2
+    a = pf.decay_rates.ravel()[weight > 0.0][:, None]
+    weight = weight[weight > 0.0]
+    L, scale = lat.L, lat.freq_scale
+
+    def energy(q):
+        c = (2.0 * a / L) * (1.0 - (-1.0) ** q * np.exp(-a * L / 2.0)) / (a**2 + (scale * q) ** 2)
+        return float(weight @ np.sum(c**2, axis=1))
+
+    kept = energy(np.arange(-lat.K, lat.K + 1))
+    tail = 2.0 * energy(np.arange(lat.K + 1, Q + 1))
+    rest = 2.0 * float(weight @ (4.0 * a[:, 0] / L) ** 2) / (3.0 * scale**4 * Q**3)
+    return residual_between(kept, tail, rest)
+
+
+def boundary_data(u):
+    return without_mean(Field(u.lattice.boundary(), u.coef.sum(axis=-1)))
+
+
+class TestExactKernels:
+    @COLUMN_SETTINGS
+    @given(random_fields(max_K=8))
+    def test_indicator_multiply_is_the_toeplitz_product(self, u):
+        got, _ = indicator_multiply(u)
+        big = got.lattice
+        inner = (slice(big.K - u.lattice.K, big.K + u.lattice.K + 1),) * (u.lattice.n - 1)
+        want = toeplitz_cut(u)
+        assert np.linalg.norm(got.coef[inner] - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(got.coef) == pytest.approx(np.linalg.norm(want), rel=1e-13)
+
+    @COLUMN_SETTINGS
+    @given(random_fields(max_n=2))
+    def test_indicator_residual_is_the_long_tail(self, u):
+        _, res = indicator_multiply(u)
+        lo, hi = cut_residual_bounds(u, 1 << 15)
+        assert lo * (1.0 - 1e-9) <= res <= hi * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("n,K", [(1, 32), (2, 32), (3, 12)])
+    def test_indicator_matches_the_benchmark_reference(self, n, K):
+        ref = _bench_reference()
+        rng = np.random.default_rng(n + K)
+        lat = make_lattice(n, K)
+        u = Field(lat, rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape))
+        got, _ = indicator_multiply(u)
+        want = ref.indicator_toeplitz(u.coef, 4)
+        assert np.linalg.norm(got.coef - want) <= 1e-13 * np.linalg.norm(want)
+
+    @COLUMN_SETTINGS
+    @given(random_fields(min_n=2, max_K=8))
+    def test_materialize_poisson_is_the_even_profile(self, u):
+        pf = PoissonField(boundary_data(u))
+        hf, _ = materialize_poisson(pf, u.lattice)
+        sampled = [even_profile_by_grid(pf, u.lattice, M) for M in (1 << 10, 1 << 11, 1 << 12)]
+        errors = [float(np.max(np.abs(hf.field.coef - w))) for w in sampled]
+        scale = max(pf.boundary.peak(), 1e-300)
+        # each doubling of the grid cuts the aliasing error fourfold, down to round-off
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= coarse / 3.5 or fine <= 1e-13 * scale
+        # so the extrapolation of the two finest grids leaves only the M^-4 term
+        extrapolated = (4.0 * sampled[2] - sampled[1]) / 3.0
+        assert np.max(np.abs(hf.field.coef - extrapolated)) <= 1e-10 * scale
+
+    @COLUMN_SETTINGS
+    @given(random_fields(min_n=2))
+    def test_poisson_residual_is_the_long_tail(self, u):
+        pf = PoissonField(boundary_data(u))
+        _, res = materialize_poisson(pf, u.lattice)
+        if pf.boundary.peak() == 0.0:
+            assert res == 0.0
+            return
+        lo, hi = profile_residual_bounds(pf, u.lattice, 1 << 12)
+        assert lo * (1.0 - 1e-9) <= res <= hi * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
+    def test_neither_kernel_transforms(self, monkeypatch, n, K):
+        calls = []
+        for name in np.fft.__all__:
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+        lat = make_lattice(n, K)
+        u = Field(lat, np.random.default_rng(n).standard_normal(lat.mode_shape) + 0j)
+        indicator_multiply(u)
+        materialize_poisson(PoissonField(boundary_data(u)), lat)
+        assert calls == []
+
+
+def _bench_reference():
+    """bench/reference.py, the benchmark's oracles written without fsx."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "reference.py")
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def extended_precision_extension(u, coeffs, window):
@@ -713,7 +834,7 @@ class TestProductIntegralMatchesGrid:
                 for _ in range(2)
             )
             want = grid_product_integral(u, v, conjugate)
-            got = halfspace_product_integral(u, v, conjugate=conjugate)
+            got = (halfspace_product_integral if conjugate else bilinear_strip_integral)(u, v)
             assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 

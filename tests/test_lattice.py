@@ -23,11 +23,11 @@ from fsx.lattice import (
     make_lattice,
     occupied,
     plane_wave,
-    project_columns,
     zero_field,
 )
 from grid_reference import (
     project_bandlimited,
+    project_columns,
     project_columns_by_mask,
     sample_grid_reference,
     slab_grid,

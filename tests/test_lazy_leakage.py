@@ -3,9 +3,10 @@
 The solvers and the suites build half fields whose far-face leakage nobody
 reads, so building one samples nothing.  The first read runs the rule's sup
 over the far band, bitwise equal to taking it directly (eager_leakage);
-later reads return it.  materialize_poisson supplies the sup of its sampled
-profile instead.  resolvent_estimate_check samples nothing: it refuses a
-zero source by its strip L2 norm, read from a triangular factor.
+later reads return it.  materialize_poisson samples nothing: the leakage of
+the extension itself is PoissonField.leakage, read only where it is used.
+resolvent_estimate_check samples nothing: it refuses a zero source by its
+strip L2 norm, read from a triangular factor.
 """
 
 import json
@@ -23,7 +24,7 @@ import fsx.norms as fsx_norms
 import fsx.poisson as fsx_poisson
 import fsx.solvers as fsx_solvers
 from fsx.cli import main as cli_main
-from fsx.halfspace import HalfField, far_band_rows, make_half_field
+from fsx.halfspace import far_band_rows, make_half_field
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -125,17 +126,16 @@ class TestLazyLeakage:
         resolvent_estimate_check(f, 1.0, DIRICHLET)
         assert sampled == [] and read == [default_oversample(lat)] * 4
 
-    def test_materialize_poisson_keeps_its_profile_value(self, sampled):
+    def test_poisson_leakage_is_read_from_the_profile(self, sampled):
         lat = make_lattice(2, 16)
-        hf, _ = materialize_poisson(poisson_extend(plane_wave(lat.boundary(), (1,))), lat)
-        del sampled[:]
+        pf = poisson_extend(plane_wave(lat.boundary(), (1,)))
+        materialize_poisson(pf, lat)
+        assert sampled == []
         M = default_oversample(lat)
         # the sup of exp(-x_n) over the far band, at its lowest height
         want = math.exp(-far_band_rows(M)[0] * (lat.L / M))
-        assert hf.leakage == pytest.approx(want, rel=1e-12)
-        assert sampled == []
-        assert HalfField(hf.field, measured_leakage=0.25).leakage == 0.25
-        assert sampled == []
+        assert pf.leakage() == pytest.approx(want, rel=1e-12)
+        assert [name for name, _ in sampled] == ["horizontal_samples"]
 
     @pytest.mark.parametrize("problem,want", [
         ("dirichlet-resolvent", 0.1095535473968684),
@@ -159,5 +159,5 @@ class TestLazyLeakage:
         save_field(field_from_modes(lat.boundary(), {(2,): 0.75, (-2,): 0.75}), gpath)
         assert cli_main(["solve", "--problem", "dirichlet-bvp", "--f", fpath, "--g", gpath,
                          "--out", out]) == 0
-        assert json.load(open(out))["leakage"] == 0.2300912328867007
+        assert json.load(open(out))["leakage"] == 0.22976390207160585
 

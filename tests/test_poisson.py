@@ -1,9 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fsx.cli import main as cli_main
 from fsx.errors import DimensionTooSmall, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from fsx.lattice import (
     default_oversample,
@@ -145,21 +147,23 @@ class TestMaterialize:
         lat = make_lattice(2, 16)
         blat = lat.boundary()
         g = plane_wave(blat, (8,))
-        hf, residual = materialize_poisson(poisson_extend(g), lat)
-        assert hf.leakage <= math.exp(-8.0 * (lat.L / 2.0 - lat.L / 16.0)) * 1.01
+        pf = poisson_extend(g)
+        _, residual = materialize_poisson(pf, lat)
+        assert pf.leakage() <= math.exp(-8.0 * (lat.L / 2.0 - lat.L / 16.0)) * 1.01
         assert 0.0 < residual < 1.0
 
     def test_slow_mode_leakage_matches_analytic(self):
         lat = make_lattice(2, 16)
         g = plane_wave(lat.boundary(), (1,))
-        hf, residual = materialize_poisson(poisson_extend(g), lat)
+        pf = poisson_extend(g)
+        _, residual = materialize_poisson(pf, lat)
         # max of e^{-x_n} over the far band sits at its inner grid edge
         M = default_oversample(lat)
         band = max(int(M / 16), 1)
         xn_min = (M // 2 - band) * (lat.L / M)
         want = math.exp(-xn_min)
-        assert abs(hf.leakage - want) < 1e-6
-        assert residual > 1e-4  # the seam jump is genuine
+        assert abs(pf.leakage() - want) < 1e-6
+        assert residual > 1e-4  # the kink of the even profile at the seam is genuine
 
     def test_zero_data(self):
         lat = make_lattice(2, 8)
@@ -267,3 +271,31 @@ class TestBoundedness:
                 )
                 worst = max(worst, num / den)
         assert worst <= 20.0
+
+
+class TestSeamFree:
+    """The materialized extension is the even profile exp(-|x_n| |xi'|), which
+    has no jump at the seam x_n = 0; the one-sided profile it replaced jumped
+    by 1 - exp(-L |xi'|) there, and its norms grew with the bandlimit."""
+
+    def test_extension_ratio_does_not_grow_with_the_bandlimit(self):
+        # the Hdot^1.5 norm of the materialized boundary mode k' = 1 over the
+        # Bdot^1_{2,2} norm of its data: 3.95, 4.39, 4.80 and 5.18 at
+        # K = 8, 16, 32 and 64 (the one-sided profile read 7.66 to 54.48)
+        ratios = []
+        for K in (8, 16, 32, 64):
+            lat = make_lattice(2, K)
+            g = plane_wave(lat.boundary(), (1,))
+            hf, _ = materialize_poisson(poisson_extend(g), lat)
+            ratios.append(sobolev_norm(hf.field, SpaceSpec("Hdot", s=1.5, p=2))
+                          / besov_norm(g, SpaceSpec("Bdot", s=1.0, p=2, q=2)))
+        assert ratios == sorted(ratios)
+        assert ratios[-1] / ratios[0] <= 1.5
+
+    def test_desk_seed_256_passes_the_poisson_suite(self, tmp_path):
+        # extension_bounded read 20.085 against its bound 20 with the one-sided profile
+        out = tmp_path / "poisson.json"
+        assert cli_main(["verify", "--suite", "poisson", "--dim", "2", "--bandlimit", "32",
+                         "--size", "8", "--seed", "256", "--out", str(out)]) == 0
+        cases = {c["case"]: c for c in json.loads(out.read_text())["cases"]}
+        assert cases["extension_bounded"]["value"] == pytest.approx(3.609, abs=1e-3)
