@@ -241,8 +241,10 @@ def without_mean(u: Field) -> Field:
 
 
 def is_homogeneous_admissible(u: Field) -> bool:
-    """Zero-DC surrogate for distributions with vanishing low-frequency part."""
-    return abs(u.dc) <= DC_TOL * u.peak()
+    """Zero-DC surrogate for distributions with vanishing low-frequency part: an
+    exact zero mode needs no scan for the peak."""
+    dc = u.dc
+    return dc == 0 or abs(dc) <= DC_TOL * u.peak()
 
 
 def evaluate(u: Field, x) -> complex:
@@ -290,13 +292,13 @@ def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int) -> np.ndarray:
     """
     if lat.n == 1:
         return sliced.reshape(-1)
-    values = _padded_passes(sliced, lat.K, M, range(1, lat.n))
-    values *= float(M) ** (lat.n - 1)
-    return values
+    return _padded_passes(sliced, lat.K, M, range(1, lat.n))
 
 
 def _padded_passes(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
-    """The inverse DFT of modes zero-padded to M along axes, unscaled.
+    """The sums sum_k modes_k exp(2 pi i j k / M) of modes zero-padded to M along
+    axes: the inverse DFT in its forward normalisation, which divides by nothing,
+    so the values are the field's own and no scale pass follows.
 
     Pruned (Markel 1971): axes are padded and transformed one at a time, last
     first as np.fft.ifftn orders them, so in the pass over axis a the axes
@@ -305,12 +307,19 @@ def _padded_passes(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
     """
     if M < 2 * K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
-    idx = k_axis(K) % M
     for a in reversed(axes):
         padded = np.zeros(modes.shape[:a] + (M,) + modes.shape[a + 1:], dtype=complex)
-        padded[(slice(None),) * a + (idx,)] = modes
-        modes = np.fft.ifftn(padded, axes=(a,), out=padded)
+        _place(padded, modes, K, a)
+        modes = np.fft.ifftn(padded, axes=(a,), norm="forward", out=padded)
     return modes
+
+
+def _place(out: np.ndarray, modes: np.ndarray, K: int, axis: int) -> None:
+    """Write the modes k = -K..K of modes along axis to the rows k mod M of out
+    there, as two slice copies: k >= 0 to the front, k < 0 to the back."""
+    head = (slice(None),) * axis
+    out[head + (slice(None, K + 1),)] = modes[head + (slice(K, None),)]
+    out[head + (slice(-K, None),)] = modes[head + (slice(None, K),)]
 
 
 # Samples per slab of a streamed grid: 512 KiB of complex values.
@@ -330,20 +339,19 @@ def grid_slabs(u: Field, M: int, buffer: np.ndarray | None = None) -> Iterator[n
     w = per_slab(M^(n-1), M) of its columns.  The pruned passes over axes
     n-1, ..., 1 run once; the last, over axis 0, runs per slab in place in
     buffer (M x w, made when None), so a slab is valid until the next is
-    drawn, fields can share a buffer, and no M^n array is held.
+    drawn, fields can share a buffer, and no M^n array is held.  Every pass
+    is forward-normalised (_padded_passes), so a slab holds u's values as the
+    transform leaves them, with no pass to scale them.
     """
     K = u.lattice.K
     rows = _padded_passes(u.coef, K, M, range(1, u.lattice.n)).reshape(2 * K + 1, -1)
     width = per_slab(rows.shape[1], M)
     buffer = np.empty((M, width), dtype=complex) if buffer is None else buffer
-    idx, scale = k_axis(K) % M, float(M) ** u.lattice.n
     for start in range(0, rows.shape[1], width):
         slab = buffer[:, : min(width, rows.shape[1] - start)]
         slab[K + 1 : M - K] = 0.0
-        slab[idx] = rows[:, start : start + width]
-        np.fft.ifftn(slab, axes=(0,), out=slab)
-        slab *= scale
-        yield slab
+        _place(slab, rows[:, start : start + width], K, 0)
+        yield np.fft.ifftn(slab, axes=(0,), norm="forward", out=slab)
 
 
 def energy_factor(rows: np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
 one-part case, triebel_norms its case over the weighted dyadic blocks, and
 the half-space sups its p = inf case.  It streams: the samples come from
 lattice.grid_slabs (or, on the strip, from columns a run of heights at a
-time) in slabs of about lattice.SLAB values, and each slab is reduced at
-once for every weight and every p, so no M^n array of samples is held.
+time) in slabs of about lattice.SLAB values, and each slab is reduced in
+place for every weight and every p, by the closed form of each power where
+there is one, so no M^n array of samples is held.  At p = inf the value is
+the largest |g| at the nodes, a lower bound on the sup that no grid makes exact.
 Grids are chosen by exactness: for even integer p on the whole torus g^p
 has band pK' for the band K' that u occupies (lattice.occupied), so the
 smallest grid with M > pK' is exact; every other p, and the strip
@@ -228,9 +230,33 @@ def _samples(v: Field, rows: np.ndarray | None, M: int,
             for i in range(0, len(rows), step))
 
 
+def _power_sums(m: np.ndarray, e: float, work: np.ndarray):
+    """The sum of m^e over the last axis of m >= 0, or for e = inf its max, by the
+    closed form of e where it has one (none for e = 1, a square root for 1/2, a
+    square for 2), the powers written to work, shaped like m.  Each row is summed
+    on its own, so its value does not depend on how many rows m has."""
+    if math.isinf(e):
+        return m.max(axis=-1)
+    if e == 1.0:
+        return m.sum(axis=-1)
+    if e == 0.5:
+        np.sqrt(m, out=work)
+    elif e == 2.0:
+        np.square(m, out=work)
+    else:
+        np.power(m, e, out=work)
+    return work.sum(axis=-1)
+
+
+def _magnitudes(slab: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|slab| written into the front of the flat array out, and returned flat."""
+    return np.abs(slab, out=out[: slab.size].reshape(slab.shape)).reshape(-1)
+
+
 def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float | Sequence[float],
                    rows: np.ndarray | None, M: int) -> float | list:
-    """Rectangle rule on M samples per axis for the L^p norm of g = sqrt(sum w |v|^2).
+    """Rectangle rule on M samples per axis for the L^p norm of g = sqrt(m),
+    m = sum w |v|^2.
 
     parts are pairs (w, v) of a weight and a field, all with the same n and
     L; each v is read as given, so a caller passes occupied(v) to read it
@@ -238,13 +264,18 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     for every part, and the rule then returns the S norms, one per column of
     weights; p may be a sequence, for one result per p.  The parts stream in
     step, slab by slab (_samples), through one shared buffer, and each slab
-    of g is reduced at once into one sum or sup per (p, S): every part is
-    sampled once for all S and p, and no whole grid of samples is held.
-    With rows None the nodes are the whole M^n grid (grid_slabs).  Otherwise
-    they are the horizontal M^(n-1) grid at the heights r L/M of the integers
-    r in rows, where each part is read as its columns there: on the strip's
-    rows r < M/2 at p = 2 the horizontal sum of |v|^2 is M^(n-1) times the
-    columns' sum of squares by Parseval, read by strip_rows, and others sample.
+    is reduced in place, in work arrays made once per call, into one sum or
+    sup per (p, S): every part is sampled once for all S and p, no whole grid
+    of samples is held, and a part whose coefficients are all zero adds
+    nothing and is not sampled.  One part reduces a = |v| and scales by
+    sqrt(w) at the end; several accumulate m and reduce m^(p/2), so g itself
+    is never formed (_power_sums): the sup is sqrt(max m), the same as max g
+    since sqrt is monotone and correctly rounded.  With rows None the nodes
+    are the whole M^n grid (grid_slabs).  Otherwise they are the horizontal
+    M^(n-1) grid at the heights r L/M of the integers r in rows, where each
+    part is read as its columns there: on the strip's rows r < M/2 at p = 2
+    the horizontal sum of |v|^2 is M^(n-1) times the columns' sum of squares
+    by Parseval, read by strip_rows, and others sample.
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
@@ -254,24 +285,36 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
         total = sum(w * strip_rows(v, M).sum() for w, (_, v) in zip(weights, parts))
         norms = [np.sqrt(cell * float(M) ** (lat.n - 1) * total)] * len(exponents)
     else:
-        # one part reduces |v| itself and scales by sqrt(w) at the end
-        single = len(parts) == 1
-        reduced = np.zeros((len(exponents), 1 if single else weights.shape[1]))
-        buffer = None if rows is not None else np.empty(
-            (M, per_slab(M ** (lat.n - 1), M)), dtype=complex)
-        streams = [_samples(v, rows, M, buffer) for _, v in parts]
-        for slab in streams[0]:
+        single, S = len(parts) == 1, weights.shape[1]
+        reduced = np.zeros((len(exponents), 1 if single else S))
+        plane = M ** (lat.n - 1)
+        size = per_slab(plane, M) * M if rows is None else per_slab(len(rows), plane) * plane
+        buffer = np.empty((M, size // M), dtype=complex) if rows is None else None
+        streams = [(w, _samples(v, rows, M, buffer)) for w, (_, v) in zip(weights, parts)
+                   if v.coef.any()]
+        a, work = np.empty(size), np.empty(size if single else S * size)
+        squares = None if single else np.empty(S * size)
+        for slab in streams[0][1] if streams else ():
+            count = slab.size
             if single:
-                g = np.abs(slab).reshape(1, -1)
-            else:  # each part's slab is folded into g before the next part's is drawn
-                g = np.zeros((weights.shape[1], slab.size))
-                for w, stream in zip(weights, streams):
-                    v = slab if stream is streams[0] else next(stream)
-                    g += np.multiply.outer(w, np.abs(v).ravel() ** 2)
-                g = np.sqrt(g, out=g)
+                values, tmp = _magnitudes(slab, a), work[:count]
+            else:  # each part's slab is folded into m before the next part's is drawn
+                m, tmp = (b[: S * count].reshape(S, count) for b in (squares, work))
+                m.fill(0.0)
+                for k, (w, stream) in enumerate(streams):
+                    sq = _magnitudes(slab if k == 0 else next(stream), a)
+                    m += np.multiply.outer(w, np.square(sq, out=sq), out=tmp)
             for i, q in enumerate(exponents):
-                reduced[i] = np.maximum(reduced[i], g.max(axis=1)) if math.isinf(q) else (
-                    reduced[i] + np.sum(g**q, axis=1))
+                if not single:
+                    x = _power_sums(m, q / 2.0, tmp)
+                elif q == 4.0:  # a^4 = (a^2)^2, one square and a dot product
+                    x = np.square(values, out=tmp) @ tmp
+                else:
+                    x = _power_sums(values, q, tmp)
+                reduced[i] = np.maximum(reduced[i], x) if math.isinf(q) else reduced[i] + x
+        if not single:
+            sups = [math.isinf(q) for q in exponents]
+            reduced[sups] = np.sqrt(reduced[sups])
         scale = np.sqrt(weights[0]) if single else 1.0
         norms = [scale * (r if math.isinf(q) else (cell * r) ** (1.0 / q))
                  for q, r in zip(exponents, reduced)]
@@ -296,7 +339,10 @@ def lp_norm(u: Field, p: float | Sequence[float], domain: str = "whole",
     is rectangle_rule of the one part u on M samples per axis: the whole M^n
     grid, or on the strip the M/2 grid heights j L/M < L/2.  The default M is
     exact_grid of u's occupied band for even integer p on the whole torus,
-    where the rule is exact, and of u's lattice otherwise (oversampled).
+    where the rule is exact, and of u's lattice otherwise (oversampled).  At
+    p = inf the value is the largest |u| at the nodes of that grid, which
+    bounds the sup from below.  A field whose coefficients are all zero gives
+    0.0 and is not sampled.
     """
     exponents = list(p) if np.ndim(p) else [p]
     for q in exponents:

@@ -187,7 +187,7 @@ def project_columns_by_mask(spectra, K):
     return kept, (math.sqrt(tail / total) if total > 0.0 else 0.0)
 
 
-def _grid_rule(g, p, lat, M):
+def grid_rule(g, p, lat, M):
     """Rectangle rule for the L^p norm from the magnitudes g at the grid nodes."""
     if math.isinf(p):
         return float(g.max())
@@ -201,7 +201,7 @@ def _on_domain(g, domain, M):
 
 def lp_norm_reference(u, p, domain, M):
     """The rule on the whole sampled M^n grid, cut to the strip's heights."""
-    return _grid_rule(_on_domain(np.abs(sample_grid_reference(u, M)), domain, M), p, u.lattice, M)
+    return grid_rule(_on_domain(np.abs(sample_grid_reference(u, M)), domain, M), p, u.lattice, M)
 
 
 def triebel_norm_reference(u, s, p, domain, M):
@@ -210,7 +210,7 @@ def triebel_norm_reference(u, s, p, domain, M):
     fam = get_family(u.lattice)
     sq = sum(4.0 ** (j * s) * np.abs(sample_grid_reference(delta_dot(u, j, fam), M)) ** 2
              for j in fam.j_range)
-    return _grid_rule(_on_domain(np.sqrt(sq), domain, M), p, u.lattice, M)
+    return grid_rule(_on_domain(np.sqrt(sq), domain, M), p, u.lattice, M)
 
 
 def sup_reference(u, rows, M):

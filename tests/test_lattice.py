@@ -371,6 +371,15 @@ class TestAdmissibility:
         lat = make_lattice(2, 4)
         assert is_homogeneous_admissible(zero_field(lat))
 
+    def test_exact_zero_mode_scans_no_peak(self, monkeypatch):
+        u = plane_wave(make_lattice(2, 4), (1, 0))
+
+        def refuse(self):
+            raise AssertionError("an exact zero mode needs no peak")
+
+        monkeypatch.setattr(Field, "peak", refuse)
+        assert is_homogeneous_admissible(u)
+
 
 class TestFieldIO:
     def test_roundtrip(self):

@@ -44,6 +44,7 @@ from fsx.norms import (
 )
 from fsx.suites import SuiteConfig, interp_besov_ratios, suite_lp_partition, suite_norm_equiv
 from grid_reference import (
+    grid_rule,
     lp_norm_reference,
     sample_grid_reference,
     slab_grid,
@@ -265,35 +266,73 @@ class TestOneRule:
 
 def reduce_grid(u, p, M):
     """The rectangle rule on the assembled grid_slabs: the sup, or the sum."""
-    g = np.abs(slab_grid(u, M))
-    if math.isinf(p):
-        return g.max()
-    return float(((u.lattice.L / M) ** u.lattice.n * np.sum(g**p)) ** (1.0 / p))
+    return grid_rule(np.abs(slab_grid(u, M)), p, u.lattice, M)
 
 
-STREAM_EXPONENTS = (1.0, 4.0 / 3.0, 3.0, 4.0, math.inf)
+def reduce_square_function(u, s_values, p, M):
+    """triebel_norms by the rule on the assembled grid_slabs of u's occupied
+    blocks: g = sqrt(sum_j 4^{js} |block_j|^2) formed on the whole grid per s."""
+    fam = get_family(u.lattice)
+    squares = [np.abs(slab_grid(occupied(delta_dot(u, j, fam)), M)) ** 2 for j in fam.j_range]
+    return [grid_rule(np.sqrt(sum(4.0 ** (j * s) * b for j, b in zip(fam.j_range, squares))),
+                      p, u.lattice, M) for s in s_values]
+
+
+def traced_peak(norm):
+    """The peak of memory traced while norm() runs, after one call that fills
+    the lattice caches."""
+    norm()
+    tracemalloc.start()
+    try:
+        norm()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# every closed form of the reduction (1, 2, 4 and inf) and two general powers
+STREAM_EXPONENTS = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
+STREAM_GRIDS = pytest.mark.parametrize("n, K, M, slab", [
+    (1, 8, 40, None), (2, 8, 50, 7 * 50), (2, 8, 45, 7 * 45), (2, 32, 200, None),
+    (3, 4, 20, 30 * 20), (3, 6, 26, None)])
+
+
+def small_slabs(monkeypatch, n, M, slab):
+    """Set SLAB to slab, when given, and check that the last slab is partial."""
+    if slab:
+        monkeypatch.setattr(fsx_lattice, "SLAB", slab)
+        assert (M ** (n - 1)) % fsx_lattice.per_slab(M ** (n - 1), M) != 0
+
+
+def assert_rule_values(got, want, p):
+    """Sups to the bit, sums to 1e-14."""
+    for g, w in zip(got, want):
+        assert g == w if math.isinf(p) else abs(g / w - 1.0) <= 1e-14
 
 
 class TestStreamedRule:
     """rectangle_rule reduces the slabs of grid_slabs as they stream; the values
     are those of the rule on the whole assembled grid: sups to the bit, sums to
-    1e-14.  A small SLAB makes many slabs, the last one partial."""
+    1e-14.  A small SLAB makes many slabs, the last one partial; one grid has
+    an odd M."""
 
-    @pytest.mark.parametrize("n, K, M, slab", [
-        (1, 8, 40, None), (2, 8, 50, 7 * 50), (2, 32, 200, None), (3, 4, 20, 30 * 20),
-        (3, 6, 26, None)])
+    @STREAM_GRIDS
     def test_matches_a_reduction_of_sample_grid(self, monkeypatch, n, K, M, slab):
-        if slab:
-            monkeypatch.setattr(fsx_lattice, "SLAB", slab)
-            assert (M ** (n - 1)) % fsx_lattice.per_slab(M ** (n - 1), M) != 0
+        small_slabs(monkeypatch, n, M, slab)
         u = random_field(make_lattice(n, K), n)
         for p in STREAM_EXPONENTS:
-            got, want = lp_norm(u, p, M=M), reduce_grid(u, p, M)
-            if math.isinf(p):
-                assert got == want
-            else:
-                assert abs(got / want - 1.0) <= 1e-14
+            assert_rule_values([lp_norm(u, p, M=M)], [reduce_grid(u, p, M)], p)
         assert lp_norm(u, STREAM_EXPONENTS, M=M) == [lp_norm(u, p, M=M) for p in STREAM_EXPONENTS]
+
+    @STREAM_GRIDS
+    def test_square_function_matches_a_reduction_of_the_blocks(self, monkeypatch, n, K, M, slab):
+        small_slabs(monkeypatch, n, M, slab)
+        u = random_field(make_lattice(n, K), n)
+        u.coef[(K,) * n] = 0.0
+        s_values = (-0.5, 0.0, 0.7)
+        for p in STREAM_EXPONENTS:
+            assert_rule_values(triebel_norms(u, s_values, p, M=M),
+                               reduce_square_function(u, s_values, p, M), p)
 
     @pytest.mark.parametrize("n, K, slab", [(2, 6, 3 * 56), (3, 4, 5 * 40 * 40)])
     def test_small_slabs_change_no_value(self, monkeypatch, n, K, slab):
@@ -322,14 +361,34 @@ class TestStreamedRule:
         lat = make_lattice(2, 64)
         u = random_field(lat, 12)
         M = default_oversample(lat)
-        lp_norm(u, p)  # fills the lattice caches
-        tracemalloc.start()
-        try:
-            lp_norm(u, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * M**2
+        assert traced_peak(lambda: lp_norm(u, p)) < 16 * M**2
+
+    def test_square_function_holds_no_whole_grid(self):
+        """The square function streams its blocks in step, each from the rows of
+        its first pass, (2K_j + 1) x M complex values for a block on the band
+        K_j; besides those it holds less than one complex grid at (2, 64)."""
+        lat = make_lattice(2, 64)
+        u = random_field(lat, 12)
+        u.coef[(lat.K,) * lat.n] = 0.0
+        M, fam = default_oversample(lat), get_family(lat)
+        rows = sum(16 * M * occupied(delta_dot(u, j, fam)).lattice.modes_per_axis
+                   for j in fam.j_range)
+        peak = traced_peak(lambda: triebel_norms(u, (-0.5, 0.0, 0.7), 4.0 / 3.0))
+        assert peak < rows + 16 * M**2
+
+    def test_zero_field_samples_nothing(self, monkeypatch):
+        lat = make_lattice(2, 16)
+
+        def refuse(*args):
+            raise AssertionError("a zero field was sampled")
+
+        for name in ("grid_slabs", "_columns"):
+            monkeypatch.setattr(fsx_norms, name, refuse)
+        exponents = (1.0, 4.0 / 3.0, 4.0, math.inf)
+        for domain in ("whole", "halfspace"):
+            assert lp_norm(zero_field(lat), exponents, domain) == [0.0] * len(exponents)
+            assert lp_norm(zero_field(lat), 3.0, domain, M=40) == 0.0
+        assert triebel_norms(zero_field(lat), (-0.5, 0.7), 4.0 / 3.0) == [0.0, 0.0]
 
     def test_several_p_sample_once(self, monkeypatch):
         u = random_field(make_lattice(2, 16), 13)
