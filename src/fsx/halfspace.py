@@ -8,12 +8,13 @@ horizontal mode k' through one table: the value its output takes at each of
 the M vertical grid heights j L/M, for each vertical mode.  Building an
 operator is building its table and taking the DFT along x_n; applying it is
 one product of its kept rows |q| <= K with the columns, and the relative l2
-size of the product of its discarded rows, or of their triangular factor
-(lattice.energy_factor), is the audited projection residual (_apply_columns).
+size of the product of its discarded rows' triangular factor
+(lattice.energy_factor) is the audited projection residual (_apply_columns).
 This is the sample, overwrite and project round trip on the M^n grid, less
-the horizontal transforms, which cancel.  Cached per lattice, (2K+1)^2
-entries each: the parities' kept rows and factors, the zero projection's
-kept rows per order, the 11 witnesses' kept rows; the rest build per call.
+the horizontal transforms, which cancel.  One cache, _operator, keeps every
+reflection's kept rows and factor, keyed on the lattice, mirror coefficients
+and window; the parities, extensions and witnesses share it.  _zero_operator
+keeps the zero projection's kept rows per order.
 
 Every height a table reads is a rational multiple of L: a grid height r L/M,
 or its mirror point -r L/(M(j+1)) of order j.  So every entry is an exact
@@ -34,7 +35,7 @@ one, taken on its first read.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -106,11 +107,6 @@ def _solve_reflection(m: int) -> ReflectionCoeffs:
     return rc
 
 
-def shifted_coefficients(rc: ReflectionCoeffs, ell: int) -> np.ndarray:
-    """Coefficients of the derivative-commuted extension: alpha_j (-1/(j+1))^ell."""
-    return rc.alpha * rc.nodes ** whole_order(ell, "derivative order ell")
-
-
 # ---------------------------------------------------------------------------
 # HalfField
 # ---------------------------------------------------------------------------
@@ -154,7 +150,7 @@ def _columns_through(u: Field, kept: np.ndarray) -> Field:
 
 def _apply_columns(u: Field, kept: np.ndarray, tail: np.ndarray) -> tuple[Field, float]:
     """_columns_through, and the relative l2 size of tail @ columns, for tail the
-    operator's discarded rows or their energy_factor: the projection residual."""
+    energy_factor of the operator's discarded rows: the projection residual."""
     out = _columns_through(u, kept)
     lost = tail @ u.coef.reshape(-1, u.coef.shape[-1]).T
     lost_sq, kept_sq = float(np.vdot(lost, lost).real), float(np.vdot(out.coef, out.coef).real)
@@ -174,66 +170,57 @@ def _split_rows(spectral: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _window_weights(dist: np.ndarray, L: float) -> np.ndarray:
-    # 1 within L/8 of the boundary plane, 0 from 2L/9 on.
-    return smooth_cut((6.0 / L) * np.abs(dist))
-
-
-def _mirror_table(K: int, coeffs: np.ndarray, rows: np.ndarray, M: int) -> np.ndarray:
+def _mirror_table(K: int, coeffs: Sequence[float], rows: np.ndarray, M: int) -> np.ndarray:
     """sum_j coeffs[j] exp(i xi_k x) at the mirror points x = -r L/(M(j+1)) of the
     heights r L/M: one row per integer r in rows, one column per mode k."""
     return sum(a * exact_phases(K, -rows, M * (j + 1)) for j, a in enumerate(coeffs))
 
 
-def _extension_operator(lat: Lattice, coeffs: np.ndarray,
-                        window: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the upper half, write the mirror sum of coeffs on the lower half: the
-    operator's kept rows and the rest (_split_rows)."""
+_ODD, _EVEN = (-1.0,), (1.0,)  # mirror coefficients of the odd and even reflections
+
+
+@lru_cache(maxsize=16)  # halfspace_solves' three lattices, five operators each
+def _operator(lat: Lattice, coeffs: tuple[float, ...],
+              window: bool, /) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the upper half, write the mirror sum of coeffs on the lower half,
+    windowed or not: the operator's read-only kept rows and the energy_factor of
+    the rest.  Positional only, so that one operator has one cache key."""
     M = default_oversample(lat)
     half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2]
     below = np.arange(half, M) - M  # the others at (j - M) L/M < 0
     table = np.empty((M, lat.modes_per_axis), dtype=complex)
     table[:half] = exact_phases(lat.K, np.arange(half), M)
     table[half:] = _mirror_table(lat.K, coeffs, below, M)
-    if window:
-        table[half:] *= _window_weights(below * (lat.L / M), lat.L)[:, None]
-    return _split_rows(np.fft.fft(table, axis=0, norm="forward"), lat.K)
-
-
-@lru_cache(maxsize=6)  # halfspace_solves' three lattices, two parities each
-def _parity_operator(lat: Lattice, parity: str) -> tuple[np.ndarray, np.ndarray]:
-    """The kept rows of lat's odd or even reflection and the energy_factor of the rest."""
-    kept, tail = _extension_operator(lat, np.array([-1.0 if parity == "odd" else 1.0]))
+    if window:  # 1 within L/8 of the boundary plane, 0 from 2L/9 on
+        table[half:] *= smooth_cut((6.0 / lat.L) * np.abs(below * (lat.L / M)))[:, None]
+    kept, tail = _split_rows(np.fft.fft(table, axis=0, norm="forward"), lat.K)
     return kept, energy_factor(tail)
 
 
-def extend_reflect(
-    u: HalfField, m: int, window: bool = False, ell: int = 0
-) -> tuple[Field, float]:
+def extend_reflect(u: HalfField, m: int, window: bool = False) -> tuple[Field, float]:
     """Higher-order reflection extension of upper-half data to the torus.
 
     The lower half -L/2 < x_n < 0 is overwritten by the order-m combination
     of mirrored values.  window multiplies the reflected part by a smooth
     cutoff vanishing before the far face, suppressing the periodic seam.
-    ell rescales the coefficients for the vertical-derivative commutation.
     Returns the projected field and the projection residual.
     """
     if not isinstance(window, bool):
         raise InvalidParameter(f"window must be True or False, got {window!r}")
-    rc = reflection_coefficients(m)
-    return _apply_columns(
-        u.field, *_extension_operator(u.field.lattice, shifted_coefficients(rc, ell), window))
+    coeffs = tuple(reflection_coefficients(m).alpha)
+    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, window))
 
 
 def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
     """Odd or even reflection across x_n = 0 (mirror the upper half, then project).
 
-    Its operator depends on the lattice alone: its kept rows and the factor of
-    the rest are built once per lattice.
+    The even one is the order-0 extension extend_reflect(u, 0), and shares its
+    cached operator; the odd one mirrors with the sign -1.
     """
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
-    return _apply_columns(u.field, *_parity_operator(u.field.lattice, parity))
+    coeffs = _ODD if parity == "odd" else _EVEN
+    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, False))
 
 
 def project_zero(u: Field, m: int) -> Field:
@@ -293,35 +280,22 @@ def indicator_multiply(u: Field) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 
-WITNESSES = tuple(f"E{m}{w}" for m in range(5) for w in ("", "w")) + ("ED",)
-
-
-@lru_cache(maxsize=4)  # halfspace_solves walks three lattices
-def _witness_operators(lat: Lattice) -> np.ndarray:
-    """Read-only kept rows |q| <= K, in mode order, of each witness's operator
-    on lat, in the order of WITNESSES; one M-row operator is alive at a time."""
-    ops = np.empty((len(WITNESSES), lat.modes_per_axis, lat.modes_per_axis), dtype=complex)
-    for i, name in enumerate(WITNESSES):
-        coeffs = np.array([-1.0]) if name == "ED" else reflection_coefficients(int(name[1])).alpha
-        ops[i] = _extension_operator(lat, coeffs, window=name.endswith("w"))[0]
-    ops.flags.writeable = False
-    return ops
-
-
-def extension_candidates(u: HalfField) -> Iterator[tuple[str, Field]]:
-    """The witness extensions (name, field), one at a time: plain and windowed
-    reflections of orders 0-4, then the odd one ED (the even one is E0), each one
-    product of u's columns with its cached kept rows, and no projection residual."""
-    for name, op in zip(WITNESSES, _witness_operators(u.field.lattice)):
-        yield name, _columns_through(u.field, op)
+# Each witness's _operator key (mirror coefficients, window), in the order the
+# minimum breaks ties: E0 is the even reflection, ED the odd one.
+WITNESSES = {"E0": (_EVEN, False),
+             **{f"E{m}w": (tuple(reflection_coefficients(m).alpha), True) for m in range(3)},
+             "ED": (_ODD, False)}
 
 
 def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:
     """Upper bound on the quotient norm inf {||U||_X : U|_half = u}.
 
-    Minimizes the whole-space norm over the witness extensions, streamed one
-    at a time, and returns the value with the winning witness id.  For the Lp
-    family the exact half-domain quadrature is a lower bound on the value.
+    Minimizes the whole-space norm over the witness extensions, one at a time,
+    and returns the value with the winning witness id.  The witnesses are the
+    reflections that win on suite and corpus fields: the even and odd ones (E0,
+    ED) and the windowed ones of orders 0-2 (E0w, E1w, E2w); the other orders
+    won only on random full-spectrum fields at K <= 3.  For the Lp family the
+    exact half-domain quadrature is a lower bound on the value.
     """
     if not isinstance(u, HalfField):
         raise InvalidParameter(f"restriction_norm needs a HalfField, got {type(u).__name__}")
@@ -329,7 +303,8 @@ def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:
         raise InvalidParameter("restriction_norm needs a halfspace-domain spec")
     whole = replace(spec, domain="whole")
     best, witness = math.inf, ""
-    for name, cand in extension_candidates(u):
+    for name, (coeffs, window) in WITNESSES.items():
+        cand = _columns_through(u.field, _operator(u.field.lattice, coeffs, window)[0])
         val = norm_ignoring_mean(cand, whole)
         if val < best:
             best, witness = val, name

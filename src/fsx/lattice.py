@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator
 
 import numpy as np
@@ -122,7 +122,7 @@ def xi_axes(lat: Lattice) -> tuple[np.ndarray, ...]:
 def shells(lat: Lattice) -> np.ndarray:
     """The integer |k|^2 on the full mode grid: the shell of each mode, on which
     every radial symbol is constant."""
-    total = np.sum((np.indices(lat.mode_shape) - lat.K) ** 2, axis=0)
+    total = reduce(np.add.outer, [k_axis(lat.K) ** 2] * lat.n)
     total.flags.writeable = False
     return total
 
@@ -138,7 +138,7 @@ def xi_norm_sq(lat: Lattice) -> np.ndarray:
 @lru_cache(maxsize=128)
 def chebyshev_radius(lat: Lattice) -> np.ndarray:
     """max_a |k_a| on the full mode grid: the least bandlimit holding mode k."""
-    r = np.abs(np.indices(lat.mode_shape) - lat.K).max(axis=0)
+    r = reduce(np.maximum.outer, [np.abs(k_axis(lat.K))] * lat.n)
     r.flags.writeable = False
     return r
 

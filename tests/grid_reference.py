@@ -15,13 +15,13 @@ arbitrary heights (vertical_phases, sample_slices), and project_columns
 against the copy-and-mask projection it replaced.  fsx's strip integral is
 sesquilinear; the bilinear one, u v with no conjugate, is
 bilinear_strip_integral.  fsx builds the column
-operator of each parity reflection once per lattice; the tests check it
-against the per-call route, which builds the M-row table, transforms it and
-applies it on every call, residual from the M - 2K - 1 discarded rows
-(parity_per_call), and likewise the zero-boundary projection
-(project_zero_per_call); it builds the restriction norm's witness operators
-once per lattice, keeping only their kept rows, and the tests check each
-witness against the full extension built on the call (witnesses_per_call).
+operator of each reflection once per lattice, mirror coefficients and window
+(halfspace._operator), shared by the parities, the extensions and the
+restriction norm's witnesses; the tests check it against the per-call route,
+which builds the M-row table, transforms it and applies it on every call,
+residual from the M - 2K - 1 discarded rows (extension_per_call,
+parity_per_call, witnesses_per_call), and likewise the zero-boundary
+projection (project_zero_per_call).
 fsx evaluates every grid norm and sup by one rule (norms.rectangle_rule),
 which reads the strip from columns; the tests check it against the rule on
 the whole sampled grid, cut to the heights it covers (lp_norm_reference,
@@ -38,9 +38,9 @@ import math
 
 import numpy as np
 
-from fsx.dyadic import delta_dot
+from fsx.dyadic import delta_dot, smooth_cut
 from fsx.errors import AliasingRisk
-from fsx.halfspace import _mirror_table, extend_reflect, reflect_parity, reflection_coefficients
+from fsx.halfspace import _mirror_table, reflection_coefficients
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -105,21 +105,30 @@ def sample_slices(u, xn_values, M):
     return horizontal_samples(np.moveaxis(columns, -1, 0), u.lattice, M)
 
 
-def parity_per_call(u, parity):
-    """reflect_parity of the HalfField u by the per-call route: build the table
-    of the order-0 extension with sign -1 (odd) or +1 (even), take its DFT
-    along x_n and apply it to u's columns, all on this call."""
+def extension_per_call(u, coeffs, window=False):
+    """The reflection of the HalfField u with mirror coefficients coeffs by the
+    per-call route: build the table of the upper half and the mirror sum below,
+    windowed or not, take its DFT along x_n and apply it to u's columns, all on
+    this call.  Returns the projected field and the projection residual."""
     lat = u.field.lattice
     M = default_oversample(lat)
     half = M // 2 + 1
+    below = np.arange(half, M) - M
     table = np.empty((M, lat.modes_per_axis), dtype=complex)
     table[:half] = exact_phases(lat.K, np.arange(half), M)
-    sign = np.array([-1.0 if parity == "odd" else 1.0])
-    table[half:] = _mirror_table(lat.K, sign, np.arange(half, M) - M, M)
+    table[half:] = _mirror_table(lat.K, coeffs, below, M)
+    if window:
+        table[half:] *= smooth_cut((6.0 / lat.L) * np.abs(below * (lat.L / M)))[:, None]
     spectral = np.fft.fft(table, axis=0, norm="forward")
     columns = u.field.coef.reshape(-1, lat.modes_per_axis)
     kept, residual = project_columns(spectral @ columns.T, lat.K)
     return Field(lat, kept.reshape(u.field.coef.shape)), residual
+
+
+def parity_per_call(u, parity):
+    """reflect_parity of the HalfField u by the per-call route: the order-0
+    extension with sign -1 (odd) or +1 (even)."""
+    return extension_per_call(u, [-1.0 if parity == "odd" else 1.0])
 
 
 def project_zero_per_call(u, m):
@@ -139,11 +148,12 @@ def project_zero_per_call(u, m):
 
 def witnesses_per_call(u):
     """The restriction norm's witnesses of the HalfField u as (name, field), in
-    its order, each built and applied whole on this call: the plain and windowed
-    reflection extensions of orders 0-4, then the odd reflection ED."""
-    out = [(f"E{m}{'w' if window else ''}", extend_reflect(u, m, window)[0])
-           for m in range(5) for window in (False, True)]
-    return out + [("ED", reflect_parity(u, "odd")[0])]
+    its order, each built and applied whole on this call: the even reflection
+    E0, the windowed extensions of orders 0-2, then the odd reflection ED."""
+    alpha = {m: reflection_coefficients(m).alpha for m in (1, 2)}
+    keys = [("E0", [1.0], False), ("E0w", [1.0], True), ("E1w", alpha[1], True),
+            ("E2w", alpha[2], True), ("ED", [-1.0], False)]
+    return [(name, extension_per_call(u, coeffs, window)[0]) for name, coeffs, window in keys]
 
 
 def project_columns(spectra, K):

@@ -19,7 +19,6 @@ from fsx.dyadic import smooth_cut
 from fsx.errors import AliasingRisk, IllConditioned, InvalidParameter
 from fsx.halfspace import (
     extend_reflect,
-    extension_candidates,
     indicator_multiply,
     lower_half_defect,
     make_half_field,
@@ -27,7 +26,6 @@ from fsx.halfspace import (
     reflect_parity,
     reflection_coefficients,
     restriction_norm,
-    shifted_coefficients,
 )
 from fsx.lattice import (
     Field,
@@ -48,6 +46,7 @@ from grid_reference import (
     project_bandlimited,
     sample_grid_reference,
     sample_slices,
+    witnesses_per_call,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -121,11 +120,6 @@ class TestReflectionCoefficients:
         with pytest.raises(ValueError):
             rc.alpha[0] = 0.0
 
-    def test_shifted_coefficients(self):
-        rc = reflection_coefficients(1)
-        got = shifted_coefficients(rc, 1)
-        assert np.allclose(got, [3.0, -2.0], atol=1e-12)
-
 
 class TestHalfField:
     def test_leakage_of_boundary_bump_is_tiny(self, lat):
@@ -196,33 +190,6 @@ class TestExtendReflect:
         rhs, res2 = extend_reflect(du, 1, window=True)
         scale = max(rhs.peak(), 1e-30)
         assert np.max(np.abs(lhs.coef - rhs.coef)) <= scale * (1e-9 + 10 * (res1 + res2))
-
-    def test_vertical_derivative_commutes_with_shifted_coeffs(self, lat):
-        # d/dx_n E u = E^(1) d/dx_n u, where E^(1) rescales alpha_j by -1/(j+1);
-        # checked pointwise on the lower half with exact evaluation
-        u = make_half_field(one_sided_bump(lat))
-        dn = make_half_field(derivative(u.field, (0, 1)))
-        rc = reflection_coefficients(2)
-        rng = np.random.default_rng(5)
-        pts = np.column_stack(
-            [rng.uniform(0, lat.L, 12), rng.uniform(-lat.L / 4, -0.01, 12)]
-        )
-        scale = half_peak(dn)
-        for x1, xn in pts:
-            lhs = sum(
-                a * (-1.0 / (j + 1)) * evaluate(dn.field, (x1, -xn / (j + 1)))
-                for j, a in enumerate(rc.alpha)
-            )
-            rhs = sum(
-                a * evaluate(dn.field, (x1, -xn / (j + 1)))
-                for j, a in enumerate(shifted_coefficients(rc, 1))
-            )
-            assert abs(lhs - rhs) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("ell", [1.5, math.nan, math.inf, -1])
-    def test_bad_derivative_order_refused(self, lat, ell):
-        with pytest.raises(InvalidParameter):
-            extend_reflect(make_half_field(sine_mode(lat)), 2, ell=ell)
 
     @pytest.mark.parametrize("window", ["no", 0, 1, None, np.True_])
     def test_window_that_is_not_a_bool_refused(self, lat, window):
@@ -428,7 +395,7 @@ class TestRestrictionNorm:
     def test_witnesses_are_distinct(self, lat):
         # a witness equal to another costs an extension and a norm for nothing
         f = generate_corpus(7, "cosine_strip", 1, lat).fields[0]
-        cands = dict(extension_candidates(make_half_field(f)))
+        cands = dict(witnesses_per_call(make_half_field(f)))
         for a, b in itertools.combinations(cands, 2):
             gap = float(np.max(np.abs(cands[a].coef - cands[b].coef)))
             assert gap > 1e-9 * f.peak(), (a, b)
@@ -575,14 +542,6 @@ class TestColumnKernelsMatchGrid:
         got, res = extend_reflect(make_half_field(u), m, window=window)
         want, want_res = grid_extend(u, alpha, window)
         assert_same_field(got, want, u, (res, want_res), weight_growth(alpha))
-
-    @COLUMN_SETTINGS
-    @given(random_fields(), st.integers(1, 4), st.booleans())
-    def test_extend_reflect_shifted(self, u, m, window):
-        got, res = extend_reflect(make_half_field(u), m, window=window, ell=1)
-        coeffs = shifted_coefficients(reflection_coefficients(m), 1)
-        want, want_res = grid_extend(u, coeffs, window)
-        assert_same_field(got, want, u, (res, want_res), weight_growth(coeffs))
 
     @COLUMN_SETTINGS
     @given(random_fields(), st.sampled_from(["odd", "even"]))
@@ -872,7 +831,7 @@ class TestNoWholeGrid:
         half_peak(hf)
         hf.leakage
         for m in (0, 2):
-            extend_reflect(hf, m, window=True, ell=1 if m else 0)
+            extend_reflect(hf, m, window=True)
             project_zero(u, m)
         for parity in ("odd", "even"):
             reflect_parity(hf, parity)

@@ -347,29 +347,31 @@ def test_every_cache_is_emptied_by_the_benchmark(monkeypatch):
 
 def test_benchmark_sweep_empties_the_witness_operators(monkeypatch):
     """desk_verify's sweep (the module-level objects of fsx modules that have
-    cache_clear) reaches the restriction norm's witness operators, so each
-    round builds them cold, as a CLI call does."""
+    cache_clear) reaches the reflections' operators, the restriction norm's
+    five witnesses among them, so each round builds them cold, as a CLI call
+    does."""
     bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
     monkeypatch.syspath_prepend(bench)
     desk = importlib.import_module("workloads").DeskVerify(0)
     desk.load()
-    witness_operators = fsx.halfspace._witness_operators
-    assert id(witness_operators) in {id(clear.__self__) for clear in desk.caches}
-    witness_operators(make_lattice(2, 4))
+    operator = fsx.halfspace._operator
+    assert id(operator) in {id(clear.__self__) for clear in desk.caches}
+    for key in fsx.halfspace.WITNESSES.values():
+        operator(make_lattice(2, 4), *key)
     for clear in desk.caches:
         clear()
-    assert witness_operators.cache_info().currsize == 0
+    assert operator.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("cache, args", [
-    ("halfspace._parity_operator", (make_lattice(2, 4), "odd")),
+    ("halfspace._operator", (make_lattice(2, 4), (-1.0,), False)),
     ("halfspace._zero_operator", (make_lattice(2, 4), 1)),
     ("norms._strip_factor", (4, 32)),
 ])
 def test_benchmark_sweep_empties_the_column_caches(monkeypatch, cache, args):
-    """desk_verify's sweep reaches the parity reflections' kept rows and
-    factors, the zero projection's kept rows and the strip's factors, so each
-    round builds them cold, as a CLI call does."""
+    """desk_verify's sweep reaches the reflections' kept rows and factors,
+    the parities' among them, the zero projection's kept rows and the strip's
+    factors, so each round builds them cold, as a CLI call does."""
     bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
     monkeypatch.syspath_prepend(bench)
     desk = importlib.import_module("workloads").DeskVerify(0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from fsx.lattice import (
     field_from_modes,
     field_to_dict,
     is_homogeneous_admissible,
+    k_axis,
     make_lattice,
     occupied,
     plane_wave,
+    shells,
     zero_field,
 )
 from grid_reference import (
@@ -209,6 +212,36 @@ class TestOccupied:
         assert band.lattice == make_lattice(2, 3)
         assert band.coef[2 + 3, -3 + 3] == 1.5j and band.coef[3, 4] == 2.0
         assert np.sum(np.abs(band.coef)) == np.sum(np.abs(u.coef))
+
+
+class TestModeTables:
+    """shells and chebyshev_radius are outer sums and maxima of one axis:
+    bitwise the formulas on the index cube, which they do not build."""
+
+    @pytest.mark.parametrize("n, K", [(1, 3), (2, 5), (3, 4)])
+    def test_equal_the_index_cube(self, n, K):
+        lat = make_lattice(n, K)
+        k = np.indices(lat.mode_shape) - K
+        for got, want in ((shells(lat), np.sum(k**2, axis=0)),
+                          (chebyshev_radius(lat), np.abs(k).max(axis=0))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+    @pytest.mark.parametrize("table", [shells, chebyshev_radius])
+    def test_builds_no_index_cube(self, table):
+        # the indicator's lattice in the desk strichartz_indicator: the 513^2
+        # int64 output (2.1 MB) is the peak, where an index cube of the two
+        # axes and its offset copy held three to four times it
+        lat = make_lattice(2, 256)
+        k_axis(lat.K)
+        table.cache_clear()
+        tracemalloc.start()
+        try:
+            out = table(lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
 
 
 class TestProjectBandlimited:

@@ -1,8 +1,9 @@
 """The parity reflections' column operators, built once per lattice.
 
 reflect_parity reads the kept rows of each (lattice, parity), and the
-triangular factor of its discarded rows, from a cache.  Every coefficient
-array must be bitwise what the per-call route gives
+triangular factor of its discarded rows, from the reflections' one cache,
+halfspace._operator, under the key (lattice, (-1.0,) or (1.0,), False).
+Every coefficient array must be bitwise what the per-call route gives
 (grid_reference.parity_per_call), with the cache cold and warm; a projection
 residual, read from the factor instead of the discarded rows, agrees to
 round-off (residuals_agree).
@@ -24,6 +25,10 @@ from fsx.halfspace import make_half_field, reflect_parity
 from fsx.lattice import Field, make_lattice, without_mean
 from fsx.solvers import bvp_dirichlet, bvp_neumann, resolvent_halfspace
 from grid_reference import parity_per_call
+
+
+# the _operator arguments after the lattice of each parity reflection
+PARITY_KEYS = {"odd": ((-1.0,), False), "even": ((1.0,), False)}
 
 
 def same_bits(a, b):
@@ -80,10 +85,10 @@ class TestParityOperatorCache:
     def test_equals_the_per_call_route_cold_and_warm(self, case):
         with mock.patch.object(fsx_solvers, "reflect_parity", parity_per_call):
             want = outputs(*case)
-        fsx_halfspace._parity_operator.cache_clear()
+        fsx_halfspace._operator.cache_clear()
         cold = outputs(*case)
         warm = outputs(*case)
-        assert fsx_halfspace._parity_operator.cache_info().misses == 1
+        assert fsx_halfspace._operator.cache_info().misses == 1
         for got, residuals in (cold, warm):
             assert len(got) == len(want[0]) and len(residuals) == len(want[1])
             assert all(same_bits(a, b) for a, b in zip(got, want[0]))
@@ -99,7 +104,7 @@ class TestParityOperatorCache:
 
     def test_cached_operator_is_read_only(self):
         for parity in ("odd", "even"):
-            kept, factor = fsx_halfspace._parity_operator(make_lattice(2, 4), parity)
+            kept, factor = fsx_halfspace._operator(make_lattice(2, 4), *PARITY_KEYS[parity])
             assert kept.shape == factor.shape == (9, 9)
             for op in (kept, factor):
                 with pytest.raises(ValueError):
@@ -109,16 +114,16 @@ class TestParityOperatorCache:
         lat = make_lattice(2, 8)
         sine, cosine = (make_half_field(generate_corpus(7, kind, 1, lat).fields[0])
                         for kind in ("sine_strip", "cosine_strip"))
-        fsx_halfspace._parity_operator.cache_clear()
+        fsx_halfspace._operator.cache_clear()
         for i in range(10):
             f, bc = (sine, "dirichlet") if i % 2 else (cosine, "neumann")
             resolvent_halfspace(f, 1.0 + i, bc)
-        info = fsx_halfspace._parity_operator.cache_info()
+        info = fsx_halfspace._operator.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
 
     def test_unknown_parity_builds_nothing(self):
-        fsx_halfspace._parity_operator.cache_clear()
+        fsx_halfspace._operator.cache_clear()
         hf = make_half_field(generate_corpus(7, "sine_strip", 1, make_lattice(2, 4)).fields[0])
         with pytest.raises(InvalidParameter):
             reflect_parity(hf, "both")
-        assert fsx_halfspace._parity_operator.cache_info().currsize == 0
+        assert fsx_halfspace._operator.cache_info().currsize == 0

@@ -1,9 +1,12 @@
 """The restriction norm's witness operators, built once per lattice.
 
-restriction_norm streams the witness extensions of extension_candidates,
-each one product with the kept rows of its cached operator; every witness
-and every (value, witness) must be bitwise what the per-call route gives
-(grid_reference.witnesses_per_call), with the caches cold and warm.
+restriction_norm takes the five witnesses of WITNESSES one at a time, each
+one product with the kept rows of its operator in the reflections' one cache,
+halfspace._operator, which the parities and extend_reflect share: E0 is the
+even reflection and extend_reflect(u, 0), ED the odd one, E1w and E2w
+extend_reflect(u, m, window=True).  Every witness and every (value, witness)
+must be bitwise what the per-call route gives
+(grid_reference.witnesses_per_call), with the cache cold and warm.
 """
 
 import math
@@ -18,17 +21,25 @@ from hypothesis import strategies as st
 import fsx.halfspace as fsx_halfspace
 from fsx.corpus import generate_corpus
 from fsx.errors import FsxError
-from fsx.halfspace import WITNESSES, extension_candidates, make_half_field, restriction_norm
+from fsx.halfspace import (
+    WITNESSES,
+    extend_reflect,
+    make_half_field,
+    reflect_parity,
+    restriction_norm,
+)
 from fsx.lattice import Field, make_lattice
 from fsx.norms import SpaceSpec, lp_norm, norm_ignoring_mean
+from fsx.suites import SuiteConfig, run_suite
 from grid_reference import witnesses_per_call
 
 SPECS = [SpaceSpec("Lp", p=p, domain="halfspace") for p in (4.0 / 3.0, 2.0, 4.0)] + [
     SpaceSpec("Hdot", s=0.7, p=2.0, domain="halfspace")
 ]
 # the bound fails where projecting the extensions moves their upper half, as
-# on many random fields at small K: for complex standard-normal fields at p in
-# {4/3, 2, 4}, on about 1 in 3 (n, K) = (2, 1) pairs and 1 in 16 at (2, 4)
+# on many random fields at small K: for complex standard-normal fields over the
+# whole mode array at p in {4/3, 2, 4}, on 293, 183, 123 and 55 of the 900
+# (field, p) pairs of seeds 0-299 at (n, K) = (2, 1), (2, 2), (2, 3), (2, 4)
 BELOW = "witness norm below the exact half-domain bound"
 
 
@@ -37,9 +48,11 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def clear_caches():
-    fsx_halfspace._witness_operators.cache_clear()
-    fsx_halfspace._parity_operator.cache_clear()
+def witnesses(hf):
+    """The witnesses (name, field) as restriction_norm forms them, from the cache."""
+    lat = hf.field.lattice
+    return [(name, fsx_halfspace._columns_through(hf.field, fsx_halfspace._operator(lat, *key)[0]))
+            for name, key in WITNESSES.items()]
 
 
 def norm_per_call(hf, spec):
@@ -79,27 +92,28 @@ class TestWitnessOperators:
     def test_equal_the_per_call_route_cold_and_warm(self, hf, spec):
         want = witnesses_per_call(hf)
         want_norm = norm_per_call(hf, spec)
-        clear_caches()
+        fsx_halfspace._operator.cache_clear()
         for _ in range(2):  # cold, then warm
-            got = list(extension_candidates(hf))
+            got = witnesses(hf)
             assert [name for name, _f in got] == [name for name, _f in want] == list(WITNESSES)
             assert all(same_bits(g.coef, w.coef) for (_a, g), (_b, w) in zip(got, want))
             assert restriction_outcome(hf, spec) == want_norm
 
     def test_cached_operators_are_read_only(self):
-        ops = fsx_halfspace._witness_operators(make_lattice(2, 4))
-        assert ops.shape == (len(WITNESSES), 9, 9)
-        with pytest.raises(ValueError):
-            ops[0, 0, 0] = 1.0
+        for key in WITNESSES.values():
+            for op in fsx_halfspace._operator(make_lattice(2, 4), *key):
+                assert op.shape == (9, 9)
+                with pytest.raises(ValueError):
+                    op[0, 0] = 1.0
 
     def test_built_once_per_lattice(self):
         lat = make_lattice(2, 8)
         fields = generate_corpus(7, "boundary_bump", 2, lat).fields
-        clear_caches()
+        fsx_halfspace._operator.cache_clear()
         for i in range(10):
             restriction_norm(make_half_field(fields[i % 2]), SPECS[i % len(SPECS)])
-        info = fsx_halfspace._witness_operators.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 9, 1)
+        info = fsx_halfspace._operator.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (5, 45, 5)
 
     def test_witnesses_stream_through_the_norm(self):
         # one restriction_norm call holds one witness field at a time, not all
@@ -116,3 +130,38 @@ class TestWitnessOperators:
         finally:
             tracemalloc.stop()
         assert peak < len(WITNESSES) * hf.field.coef.nbytes
+
+
+class TestOneOperatorCache:
+    """The parities, the extensions and the witnesses read one cache, so an
+    operator two of them share is built once."""
+
+    def test_cold_reflection_suite_builds_five_operators_per_lattice(self):
+        # the desk reflection suite reads the five witnesses at K=32 and K=64 and
+        # nothing else: its parities are E0 and ED, its extensions E0w-E2w
+        fsx_halfspace._operator.cache_clear()
+        run_suite("reflection", SuiteConfig())
+        info = fsx_halfspace._operator.cache_info()
+        assert (info.misses, info.currsize) == (10, 10)
+        for K in (32, 64):
+            for key in WITNESSES.values():
+                fsx_halfspace._operator(make_lattice(2, K), *key)
+        assert fsx_halfspace._operator.cache_info().misses == 10
+
+    def test_extensions_on_one_lattice_build_once(self):
+        hf = make_half_field(generate_corpus(7, "boundary_bump", 1, make_lattice(2, 8)).fields[0])
+        fsx_halfspace._operator.cache_clear()
+        for _ in range(10):
+            extend_reflect(hf, 2, window=True)
+        info = fsx_halfspace._operator.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 9, 1)
+
+    def test_even_parity_and_order_zero_share_the_witness_e0(self):
+        hf = make_half_field(generate_corpus(7, "cosine_strip", 1, make_lattice(2, 8)).fields[0])
+        fsx_halfspace._operator.cache_clear()
+        even, _ = reflect_parity(hf, "even")
+        restriction_norm(hf, SPECS[1])
+        info = fsx_halfspace._operator.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (5, 1, 5)
+        assert same_bits(extend_reflect(hf, 0)[0].coef, even.coef)
+        assert fsx_halfspace._operator.cache_info().misses == 5
