@@ -14,10 +14,10 @@ import cmath
 import math
 import sys
 
-from .errors import ConfigError, FsxError
+from .errors import ConfigError, FsxError, InvalidParameter
 from .halfspace import HalfField
 from .lattice import load_field, save_field
-from .norms import parse_space_spec, space_norm
+from .norms import DOMAINS, parse_space_spec, space_norm
 from .report import nest_reports, write_report
 from .solvers import (
     DIRICHLET,
@@ -31,15 +31,18 @@ from .suites import SUITES, SuiteConfig, require_floors, run_suite
 
 def parse_lambda(text: str) -> complex:
     """Parse "10@0.33pi" (modulus at phase) or a plain complex literal."""
-    if "@" in text:
-        mod_str, _, phase_str = text.partition("@")
-        phase_str = phase_str.strip().lower()
-        if phase_str.endswith("pi"):
-            phase = float(phase_str[:-2] or "1") * math.pi
-        else:
-            phase = float(phase_str)
-        return float(mod_str) * cmath.exp(1j * phase)
-    return complex(text)
+    try:
+        if "@" in text:
+            mod_str, _, phase_str = text.partition("@")
+            phase_str = phase_str.strip().lower()
+            if phase_str.endswith("pi"):
+                phase = float(phase_str[:-2] or "1") * math.pi
+            else:
+                phase = float(phase_str)
+            return float(mod_str) * cmath.exp(1j * phase)
+        return complex(text)
+    except ValueError:
+        raise InvalidParameter(f"cannot read lambda {text!r}") from None
 
 
 def _parse_floats(text: str) -> tuple:
@@ -69,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     n = sub.add_parser("norm", help="evaluate a norm of a field file")
     n.add_argument("--input", required=True)
     n.add_argument("--space", required=True, help='e.g. "Hdot:s=0.5,p=2"')
-    n.add_argument("--domain", default="whole", choices=["whole", "halfspace", "halfspace_zero"])
+    n.add_argument("--domain", default="whole", choices=DOMAINS)
 
     s = sub.add_parser("solve", help="solve a half-space problem")
     s.add_argument(

@@ -16,15 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvalidParameter
-from .lattice import Field, Lattice, field_from_modes, k_axis, zero_field, xi_norm
-
-KINDS = (
-    "random_bandlimited",
-    "sine_strip",
-    "cosine_strip",
-    "boundary_bump",
-    "plane_waves",
-)
+from .lattice import Field, Lattice, k_axis, zero_field, xi_norm
 
 
 @dataclass
@@ -177,12 +169,13 @@ def boundary_bump_field(lat: Lattice, rng: np.random.Generator) -> Field:
     return bump_field(lat, lat.L / 8.0, corpus_bump_sigma(lat), horizontal=horiz, even=True)
 
 
-def _plane_wave_field(lat: Lattice, rng: np.random.Generator, taken: set) -> Field:
-    while True:
-        k = tuple(int(c) for c in rng.integers(-lat.K, lat.K + 1, size=lat.n))
-        if k != (0,) * lat.n and k not in taken:
-            taken.add(k)
-            return field_from_modes(lat, {k: 1.0})
+# Each kind's builder, called with the lattice and the field's own RNG stream.
+KINDS = {
+    "random_bandlimited": random_field,
+    "sine_strip": sine_strip_field,
+    "cosine_strip": cosine_strip_field,
+    "boundary_bump": boundary_bump_field,
+}
 
 
 def generate_corpus(seed: int, kind: str, size: int, lat: Lattice) -> Corpus:
@@ -191,18 +184,4 @@ def generate_corpus(seed: int, kind: str, size: int, lat: Lattice) -> Corpus:
         raise InvalidParameter(f"corpus size must be >= 1, got {size}")
     if kind not in KINDS:
         raise InvalidParameter(f"unknown corpus kind {kind!r}")
-    fields: list[Field] = []
-    taken: set = set()
-    for i in range(size):
-        rng = _rng(seed, i)
-        if kind == "random_bandlimited":
-            fields.append(random_field(lat, rng))
-        elif kind == "sine_strip":
-            fields.append(sine_strip_field(lat, rng))
-        elif kind == "cosine_strip":
-            fields.append(cosine_strip_field(lat, rng))
-        elif kind == "boundary_bump":
-            fields.append(boundary_bump_field(lat, rng))
-        else:
-            fields.append(_plane_wave_field(lat, rng, taken))
-    return Corpus(seed, kind, size, lat, fields)
+    return Corpus(seed, kind, size, lat, [KINDS[kind](lat, _rng(seed, i)) for i in range(size)])

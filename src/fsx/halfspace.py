@@ -197,25 +197,23 @@ def _operator(lat: Lattice, coeffs: tuple[float, ...],
     return kept, energy_factor(tail)
 
 
-def extend_reflect(u: HalfField, m: int, window: bool = False) -> tuple[Field, float]:
+def extend_reflect(u: HalfField, m: int) -> tuple[Field, float]:
     """Higher-order reflection extension of upper-half data to the torus.
 
     The lower half -L/2 < x_n < 0 is overwritten by the order-m combination
-    of mirrored values.  window multiplies the reflected part by a smooth
-    cutoff vanishing before the far face, suppressing the periodic seam.
+    of mirrored values, times a smooth cutoff vanishing before the far face,
+    which suppresses the periodic seam: for m <= 2 the witness Emw.
     Returns the projected field and the projection residual.
     """
-    if not isinstance(window, bool):
-        raise InvalidParameter(f"window must be True or False, got {window!r}")
     coeffs = tuple(reflection_coefficients(m).alpha)
-    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, window))
+    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, True))
 
 
 def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
     """Odd or even reflection across x_n = 0 (mirror the upper half, then project).
 
-    The even one is the order-0 extension extend_reflect(u, 0), and shares its
-    cached operator; the odd one mirrors with the sign -1.
+    The even one mirrors with the sign 1 and the odd one with -1, neither
+    windowed: the witnesses E0 and ED, whose cached operators they share.
     """
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")

@@ -1,9 +1,9 @@
 """Exact Fourier-multiplier engine on band-limited fields.
 
 Symbols are evaluated in double precision at the exact lattice frequencies.
-A symbol may be undefined on part of the frequency set (typically xi = 0);
-applying it to a field carrying non-negligible amplitude there raises
-HomogeneousDCViolation, otherwise the offending modes are zeroed.
+The symbols of |xi|^s and of the inverse Laplacian are undefined at xi = 0
+and set to 0 there; applying one to a field that is not mean-free
+(lattice.is_homogeneous_admissible) raises HomogeneousDCViolation.
 """
 
 from __future__ import annotations
@@ -11,7 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HomogeneousDCViolation, InvalidParameter, SpectrumHit
-from .lattice import DC_TOL, Field, Lattice, whole_order, xi_axes, xi_norm, xi_norm_sq
+from .lattice import (
+    Field,
+    Lattice,
+    is_homogeneous_admissible,
+    whole_order,
+    xi_axes,
+    xi_norm,
+    xi_norm_sq,
+)
 
 
 def _xi_components(lat: Lattice) -> tuple[np.ndarray, ...]:
@@ -23,26 +31,16 @@ def _xi_components(lat: Lattice) -> tuple[np.ndarray, ...]:
     return tuple(comps)
 
 
-def _apply_values(u: Field, values: np.ndarray, singular_mask, opname: str) -> Field:
-    coef = u.coef
-    if singular_mask is not None and np.any(singular_mask):
-        bad = np.abs(coef) * singular_mask
-        bound = DC_TOL * u.peak()
-        if np.any(bad > bound):
-            raise HomogeneousDCViolation(
-                f"{opname}: field carries amplitude on frequencies where the "
-                "symbol is undefined"
-            )
-        values = np.where(singular_mask, 0.0, values)
-    return Field(u.lattice, coef * values)
+def _apply_values(u: Field, values: np.ndarray) -> Field:
+    return Field(u.lattice, u.coef * values)
 
 
 def potential_weight(rsq: np.ndarray, s: float, bessel: bool = False) -> np.ndarray:
     """Per-mode weight of order s from the squared frequency radii rsq.
 
     Riesz |xi|^s is undefined where rsq = 0 and is set to 0 there, so the
-    caller must mask those modes; Bessel (1 + |xi|^2)^(s/2) is defined
-    everywhere.
+    caller must refuse a field that is not mean-free; Bessel
+    (1 + |xi|^2)^(s/2) is defined everywhere.
     """
     if bessel:
         return (1.0 + rsq) ** (0.5 * float(s))
@@ -54,14 +52,15 @@ def potential_weight(rsq: np.ndarray, s: float, bessel: bool = False) -> np.ndar
 
 def fractional_laplacian(u: Field, s: float) -> Field:
     """(-Laplacian)^(s/2): multiplier |xi|^s, undefined at xi = 0."""
-    rsq = xi_norm_sq(u.lattice)
-    return _apply_values(u, potential_weight(rsq, s), rsq == 0.0, "fractional_laplacian")
+    if not is_homogeneous_admissible(u):
+        raise HomogeneousDCViolation("fractional_laplacian requires a zero-mean field")
+    return _apply_values(u, potential_weight(xi_norm_sq(u.lattice), s))
 
 
 def bessel_potential(u: Field, s: float) -> Field:
     """(I - Laplacian)^(s/2): multiplier (1 + |xi|^2)^(s/2), defined everywhere."""
     values = potential_weight(xi_norm_sq(u.lattice), s, bessel=True)
-    return _apply_values(u, values, None, "bessel_potential")
+    return _apply_values(u, values)
 
 
 def derivative(u: Field, alpha: tuple[int, ...]) -> Field:
@@ -75,7 +74,7 @@ def derivative(u: Field, alpha: tuple[int, ...]) -> Field:
     for a, order in enumerate(orders):
         if order:
             values = values * (1j * comps[a]) ** order
-    return _apply_values(u, values, None, "derivative")
+    return _apply_values(u, values)
 
 
 def gradient(u: Field) -> list[Field]:
@@ -87,11 +86,11 @@ def poisson_decay(u: Field, t: float) -> Field:
     """Poisson semigroup at depth t: multiplier exp(-t |xi|)."""
     if not (np.isfinite(t) and t >= 0):
         raise InvalidParameter(f"depth must be finite and nonnegative, got {t}")
-    return _apply_values(u, np.exp(-t * xi_norm(u.lattice)), None, "poisson_decay")
+    return _apply_values(u, np.exp(-t * xi_norm(u.lattice)))
 
 
 def laplacian(u: Field) -> Field:
-    return _apply_values(u, -xi_norm_sq(u.lattice), None, "laplacian")
+    return _apply_values(u, -xi_norm_sq(u.lattice))
 
 
 def resolvent_wholespace(f: Field, lam: complex) -> Field:
@@ -106,10 +105,10 @@ def resolvent_wholespace(f: Field, lam: complex) -> Field:
     lat = f.lattice
     rsq = xi_norm_sq(lat)
     if lam == 0:
-        mask = rsq == 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            values = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, rsq))
-        return _apply_values(f, values, mask, "inverse_laplacian")
+        if not is_homogeneous_admissible(f):
+            raise HomogeneousDCViolation("inverse_laplacian requires a zero-mean field")
+        zero = rsq == 0.0
+        return _apply_values(f, np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, rsq)))
     if lam.imag == 0.0 and lam.real < 0.0:
         denom = lam + rsq
         occupied = np.abs(f.coef) > 0.0
@@ -119,4 +118,4 @@ def resolvent_wholespace(f: Field, lam: complex) -> Field:
             f"lam={lam} lies on the negative real axis (outside every sector)"
         )
     values = 1.0 / (lam + rsq)
-    return _apply_values(f, values, None, "resolvent_wholespace")
+    return _apply_values(f, values)

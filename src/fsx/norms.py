@@ -16,15 +16,15 @@ time) in slabs of about lattice.SLAB values, and each slab is reduced in
 place for every weight and every p, by the closed form of each power where
 there is one, so no M^n array of samples is held.  At p = inf the value is
 the largest |g| at the nodes, a lower bound on the sup that no grid makes exact.
-Grids are chosen by exactness: for even integer p on the whole torus g^p
-has band pK' for the band K' that u occupies (lattice.occupied), so the
-smallest grid with M > pK' is exact; every other p, and the strip
-0 <= x_n < L/2, keep the oversampled grid of u's own lattice, the one
-approximate quadrature.  On the strip at p = 2 it is a factor norm: strip_rows
-reads each column's sum of squares at the M/2 heights as ||R a||^2, for R
-the triangular QR factor of their phases.  Exact strip integrals (pairings
-of band-limited products) use closed-form half-period weights on the
-vertical mode pairs instead.
+The norms choose their grids by exactness, and no caller picks one: for even
+integer p on the whole torus g^p has band pK' for the band K' that u occupies
+(lattice.occupied), so the smallest grid with M > pK' is exact; every other
+p, and the strip 0 <= x_n < L/2, keep the oversampled grid of u's own
+lattice, the one approximate quadrature.  On the strip at p = 2 it is a
+factor norm: strip_rows reads each column's sum of squares at the M/2
+heights as ||R a||^2, for R the triangular QR factor of their phases.  Exact
+strip integrals (pairings of band-limited products) use closed-form
+half-period weights on the vertical mode pairs instead.
 
 s and q only reweight values that depend on (u, p) alone, so each dyadic
 block is sampled once per (p, grid) and reduced for every s and q:
@@ -65,7 +65,7 @@ from .multipliers import bessel_potential, fractional_laplacian, potential_weigh
 
 FAMILIES = ("Lp", "Hdot", "H", "Bdot", "B", "Fdot")
 HOMOGENEOUS = ("Hdot", "Bdot", "Fdot")
-DOMAINS = ("whole", "halfspace", "halfspace_zero")
+DOMAINS = ("whole", "halfspace")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,10 @@ def parse_space_spec(text: str, domain: str = "whole") -> SpaceSpec:
             if key not in ("s", "p", "q"):
                 raise InvalidParameter(f"unknown space parameter {key!r}")
             value = value.strip().lower()
-            kwargs[key] = math.inf if value == "inf" else float(value)
+            try:
+                kwargs[key] = math.inf if value == "inf" else float(value)
+            except ValueError:
+                raise InvalidParameter(f"{key}={value!r} is not a number") from None
     return SpaceSpec(family=family, domain=domain, **kwargs)
 
 
@@ -173,18 +176,10 @@ def potential_sq(s: float, bessel: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _grid_size(u: Field, band: Lattice, p: float, whole: bool, M: int | None) -> int:
-    """Samples per axis for the rule on u, whose occupied band is band: the
-    explicit M, which must resolve u's lattice and, on the strip, be even, so
-    that the heights r L/M < L/2 are the r < M/2; or exact_grid of the band
-    when the rule is exact and of u's lattice otherwise."""
-    if M is None:
-        return exact_grid(band if has_exact_grid(p, whole) else u.lattice, p, whole)
-    if M < 2 * u.lattice.K + 2:
-        raise AliasingRisk(f"M={M} < 2K+2={2 * u.lattice.K + 2}")
-    if not whole and M % 2:
-        raise InvalidParameter(f"the strip needs an even M to end at L/2, got M={M}")
-    return M
+def _grid_size(u: Field, band: Lattice, p: float, whole: bool) -> int:
+    """Samples per axis for the rule on u, whose occupied band is band:
+    exact_grid of the band when the rule is exact, and of u's lattice otherwise."""
+    return exact_grid(band if has_exact_grid(p, whole) else u.lattice, p, whole)
 
 
 def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
@@ -195,6 +190,8 @@ def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _strip_factor(K: int, M: int) -> np.ndarray:
     """energy_factor of the column phases at the strip's heights r L/M, r < M/2."""
+    if M < 2 * K + 2:
+        raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
     return energy_factor(exact_phases(K, np.arange(M // 2), M))
 
 
@@ -328,21 +325,20 @@ def _on_strip(domain: str) -> bool:
     return domain == "halfspace"
 
 
-def lp_norm(u: Field, p: float | Sequence[float], domain: str = "whole",
-            M: int | None = None) -> float | list[float]:
+def lp_norm(u: Field, p: float | Sequence[float],
+            domain: str = "whole") -> float | list[float]:
     """L^p norm over the torus or the strip 0 <= x_n < L/2; one per p when p is
     a sequence, and the p that share a grid are reduced from one sampling.
 
-    "halfspace_zero" (zero-extended functions) is the whole-torus norm.  On
-    the whole torus, p = 2 without an explicit M is the Plancherel sum
-    L^(n/2) sqrt(sum |c_k|^2), mode_sum of the weight 1.  Every other case
-    is rectangle_rule of the one part u on M samples per axis: the whole M^n
-    grid, or on the strip the M/2 grid heights j L/M < L/2.  The default M is
-    exact_grid of u's occupied band for even integer p on the whole torus,
-    where the rule is exact, and of u's lattice otherwise (oversampled).  At
-    p = inf the value is the largest |u| at the nodes of that grid, which
-    bounds the sup from below.  A field whose coefficients are all zero gives
-    0.0 and is not sampled.
+    On the whole torus, p = 2 is the Plancherel sum L^(n/2) sqrt(sum |c_k|^2),
+    mode_sum of the weight 1.  Every other case is rectangle_rule of the one
+    part u on M samples per axis: the whole M^n grid, or on the strip the M/2
+    grid heights j L/M < L/2.  M is exact_grid of u's occupied band for even
+    integer p on the whole torus, where the rule is exact, and of u's lattice
+    otherwise (oversampled, and even).  At p = inf the value is the largest
+    |u| at the nodes of that grid, which bounds the sup from below.  A field
+    whose coefficients are all zero gives 0.0 and is not sampled.  A caller
+    that needs the rule on another grid calls rectangle_rule itself.
     """
     exponents = list(p) if np.ndim(p) else [p]
     for q in exponents:
@@ -350,11 +346,11 @@ def lp_norm(u: Field, p: float | Sequence[float], domain: str = "whole",
     strip = _on_strip(domain)
     out, grids, band = {}, {}, None
     for q in exponents:
-        if not strip and q == 2.0 and M is None:
+        if not strip and q == 2.0:
             out[q] = float(mode_sum(u, np.ones_like))
         else:
             band = band or occupied(u)
-            grids.setdefault(_grid_size(u, band.lattice, q, not strip, M), []).append(q)
+            grids.setdefault(_grid_size(u, band.lattice, q, not strip), []).append(q)
     for size, group in grids.items():
         out.update(zip(group, rectangle_rule([(1.0, band)], group,
                                              np.arange(size // 2) if strip else None, size)))
@@ -458,8 +454,8 @@ def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
     return lp_norm(potential, spec.p, spec.domain)
 
 
-def triebel_norms(u: Field, s_values: Sequence[float], p: float, domain: str = "whole",
-                  M: int | None = None) -> list[float]:
+def triebel_norms(u: Field, s_values: Sequence[float], p: float,
+                  domain: str = "whole") -> list[float]:
     """Square-function norms, one per s in s_values: pointwise l2 over scales of
     2^{js} blocks, then L^p.
 
@@ -474,16 +470,15 @@ def triebel_norms(u: Field, s_values: Sequence[float], p: float, domain: str = "
     strip = _on_strip(domain)
     _require_admissible(u, "square-function norm")
     fam = get_family(u.lattice)
-    M = _grid_size(u, occupied(u).lattice, p, not strip, M)
+    M = _grid_size(u, occupied(u).lattice, p, not strip)
     blocks = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
               for j in fam.j_range]
     return rectangle_rule(blocks, p, np.arange(M // 2) if strip else None, M)
 
 
-def triebel_norm(u: Field, s: float, p: float, domain: str = "whole",
-                 M: int | None = None) -> float:
+def triebel_norm(u: Field, s: float, p: float, domain: str = "whole") -> float:
     """Square-function norm at one s: triebel_norms' one-s case."""
-    return triebel_norms(u, (s,), p, domain, M)[0]
+    return triebel_norms(u, (s,), p, domain)[0]
 
 
 def triebel_fubini_l2(u: Field, s: float) -> float:

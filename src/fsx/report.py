@@ -110,12 +110,3 @@ def write_report(r: Report | dict, path: str) -> None:
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
-
-def read_report(path: str) -> dict:
-    import json
-
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoError(str(exc)) from exc

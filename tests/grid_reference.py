@@ -25,10 +25,12 @@ projection (project_zero_per_call).
 fsx evaluates every grid norm and sup by one rule (norms.rectangle_rule),
 which reads the strip from columns; the tests check it against the rule on
 the whole sampled grid, cut to the heights it covers (lp_norm_reference,
-triebel_norm_reference, sup_reference).  At p = 2 on the strip the rule
-reads each column's sum of squares from a triangular factor
-(norms.strip_rows); the tests check it against the columns formed at the
-M/2 heights and summed (strip_rows_by_columns, strip_l2_by_columns), and
+triebel_norm_reference, sup_reference).  The norms pick their own grids;
+the tests take them on a grid of their choosing by the rule (norm_on_grid).
+At p = 2 on the strip the rule reads each column's sum of squares from a
+triangular factor (norms.strip_rows); the tests check it against the columns
+formed at the M/2 heights and summed (strip_rows_by_columns,
+strip_l2_by_columns), and
 the derivative norms of the resolvent estimate against the derivative
 fields built one by one (hessian, resolvent_estimate_by_fields).  The tests read the rule's sup of a half field over the
 upper half as the scale of its leakage and residuals (half_peak).
@@ -221,6 +223,20 @@ def triebel_norm_reference(u, s, p, domain, M):
     sq = sum(4.0 ** (j * s) * np.abs(sample_grid_reference(delta_dot(u, j, fam), M)) ** 2
              for j in fam.j_range)
     return grid_rule(_on_domain(np.sqrt(sq), domain, M), p, u.lattice, M)
+
+
+def norm_on_grid(u, p, domain, M, s_values=None):
+    """lp_norm(u, p, domain), or with s_values triebel_norms(u, s_values, p,
+    domain), by norms.rectangle_rule on the grid of M samples per axis that
+    the caller picks: the whole M^n grid, or the strip's heights r L/M, r < M/2.
+    u is read from its occupied band, and each dyadic block from its own."""
+    if s_values is None:
+        parts = [(1.0, occupied(u))]
+    else:
+        fam = get_family(u.lattice)
+        parts = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
+                 for j in fam.j_range]
+    return rectangle_rule(parts, p, np.arange(M // 2) if domain == "halfspace" else None, M)
 
 
 def sup_reference(u, rows, M):

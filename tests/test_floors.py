@@ -8,6 +8,7 @@ a subprocess with a timeout, so a suite that never ends fails the test
 instead of stalling the run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +18,6 @@ import pytest
 import fsx
 from fsx.cli import main as cli_main
 from fsx.errors import ConfigError, FsxError, UnknownSuite
-from fsx.report import read_report
 from fsx.suites import FLOORS, SUITES, SuiteConfig, require_floors, run_all, run_suite
 
 SRC = os.path.dirname(os.path.dirname(fsx.__file__))
@@ -97,6 +97,6 @@ def test_config_sweep_ends_with_a_verdict_or_a_floor_refusal(tmp_path):
             assert "needs dim >=" in stderr and stdout == "" and not out.exists(), (cfg, stderr)
         else:
             assert code in (0, 1), (cfg, code, stderr)
-            assert read_report(str(out))["params"]["dim"] == cfg[0]
+            assert json.loads(out.read_text())["params"]["dim"] == cfg[0]
     # the suites' joint floor is (2, 4): only those configs run
     assert sorted(cfg for cfg, r in results.items() if r[0] != 2) == [(2, 4), (3, 4)]

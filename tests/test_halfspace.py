@@ -43,6 +43,7 @@ from fsx.poisson import PoissonField, materialize_poisson
 from grid_reference import (
     bilinear_strip_integral,
     half_peak,
+    norm_on_grid,
     project_bandlimited,
     sample_grid_reference,
     sample_slices,
@@ -66,6 +67,18 @@ def sine_mode(lat, m=1, kx=1, amp=1.0):
 
 def cosine_mode(lat, m=1, kx=1, amp=1.0):
     return field_from_modes(lat, {(kx, m): amp / 2.0, (kx, -m): amp / 2.0})
+
+
+def unwindowed_extension(u, m):
+    """The order-m reflection of the HalfField u with no window: the cached
+    table the witnesses E0 and ED read with their own mirror coefficients."""
+    key = (tuple(reflection_coefficients(m).alpha), False)
+    return fsx_halfspace._apply_columns(u.field, *fsx_halfspace._operator(u.field.lattice, *key))
+
+
+def extension(u, m, window):
+    """extend_reflect(u, m) when window, else the unwindowed table."""
+    return extend_reflect(u, m) if window else unwindowed_extension(u, m)
 
 
 def one_sided_bump(lat, center=None, sigma=None, lower=False):
@@ -138,9 +151,9 @@ class TestHalfField:
 
 class TestExtendReflect:
     def test_restriction_identity_even_extension_of_sine(self, lat):
-        # order 0 gives the even extension; the data half is untouched
+        # order 0 unwindowed gives the even extension; the data half is untouched
         u = make_half_field(sine_mode(lat))
-        ext, res = extend_reflect(u, 0)
+        ext, res = unwindowed_extension(u, 0)
         err = restriction_error(ext, u.field)
         assert err <= 1e-10 + 10.0 * res * half_peak(u)
 
@@ -148,7 +161,7 @@ class TestExtendReflect:
         # moment condition at order zero: sum alpha_j = 1
         u = make_half_field(field_from_modes(lat, {(0, 0): 1.0}))
         for m in (0, 1, 2):
-            ext, res = extend_reflect(u, m)
+            ext, res = unwindowed_extension(u, m)
             assert res <= 1e-12
             assert abs(ext.dc - 1.0) < 1e-12
             rest = ext.coef.copy()
@@ -158,7 +171,7 @@ class TestExtendReflect:
     def test_bump_restriction_identity_tight(self, lat):
         u = make_half_field(one_sided_bump(lat))
         for m in (0, 1, 2):
-            ext, res = extend_reflect(u, m, window=True)
+            ext, res = extend_reflect(u, m)
             err = restriction_error(ext, u.field)
             assert err <= 1e-10 + 10.0 * res
 
@@ -185,16 +198,11 @@ class TestExtendReflect:
     def test_tangential_derivative_commutes(self, lat):
         u = make_half_field(one_sided_bump(lat))
         du = make_half_field(derivative(u.field, (1, 0)))
-        lhs, res1 = extend_reflect(u, 1, window=True)
+        lhs, res1 = extend_reflect(u, 1)
         lhs = derivative(lhs, (1, 0))
-        rhs, res2 = extend_reflect(du, 1, window=True)
+        rhs, res2 = extend_reflect(du, 1)
         scale = max(rhs.peak(), 1e-30)
         assert np.max(np.abs(lhs.coef - rhs.coef)) <= scale * (1e-9 + 10 * (res1 + res2))
-
-    @pytest.mark.parametrize("window", ["no", 0, 1, None, np.True_])
-    def test_window_that_is_not_a_bool_refused(self, lat, window):
-        with pytest.raises(InvalidParameter, match="window"):
-            extend_reflect(make_half_field(sine_mode(lat)), 1, window=window)
 
 
 class TestParityReflection:
@@ -331,10 +339,6 @@ class TestIndicator:
         assert r64 > r32
         # inside the multiplier range the ratio is stable
         assert hdot_ratio(u64, 0.4) <= 1.5 * hdot_ratio(u32, 0.4)
-
-
-def plane_wave_field(lat):
-    return field_from_modes(lat, {(1, 1): 1.0})
 
 
 def _plancherel_hdot(u, s):
@@ -539,7 +543,7 @@ class TestColumnKernelsMatchGrid:
     @given(random_fields(), st.integers(0, 4), st.booleans())
     def test_extend_reflect(self, u, m, window):
         alpha = reflection_coefficients(m).alpha
-        got, res = extend_reflect(make_half_field(u), m, window=window)
+        got, res = extension(make_half_field(u), m, window)
         want, want_res = grid_extend(u, alpha, window)
         assert_same_field(got, want, u, (res, want_res), weight_growth(alpha))
 
@@ -561,7 +565,7 @@ class TestColumnKernelsMatchGrid:
     def test_strip_l2(self, u):
         M = 2 * u.lattice.K + 2
         assert lp_norm(u, 2.0, "halfspace") == pytest.approx(grid_strip_l2(u), rel=1e-12)
-        assert lp_norm(u, 2.0, "halfspace", M=M) == pytest.approx(grid_strip_l2(u, M), rel=1e-12)
+        assert norm_on_grid(u, 2.0, "halfspace", M) == pytest.approx(grid_strip_l2(u, M), rel=1e-12)
 
     @COLUMN_SETTINGS
     @given(random_fields())
@@ -772,7 +776,7 @@ class TestExtendedPrecision:
         rng = np.random.default_rng(seed)
         u = Field(lat, rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape))
         alpha = reflection_coefficients(4).alpha
-        got, res = extend_reflect(make_half_field(u), 4, window=window)
+        got, res = extension(make_half_field(u), 4, window)
         coef, want_res = extended_precision_extension(u, alpha, window)
         growth = weight_growth(alpha)
         scale = max(np.max(np.abs(coef)), u.peak())
@@ -831,7 +835,7 @@ class TestNoWholeGrid:
         half_peak(hf)
         hf.leakage
         for m in (0, 2):
-            extend_reflect(hf, m, window=True)
+            extend_reflect(hf, m)
             project_zero(u, m)
         for parity in ("odd", "even"):
             reflect_parity(hf, parity)
@@ -863,4 +867,4 @@ class TestNoWholeGrid:
     def test_strip_l2_still_refuses_an_aliasing_grid(self):
         lat = make_lattice(2, 8)
         with pytest.raises(AliasingRisk):
-            lp_norm(plane_wave_field(lat), 2.0, "halfspace", M=2 * lat.K)
+            norm_on_grid(field_from_modes(lat, {(1, lat.K): 1.0}), 2.0, "halfspace", 2 * lat.K)

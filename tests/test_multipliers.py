@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from fsx.errors import HomogeneousDCViolation, InvalidParameter, SpectrumHit
-from fsx.lattice import field_from_modes, make_lattice, plane_wave, xi_norm_sq
+from fsx.lattice import (
+    DC_TOL,
+    field_from_modes,
+    is_homogeneous_admissible,
+    make_lattice,
+    plane_wave,
+    xi_norm_sq,
+)
 from fsx.multipliers import (
     bessel_potential,
     derivative,
@@ -65,6 +72,35 @@ class TestFractionalLaplacian:
         u = field_from_modes(lat, {(0, 0): 1e-14, (1, 0): 1.0})
         v = fractional_laplacian(u, 1.0)
         assert v.dc == 0.0
+
+
+DC_SIDES = pytest.mark.parametrize("factor", [0.0, 0.5, 0.999, 1.001, 2.0, 1e6])
+
+
+def with_dc(factor):
+    """A field whose mean is factor * DC_TOL times its largest amplitude."""
+    lat = make_lattice(2, 4)
+    return field_from_modes(lat, {(0, 0): factor * DC_TOL * 3.0, (1, 0): 3.0, (0, 2): -1.0j})
+
+
+class TestRefusedExactlyWhenNotMeanFree:
+    """The symbols undefined at xi = 0 refuse a field exactly when
+    is_homogeneous_admissible does, on both sides of DC_TOL * peak, and
+    otherwise zero the mean."""
+
+    @DC_SIDES
+    @pytest.mark.parametrize("apply", [lambda u: fractional_laplacian(u, 0.5),
+                                       lambda u: resolvent_wholespace(u, 0.0)],
+                             ids=["fractional_laplacian", "inverse_laplacian"])
+    def test_both_sides_of_the_tolerance(self, factor, apply):
+        u = with_dc(factor)
+        if is_homogeneous_admissible(u):
+            assert factor < 1.0
+            assert apply(u).dc == 0.0
+        else:
+            assert factor > 1.0
+            with pytest.raises(HomogeneousDCViolation):
+                apply(u)
 
 
 class TestBesselPotential:

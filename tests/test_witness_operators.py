@@ -3,8 +3,8 @@
 restriction_norm takes the five witnesses of WITNESSES one at a time, each
 one product with the kept rows of its operator in the reflections' one cache,
 halfspace._operator, which the parities and extend_reflect share: E0 is the
-even reflection and extend_reflect(u, 0), ED the odd one, E1w and E2w
-extend_reflect(u, m, window=True).  Every witness and every (value, witness)
+even reflection, ED the odd one, and E0w, E1w and E2w are extend_reflect(u, m)
+for m = 0, 1, 2.  Every witness and every (value, witness)
 must be bitwise what the per-call route gives
 (grid_reference.witnesses_per_call), with the cache cold and warm.
 """
@@ -26,6 +26,7 @@ from fsx.halfspace import (
     extend_reflect,
     make_half_field,
     reflect_parity,
+    reflection_coefficients,
     restriction_norm,
 )
 from fsx.lattice import Field, make_lattice
@@ -152,16 +153,32 @@ class TestOneOperatorCache:
         hf = make_half_field(generate_corpus(7, "boundary_bump", 1, make_lattice(2, 8)).fields[0])
         fsx_halfspace._operator.cache_clear()
         for _ in range(10):
-            extend_reflect(hf, 2, window=True)
+            extend_reflect(hf, 2)
         info = fsx_halfspace._operator.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 9, 1)
 
     def test_even_parity_and_order_zero_share_the_witness_e0(self):
-        hf = make_half_field(generate_corpus(7, "cosine_strip", 1, make_lattice(2, 8)).fields[0])
+        # the unwindowed order-0 reflection is the even one: one entry, E0
+        lat = make_lattice(2, 8)
+        hf = make_half_field(generate_corpus(7, "cosine_strip", 1, lat).fields[0])
         fsx_halfspace._operator.cache_clear()
         even, _ = reflect_parity(hf, "even")
         restriction_norm(hf, SPECS[1])
         info = fsx_halfspace._operator.cache_info()
         assert (info.misses, info.hits, info.currsize) == (5, 1, 5)
-        assert same_bits(extend_reflect(hf, 0)[0].coef, even.coef)
+        order_zero = fsx_halfspace._operator(lat, tuple(reflection_coefficients(0).alpha), False)
+        assert same_bits(fsx_halfspace._columns_through(hf.field, order_zero[0]).coef, even.coef)
+        assert same_bits(dict(witnesses(hf))["E0"].coef, even.coef)
+        assert fsx_halfspace._operator.cache_info().misses == 5
+
+    @pytest.mark.parametrize("n, K", [(2, 8), (2, 32), (3, 8)])
+    def test_extensions_are_the_windowed_witnesses(self, n, K):
+        # extend_reflect(u, m) is the witness Emw, bit for bit, read from its entry
+        hf = make_half_field(generate_corpus(7, "boundary_bump", 1, make_lattice(n, K)).fields[0])
+        fsx_halfspace._operator.cache_clear()
+        restriction_norm(hf, SPECS[1])
+        assert fsx_halfspace._operator.cache_info().misses == 5
+        cached = dict(witnesses(hf))
+        for m in (0, 1, 2):
+            assert same_bits(extend_reflect(hf, m)[0].coef, cached[f"E{m}w"].coef)
         assert fsx_halfspace._operator.cache_info().misses == 5
