@@ -129,30 +129,14 @@ def _cmd_solve(args) -> int:
             raise ConfigError("resolvent problems need --f")
         bc = DIRICHLET if args.problem.startswith("dirichlet") else NEUMANN
         u, residual = resolvent_halfspace(HalfField(f), lam, bc)
-        save_field(
-            u.field,
-            args.out,
-            extra={
-                "halfspace": True,
-                "leakage": u.leakage,
-                "reflection_residual": residual,
-            },
-        )
+        extra = {"reflection_residual": residual}
     else:
         solver = bvp_dirichlet if args.problem.startswith("dirichlet") else bvp_neumann
         sol = solver(HalfField(f) if f is not None else None, g)
-        mat, residual = sol.materialize()
-        save_field(
-            mat.field,
-            args.out,
-            extra={
-                "halfspace": True,
-                "leakage": mat.leakage,
-                "materialization_residual": residual,
-                "interior_residual": sol.interior_residual(),
-                "boundary_mismatch": sol.boundary_mismatch(),
-            },
-        )
+        u, residual = sol.materialize()
+        extra = {"materialization_residual": residual, "interior_residual": sol.interior_residual(),
+                 "boundary_mismatch": sol.boundary_mismatch()}
+    save_field(u.field, args.out, extra={"halfspace": True, "leakage": u.leakage, **extra})
     print(f"solution written to {args.out}")
     return 0
 

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import HomogeneousDCViolation, IndexOutOfRange, LatticeTooSmall
-from .lattice import Field, Lattice, is_homogeneous_admissible, xi_norm
+from .errors import IndexOutOfRange, LatticeTooSmall
+from .lattice import Field, Lattice, require_zero_mean, xi_norm
 
 PLATEAU = 0.75
 SUPPORT = 4.0 / 3.0
@@ -133,8 +133,7 @@ class BlockSeq:
 
 def decompose(u: Field, fam: DyadicFamily) -> BlockSeq:
     """All annular blocks of a zero-mean field; they sum back to the field."""
-    if not is_homogeneous_admissible(u):
-        raise HomogeneousDCViolation("decompose requires a zero-mean field")
+    require_zero_mean(u, "decompose")
     blocks = {j: delta_dot(u, j, fam) for j in fam.j_range}
     return BlockSeq(fam, blocks)
 

@@ -19,7 +19,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AliasingRisk, BandlimitExceeded, InvalidParameter, IoError
+from .errors import (AliasingRisk, BandlimitExceeded, HomogeneousDCViolation, InvalidParameter,
+                     IoError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -245,6 +246,12 @@ def is_homogeneous_admissible(u: Field) -> bool:
     exact zero mode needs no scan for the peak."""
     dc = u.dc
     return dc == 0 or abs(dc) <= DC_TOL * u.peak()
+
+
+def require_zero_mean(u: Field, what: str) -> None:
+    """HomogeneousDCViolation unless is_homogeneous_admissible(u): what needs zero mean."""
+    if not is_homogeneous_admissible(u):
+        raise HomogeneousDCViolation(f"{what} requires a zero-mean field")
 
 
 def evaluate(u: Field, x) -> complex:

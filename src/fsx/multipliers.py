@@ -3,18 +3,18 @@
 Symbols are evaluated in double precision at the exact lattice frequencies.
 The symbols of |xi|^s and of the inverse Laplacian are undefined at xi = 0
 and set to 0 there; applying one to a field that is not mean-free
-(lattice.is_homogeneous_admissible) raises HomogeneousDCViolation.
+(lattice.require_zero_mean) raises HomogeneousDCViolation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import HomogeneousDCViolation, InvalidParameter, SpectrumHit
+from .errors import InvalidParameter, SpectrumHit
 from .lattice import (
     Field,
     Lattice,
-    is_homogeneous_admissible,
+    require_zero_mean,
     whole_order,
     xi_axes,
     xi_norm,
@@ -52,8 +52,7 @@ def potential_weight(rsq: np.ndarray, s: float, bessel: bool = False) -> np.ndar
 
 def fractional_laplacian(u: Field, s: float) -> Field:
     """(-Laplacian)^(s/2): multiplier |xi|^s, undefined at xi = 0."""
-    if not is_homogeneous_admissible(u):
-        raise HomogeneousDCViolation("fractional_laplacian requires a zero-mean field")
+    require_zero_mean(u, "fractional_laplacian")
     return _apply_values(u, potential_weight(xi_norm_sq(u.lattice), s))
 
 
@@ -105,8 +104,7 @@ def resolvent_wholespace(f: Field, lam: complex) -> Field:
     lat = f.lattice
     rsq = xi_norm_sq(lat)
     if lam == 0:
-        if not is_homogeneous_admissible(f):
-            raise HomogeneousDCViolation("inverse_laplacian requires a zero-mean field")
+        require_zero_mean(f, "inverse_laplacian")
         zero = rsq == 0.0
         return _apply_values(f, np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, rsq)))
     if lam.imag == 0.0 and lam.real < 0.0:

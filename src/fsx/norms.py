@@ -9,27 +9,29 @@ table per lattice), the Fubini form of the square function, the exact
 Hilbert K-curve and the p = 2 semigroup norm are its cases.
 
 Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
-one-part case, triebel_norms its case over the weighted dyadic blocks, and
+one-part case, square_function its case over the weighted dyadic blocks, and
 the half-space sups its p = inf case.  It streams: the samples come from
 lattice.grid_slabs (or, on the strip, from columns a run of heights at a
 time) in slabs of about lattice.SLAB values, and each slab is reduced in
-place for every weight and every p, by the closed form of each power where
-there is one, so no M^n array of samples is held.  At p = inf the value is
-the largest |g| at the nodes, a lower bound on the sup that no grid makes exact.
-The norms choose their grids by exactness, and no caller picks one: for even
-integer p on the whole torus g^p has band pK' for the band K' that u occupies
-(lattice.occupied), so the smallest grid with M > pK' is exact; every other
-p, and the strip 0 <= x_n < L/2, keep the oversampled grid of u's own
-lattice, the one approximate quadrature.  On the strip at p = 2 it is a
-factor norm: strip_rows reads each column's sum of squares at the M/2
-heights as ||R a||^2, for R the triangular QR factor of their phases.  Exact
-strip integrals (pairings of band-limited products) use closed-form
-half-period weights on the vertical mode pairs instead.
+place for every weight, every p and each part's own |v|^p, by the closed
+form of each power where there is one, so no M^n array of samples is held.
+At p = inf the value is the largest |g| at the nodes, a lower bound on the
+sup that no grid makes exact.  The norms choose their grids by exactness,
+and no caller picks one: for even integer p on the whole torus g^p has band
+pK' for the band K' that u occupies (lattice.occupied), so every grid with
+M > pK' is exact; every other p, and the strip 0 <= x_n < L/2, keep the
+oversampled grid of u's own lattice, the one approximate quadrature.  Each
+field is sampled once for every p asked of it, on the largest grid any of
+them needs.  On the strip at p = 2 it is a factor norm: strip_rows reads each
+column's sum of squares at the M/2 heights as ||R a||^2, for R the
+triangular QR factor of their phases.  Exact strip integrals (pairings of
+band-limited products) use closed-form half-period weights on the vertical
+mode pairs instead.
 
 s and q only reweight values that depend on (u, p) alone, so each dyadic
-block is sampled once per (p, grid) and reduced for every s and q:
-block_norms gives the block L^p norms that seq_norm turns into any Besov
-norm, and triebel_norms streams each block once into one accumulator per s.
+block is sampled once and reduced for every s, q and p: square_function's
+one pass gives the square-function norms and the block L^p norms that
+seq_norm turns into any Besov norm (block_norms, on their own).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .dyadic import DyadicFamily, build_dyadic_family, delta_dot, delta_inhom, smooth_cut
-from .errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
+from .errors import AliasingRisk, InvalidExponent, InvalidParameter
 from .lattice import (
     Field,
     Lattice,
@@ -53,10 +55,10 @@ from .lattice import (
     grid_slabs,
     has_exact_grid,
     horizontal_samples,
-    is_homogeneous_admissible,
     occupied,
     shells,
     per_slab,
+    require_zero_mean,
     without_mean,
     xi_axes,
     xi_norm_sq,
@@ -176,10 +178,14 @@ def potential_sq(s: float, bessel: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _grid_size(u: Field, band: Lattice, p: float, whole: bool) -> int:
-    """Samples per axis for the rule on u, whose occupied band is band:
-    exact_grid of the band when the rule is exact, and of u's lattice otherwise."""
-    return exact_grid(band if has_exact_grid(p, whole) else u.lattice, p, whole)
+def _nodes(u: Field, band: Field, ps: Sequence[float], strip: bool) -> tuple:
+    """rectangle_rule's rows and M for u, whose occupied band is band, at every p
+    of ps: the largest exact_grid they need, of the band where the rule is exact
+    and of u's lattice otherwise (an even p stays exact on any larger grid),
+    and on the strip its heights r < M/2."""
+    M = max(exact_grid(band.lattice if has_exact_grid(p, not strip) else u.lattice, p, not strip)
+            for p in ps)
+    return (np.arange(M // 2) if strip else None), M
 
 
 def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
@@ -230,8 +236,9 @@ def _samples(v: Field, rows: np.ndarray | None, M: int,
 def _power_sums(m: np.ndarray, e: float, work: np.ndarray):
     """The sum of m^e over the last axis of m >= 0, or for e = inf its max, by the
     closed form of e where it has one (none for e = 1, a square root for 1/2, a
-    square for 2), the powers written to work, shaped like m.  Each row is summed
-    on its own, so its value does not depend on how many rows m has."""
+    square for 2, a cube root and squares for 2/3, 4/3 and 8/3), the powers
+    written to work, shaped like m.  Each row is summed on its own, so its value
+    does not depend on how many rows m has."""
     if math.isinf(e):
         return m.max(axis=-1)
     if e == 1.0:
@@ -240,6 +247,10 @@ def _power_sums(m: np.ndarray, e: float, work: np.ndarray):
         np.sqrt(m, out=work)
     elif e == 2.0:
         np.square(m, out=work)
+    elif e in (2.0 / 3.0, 4.0 / 3.0, 8.0 / 3.0):  # cbrt(m)^(3e), 3e = 2, 4 or 8
+        np.cbrt(m, out=work)
+        for _ in range(round(math.log2(3.0 * e))):
+            np.square(work, out=work)
     else:
         np.power(m, e, out=work)
     return work.sum(axis=-1)
@@ -251,72 +262,77 @@ def _magnitudes(slab: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float | Sequence[float],
-                   rows: np.ndarray | None, M: int) -> float | list:
+                   rows: np.ndarray | None, M: int):
     """Rectangle rule on M samples per axis for the L^p norm of g = sqrt(m),
     m = sum w |v|^2.
 
     parts are pairs (w, v) of a weight and a field, all with the same n and
     L; each v is read as given, so a caller passes occupied(v) to read it
     from its band.  A weight may instead be a row of S weights, the same S
-    for every part, and the rule then returns the S norms, one per column of
-    weights; p may be a sequence, for one result per p.  The parts stream in
-    step, slab by slab (_samples), through one shared buffer, and each slab
-    is reduced in place, in work arrays made once per call, into one sum or
-    sup per (p, S): every part is sampled once for all S and p, no whole grid
-    of samples is held, and a part whose coefficients are all zero adds
-    nothing and is not sampled.  One part reduces a = |v| and scales by
-    sqrt(w) at the end; several accumulate m and reduce m^(p/2), so g itself
-    is never formed (_power_sums): the sup is sqrt(max m), the same as max g
-    since sqrt is monotone and correctly rounded.  With rows None the nodes
-    are the whole M^n grid (grid_slabs).  Otherwise they are the horizontal
-    M^(n-1) grid at the heights r L/M of the integers r in rows, where each
-    part is read as its columns there: on the strip's rows r < M/2 at p = 2
-    the horizontal sum of |v|^2 is M^(n-1) times the columns' sum of squares
-    by Parseval, read by strip_rows, and others sample.
+    for every part, and the rule then returns a pair: the S norms, one per
+    column of weights, and the rule for each part's own norm ||v||_p.  p may
+    be a sequence, for one result per p.  The parts stream in step, slab by
+    slab (_samples), through one shared buffer, and each slab is reduced in
+    place, in work arrays made once per call, into one sum or sup per (p, S)
+    and per (p, part): every part is sampled once for all S and p, no whole
+    grid of samples is held, and a part whose coefficients are all zero adds
+    nothing and is not sampled.  Each part's a = |v| is reduced to a^p as it
+    streams (a^4 as a square and a dot product).  One part scales its norm
+    by sqrt(w) at the end; several go on to accumulate m from a^2 and reduce
+    m^(p/2), so g itself is never formed (_power_sums): the sup is
+    sqrt(max m), the same as max g since sqrt is monotone and correctly
+    rounded.  With rows None the nodes are the whole M^n grid (grid_slabs).
+    Otherwise they are the horizontal M^(n-1) grid at the heights r L/M of
+    the integers r in rows, where each part is read as its columns there: on
+    the strip's rows r < M/2 at p = 2 the horizontal sum of |v|^2 is M^(n-1)
+    times the columns' sum of squares by Parseval, read by strip_rows, and
+    others sample.
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
-    exponents = list(p) if np.ndim(p) else [p]
+    many = np.ndim(p) > 0
+    exponents = list(p) if many else [p]
     weights = np.array([np.atleast_1d(w) for w, _ in parts])
+    single, S = len(parts) == 1, weights.shape[1]
+    # per p, the sum (or for p = inf the sup) of m^(p/2) per column of weights and of a^p per part
+    reduced, own = np.zeros((len(exponents), S)), np.zeros((len(exponents), len(parts)))
+    folds = [np.maximum if math.isinf(q) else np.add for q in exponents]
     if all(q == 2.0 for q in exponents) and np.array_equal(rows, np.arange(M // 2)):
-        total = sum(w * strip_rows(v, M).sum() for w, (_, v) in zip(weights, parts))
-        norms = [np.sqrt(cell * float(M) ** (lat.n - 1) * total)] * len(exponents)
+        cell *= float(M) ** (lat.n - 1)
+        own[:] = [strip_rows(v, M).sum() for _, v in parts]
+        reduced[:] = sum(w * x for w, x in zip(weights, own[0]))
     else:
-        single, S = len(parts) == 1, weights.shape[1]
-        reduced = np.zeros((len(exponents), 1 if single else S))
         plane = M ** (lat.n - 1)
         size = per_slab(plane, M) * M if rows is None else per_slab(len(rows), plane) * plane
         buffer = np.empty((M, size // M), dtype=complex) if rows is None else None
-        streams = [(w, _samples(v, rows, M, buffer)) for w, (_, v) in zip(weights, parts)
-                   if v.coef.any()]
-        a, work = np.empty(size), np.empty(size if single else S * size)
+        streams = [(k, w, _samples(v, rows, M, buffer))
+                   for k, (w, (_, v)) in enumerate(zip(weights, parts)) if v.coef.any()]
+        mags, work = np.empty(size), np.empty(S * size)
         squares = None if single else np.empty(S * size)
-        for slab in streams[0][1] if streams else ():
+        for slab in streams[0][2] if streams else ():
             count = slab.size
-            if single:
-                values, tmp = _magnitudes(slab, a), work[:count]
-            else:  # each part's slab is folded into m before the next part's is drawn
-                m, tmp = (b[: S * count].reshape(S, count) for b in (squares, work))
+            tmp = work[: S * count].reshape(S, count)
+            if not single:
+                m = squares[: S * count].reshape(S, count)
                 m.fill(0.0)
-                for k, (w, stream) in enumerate(streams):
-                    sq = _magnitudes(slab if k == 0 else next(stream), a)
-                    m += np.multiply.outer(w, np.square(sq, out=sq), out=tmp)
-            for i, q in enumerate(exponents):
+            # each part's slab is reduced, and folded into m, before the next part's is drawn
+            for t, (k, w, stream) in enumerate(streams):
+                a, row = _magnitudes(slab if t == 0 else next(stream), mags), tmp[0]
+                for i, q in enumerate(exponents):
+                    x = np.square(a, out=row) @ row if q == 4.0 else _power_sums(a, q, row)
+                    own[i, k] = folds[i](own[i, k], x)
                 if not single:
-                    x = _power_sums(m, q / 2.0, tmp)
-                elif q == 4.0:  # a^4 = (a^2)^2, one square and a dot product
-                    x = np.square(values, out=tmp) @ tmp
-                else:
-                    x = _power_sums(values, q, tmp)
-                reduced[i] = np.maximum(reduced[i], x) if math.isinf(q) else reduced[i] + x
-        if not single:
-            sups = [math.isinf(q) for q in exponents]
-            reduced[sups] = np.sqrt(reduced[sups])
-        scale = np.sqrt(weights[0]) if single else 1.0
-        norms = [scale * (r if math.isinf(q) else (cell * r) ** (1.0 / q))
-                 for q, r in zip(exponents, reduced)]
-    norms = [n.tolist() if np.ndim(parts[0][0]) == 1 else float(n[0]) for n in norms]
-    return norms if np.ndim(p) else norms[0]
+                    m += np.multiply.outer(w, np.square(a, out=a), out=tmp)
+            for i, q in enumerate(() if single else exponents):
+                reduced[i] = folds[i](reduced[i], _power_sums(m, q / 2.0, tmp))
+    owns = [o if math.isinf(q) else (cell * o) ** (1.0 / q) for q, o in zip(exponents, own)]
+    scale = np.sqrt(weights[0])
+    norms = [scale * o for o in owns] if single else [
+        np.sqrt(r) if math.isinf(q) else (cell * r) ** (1.0 / q)
+        for q, r in zip(exponents, reduced)]
+    rowed = np.ndim(parts[0][0]) == 1
+    results = [(n.tolist(), o.tolist()) if rowed else float(n[0]) for n, o in zip(norms, owns)]
+    return results if many else results[0]
 
 
 def _on_strip(domain: str) -> bool:
@@ -325,36 +341,45 @@ def _on_strip(domain: str) -> bool:
     return domain == "halfspace"
 
 
+def _each_p(p: float | Sequence[float], domain: str, plancherel, rule):
+    """One result per p of p (the one result for a single p): plancherel(),
+    when given, at p = 2 on the whole torus, where it is exact, and rule(ps),
+    one result each, for the other p, so that one sampling serves all of them."""
+    many = np.ndim(p) > 0
+    exponents, strip = list(p) if many else [p], _on_strip(domain)
+    for q in exponents:
+        _check_exponent(q, "p")
+    out = {2.0: plancherel()} if plancherel and 2.0 in exponents and not strip else {}
+    rest = [q for q in exponents if q not in out]
+    out.update(zip(rest, rule(rest)) if rest else ())
+    return [out[q] for q in exponents] if many else out[p]
+
+
 def lp_norm(u: Field, p: float | Sequence[float],
             domain: str = "whole") -> float | list[float]:
     """L^p norm over the torus or the strip 0 <= x_n < L/2; one per p when p is
-    a sequence, and the p that share a grid are reduced from one sampling.
+    a sequence, every p reduced from one sampling of u.
 
     On the whole torus, p = 2 is the Plancherel sum L^(n/2) sqrt(sum |c_k|^2),
     mode_sum of the weight 1.  Every other case is rectangle_rule of the one
     part u on M samples per axis: the whole M^n grid, or on the strip the M/2
-    grid heights j L/M < L/2.  M is exact_grid of u's occupied band for even
-    integer p on the whole torus, where the rule is exact, and of u's lattice
-    otherwise (oversampled, and even).  At p = inf the value is the largest
-    |u| at the nodes of that grid, which bounds the sup from below.  A field
-    whose coefficients are all zero gives 0.0 and is not sampled.  A caller
-    that needs the rule on another grid calls rectangle_rule itself.
+    grid heights j L/M < L/2.  M is the largest grid any p needs: exact_grid
+    of u's occupied band for even integer p on the whole torus, where the rule
+    is exact (on that grid and any larger one), and of u's lattice otherwise
+    (oversampled, and even).  At p = inf the value is the largest |u| at the
+    nodes of that grid, which bounds the sup from below.  A field whose
+    coefficients are all zero gives 0.0 and is not sampled.  A caller that
+    needs the rule on another grid calls rectangle_rule itself.
     """
-    exponents = list(p) if np.ndim(p) else [p]
-    for q in exponents:
-        _check_exponent(q, "p")
-    strip = _on_strip(domain)
-    out, grids, band = {}, {}, None
-    for q in exponents:
-        if not strip and q == 2.0:
-            out[q] = float(mode_sum(u, np.ones_like))
-        else:
-            band = band or occupied(u)
-            grids.setdefault(_grid_size(u, band.lattice, q, not strip), []).append(q)
-    for size, group in grids.items():
-        out.update(zip(group, rectangle_rule([(1.0, band)], group,
-                                             np.arange(size // 2) if strip else None, size)))
-    return [out[q] for q in exponents] if np.ndim(p) else out[p]
+    return _each_p(p, domain, lambda: float(mode_sum(u, np.ones_like)),
+                   lambda ps: _lp_rule(u, ps, _on_strip(domain)))
+
+
+def _lp_rule(u: Field, ps: list[float], strip: bool) -> list[float]:
+    """lp_norm's rule at the checked exponents ps: rectangle_rule of the one
+    part u, read from its band, on the one grid of _nodes."""
+    band = occupied(u)
+    return rectangle_rule([(1.0, band)], ps, *_nodes(u, band, ps, strip))
 
 
 def half_period_weights(R: int) -> np.ndarray:
@@ -407,29 +432,31 @@ def seq_norm(a: Mapping[int, float], s: float = 0.0, q: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_admissible(u: Field, what: str) -> None:
-    if not is_homogeneous_admissible(u):
-        raise HomogeneousDCViolation(f"{what} requires a zero-mean field")
-
-
-def block_norms(u: Field, p: float, domain: str = "whole",
-                inhomogeneous: bool = False) -> dict[int, float]:
+def block_norms(u: Field, p: float | Sequence[float], domain: str = "whole",
+                inhomogeneous: bool = False) -> dict[int, float] | list[dict[int, float]]:
     """The L^p norms {j: ||Delta_j u||_p} of u's dyadic blocks, which every Besov
     norm of u at this p and domain reweights by its s and q: the annular
     blocks j of the family (Bdot), or with inhomogeneous the low-pass block
-    k = -1 and the annular blocks k >= 0 (B).  On the whole torus at p = 2
-    they are one mode_sum over the rows of shell_blocks."""
+    k = -1 and the annular blocks k >= 0 (B).  One dict per p when p is a
+    sequence: each block is sampled once for every p (as lp_norm).  On the whole
+    torus at p = 2 they are one mode_sum over the rows of shell_blocks."""
     fam = get_family(u.lattice)
     keys = range(-1, fam.j_max + 1) if inhomogeneous else fam.j_range
     if not inhomogeneous:
-        _require_admissible(u, "homogeneous Besov norm")
-    if p == 2.0 and not _on_strip(domain):
+        require_zero_mean(u, "homogeneous Besov norm")
+
+    def plancherel():
         *rows, low = mode_sum(u, shell_blocks(u.lattice)).tolist()
         annular = dict(zip(fam.j_range, rows))
         # psi_k vanishes on the lattice for the k >= 0 below the family's range
         return {k: low if inhomogeneous and k == -1 else annular.get(k, 0.0) for k in keys}
-    block = delta_inhom if inhomogeneous else delta_dot
-    return {k: lp_norm(block(u, k, fam), p, domain) for k in keys}
+
+    def rule(ps):
+        block = delta_inhom if inhomogeneous else delta_dot
+        norms = [_lp_rule(block(u, k, fam), ps, _on_strip(domain)) for k in keys]
+        return [dict(zip(keys, column)) for column in zip(*norms)]
+
+    return _each_p(p, domain, plancherel, rule)
 
 
 def besov_norm(u: Field, spec: SpaceSpec) -> float:
@@ -440,40 +467,59 @@ def besov_norm(u: Field, spec: SpaceSpec) -> float:
     return seq_norm(block_norms(u, spec.p, spec.domain, spec.family == "B"), spec.s, spec.q)
 
 
-def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
-    """Potential-norm Sobolev: Riesz (Hdot) or Bessel (H) multiplier then L^p;
-    on the whole torus at p = 2, mode_sum with the squared multiplier."""
+def sobolev_norms(u: Field, spec: SpaceSpec, p: float | Sequence[float]) -> float | list[float]:
+    """Potential-norm Sobolev at spec's family, s and domain and at p, one per p
+    when p is a sequence: Riesz (Hdot) or Bessel (H) multiplier then L^p, the
+    potential sampled once for every p (as lp_norm); on the whole torus at p = 2,
+    mode_sum with the squared multiplier."""
     if spec.family not in ("H", "Hdot"):
         raise InvalidParameter(f"sobolev_norm got family {spec.family!r}")
     bessel = spec.family == "H"
     if not bessel:
-        _require_admissible(u, "homogeneous Sobolev norm")
-    if spec.p == 2.0 and not _on_strip(spec.domain):
-        return float(mode_sum(u, potential_sq(spec.s, bessel)))
-    potential = bessel_potential(u, spec.s) if bessel else fractional_laplacian(u, spec.s)
-    return lp_norm(potential, spec.p, spec.domain)
+        require_zero_mean(u, "homogeneous Sobolev norm")
+
+    def rule(rest):
+        potential = bessel_potential(u, spec.s) if bessel else fractional_laplacian(u, spec.s)
+        return _lp_rule(potential, rest, _on_strip(spec.domain))
+
+    return _each_p(p, spec.domain, lambda: float(mode_sum(u, potential_sq(spec.s, bessel))), rule)
 
 
-def triebel_norms(u: Field, s_values: Sequence[float], p: float,
-                  domain: str = "whole") -> list[float]:
-    """Square-function norms, one per s in s_values: pointwise l2 over scales of
-    2^{js} blocks, then L^p.
+def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
+    """Potential-norm Sobolev at spec: sobolev_norms' one-p case."""
+    return sobolev_norms(u, spec, spec.p)
 
-    rectangle_rule of the blocks, each with its row of weights 4^{js}, so
-    every block is sampled once for all s, on lp_norm's grid and nodes:
-    exact_grid of u's occupied band for even integer p on the whole torus,
-    where g^p has band pK' and the rule is exact, and of u's lattice
-    otherwise; each block is read from its own band.  On the strip at p = 2
-    the rule sums the blocks' columns, so no grid is sampled.
+
+def square_function(u: Field, s_values: Sequence[float], p: float | Sequence[float],
+                    domain: str = "whole") -> tuple[list[float], dict[int, float]] | list:
+    """The square-function norms, one per s in s_values (pointwise l2 over
+    scales of 2^{js} blocks, then L^p), paired with the block norms
+    {j: ||Delta_j u||_p}; one pair per p when p is a sequence.
+
+    One rectangle_rule pass over the blocks, each read from its own band with
+    its row of weights 4^{js}, on lp_norm's grid for all of p: every block is
+    sampled once for all s and p, and its own norm is read from the same
+    samples (the rule's also at p = 2, where block_norms takes mode_sum).  On
+    the strip at p = 2 alone the rule sums the blocks' columns, so no grid is
+    sampled.
     """
-    _check_exponent(p, "p")
-    strip = _on_strip(domain)
-    _require_admissible(u, "square-function norm")
-    fam = get_family(u.lattice)
-    M = _grid_size(u, occupied(u).lattice, p, not strip)
-    blocks = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
-              for j in fam.j_range]
-    return rectangle_rule(blocks, p, np.arange(M // 2) if strip else None, M)
+    def rule(ps):
+        require_zero_mean(u, "square-function norm")
+        fam = get_family(u.lattice)
+        blocks = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
+                  for j in fam.j_range]
+        return [(norms, dict(zip(fam.j_range, own))) for norms, own in
+                rectangle_rule(blocks, ps, *_nodes(u, occupied(u), ps, _on_strip(domain)))]
+
+    return _each_p(p, domain, None, rule)
+
+
+def triebel_norms(u: Field, s_values: Sequence[float], p: float | Sequence[float],
+                  domain: str = "whole") -> list:
+    """Square-function norms, one per s in s_values; a list of them per p when p
+    is a sequence: square_function without its block norms."""
+    pairs = square_function(u, s_values, p, domain)
+    return [norms for norms, _ in pairs] if np.ndim(p) else pairs[0]
 
 
 def triebel_norm(u: Field, s: float, p: float, domain: str = "whole") -> float:
@@ -499,8 +545,8 @@ def pairing(u: Field, v: Field) -> complex:
     of u * v over the torus, for zero-mean fields."""
     if u.lattice != v.lattice:
         raise InvalidParameter("fields live on different lattices")
-    _require_admissible(u, "duality pairing")
-    _require_admissible(v, "duality pairing")
+    require_zero_mean(u, "duality pairing")
+    require_zero_mean(v, "duality pairing")
     fam = get_family(u.lattice)
     ublocks = {j: delta_dot(u, j, fam) for j in fam.j_range}
     vblocks = {j: delta_dot(v, j, fam) for j in fam.j_range}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooSmall, HomogeneousDCViolation, InvalidParameter
+from .errors import DimensionTooSmall, InvalidParameter
 from .halfspace import HalfField, far_band_rows
 from .interp import default_tgrid, log_grid_integral
 from .lattice import (
@@ -25,8 +25,8 @@ from .lattice import (
     default_oversample,
     evaluate,
     horizontal_samples,
-    is_homogeneous_admissible,
     k_axis,
+    require_zero_mean,
     without_mean,
     xi_axes,
     xi_norm,
@@ -80,8 +80,7 @@ class PoissonField:
 
 def poisson_extend(g: Field) -> PoissonField:
     """Harmonic extension of zero-mean boundary data."""
-    if not is_homogeneous_admissible(g):
-        raise HomogeneousDCViolation("harmonic extension needs zero-mean data")
+    require_zero_mean(g, "harmonic extension")
     return PoissonField(without_mean(g))
 
 
@@ -124,8 +123,7 @@ def poisson_besov_norm(u: Field, s: float, alpha: float, p: float, q: float) -> 
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise InvalidParameter(f"order alpha must be nonnegative and finite, got {alpha}")
     _check_exponent(q, "q")
-    if not is_homogeneous_admissible(u):
-        raise HomogeneousDCViolation("semigroup norm needs a zero-mean field")
+    require_zero_mean(u, "semigroup norm")
     if u.peak() == 0.0:
         return 0.0
     tgrid = default_tgrid()

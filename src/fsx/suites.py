@@ -78,6 +78,8 @@ from .norms import (
     rectangle_rule,
     seq_norm,
     sobolev_norm,
+    sobolev_norms,
+    square_function,
     strip_derivative_norms,
     triebel_fubini_l2,
     triebel_norms,
@@ -315,9 +317,10 @@ def suite_plancherel(cfg: SuiteConfig, rep: Report) -> None:
 TRIEBEL_S, TRIEBEL_P = (-0.5, 0.0, 0.7), (4.0 / 3.0, 2.0, 4.0)
 
 
-def triebel_table(fields: list[Field]) -> dict[float, list[list[float]]]:
-    """Per p of TRIEBEL_P, each field's square-function norms at TRIEBEL_S."""
-    return {p: [triebel_norms(u, TRIEBEL_S, p) for u in fields] for p in TRIEBEL_P}
+def triebel_table(fields: list[Field]) -> list[dict[float, tuple[list[float], dict]]]:
+    """Per field and p of TRIEBEL_P, the square-function norms at TRIEBEL_S and the
+    Bdot block norms: one pass over each field's blocks (square_function)."""
+    return [dict(zip(TRIEBEL_P, square_function(u, TRIEBEL_S, TRIEBEL_P))) for u in fields]
 
 
 def fubini_exchange_error(fields: list[Field], p2: list[list[float]] | None = None) -> float:
@@ -328,15 +331,16 @@ def fubini_exchange_error(fields: list[Field], p2: list[list[float]] | None = No
                for u, norms in zip(fields, p2) for s, norm in zip(TRIEBEL_S, norms))
 
 
-def triebel_sobolev_ratios(fields: list[Field], table: dict | None = None) -> dict[str, float]:
+def triebel_sobolev_ratios(fields: list[Field], table: list | None = None) -> dict[str, float]:
     """Largest and smallest ||u||_{Fdot^s_{p,2}} / ||u||_{Hdot^s_p} over the fields, per p, s,
-    from the fields' triebel_table when given."""
+    from the fields' triebel_table when given; each potential is sampled once for every p."""
     out = {}
     table = table or triebel_table(fields)
-    for p in TRIEBEL_P:
+    potential = {s: [sobolev_norms(u, SpaceSpec("Hdot", s=s), TRIEBEL_P) for u in fields]
+                 for s in TRIEBEL_S}
+    for k, p in enumerate(TRIEBEL_P):
         for i, s in enumerate(TRIEBEL_S):
-            ratios = [norms[i] / sobolev_norm(u, SpaceSpec("Hdot", s=s, p=p))
-                      for u, norms in zip(fields, table[p])]
+            ratios = [row[p][0][i] / den[k] for row, den in zip(table, potential[s])]
             out[f"triebel_over_sobolev_p{p:g}_s{s:g}_max"] = max(ratios)
             out[f"triebel_over_sobolev_p{p:g}_s{s:g}_min"] = min(ratios)
     return out
@@ -362,8 +366,8 @@ def suite_norm_equiv(cfg: SuiteConfig, rep: Report) -> None:
     main = triebel_sobolev_ratios(corpus.fields, table)
     coarse = triebel_sobolev_ratios(_random_corpus(cfg, size, _coarse_lattice(cfg)).fields)
     rep.constants.update(main)
-    rep.add_case("fubini_exchange_p2", fubini_exchange_error(corpus.fields, table[2.0]),
-                 ROUNDOFF_TOL)
+    rep.add_case("fubini_exchange_p2",
+                 fubini_exchange_error(corpus.fields, [row[2.0][0] for row in table]), ROUNDOFF_TOL)
 
     eq_ok = in_window(*main.values())
     stability = lattice_spread(main, coarse)
@@ -372,30 +376,33 @@ def suite_norm_equiv(cfg: SuiteConfig, rep: Report) -> None:
     rep.constants["triebel_sobolev_stability"] = stability
 
     # gradient equivalence for p != 2 and the block-norm analogue, then the
-    # inhomogeneous norm, from one set of Bdot block norms per (field, p)
+    # inhomogeneous norm, from the Bdot block norms of the square function's
+    # pass; every other field is sampled once for all of grad_p
     grad_p = [p for p in cfg.p_list if not math.isinf(p)]
     fam = get_family(cfg.lattice())
     worst_c, worst = 0.0, 0.0
-    for u in corpus.fields:
-        blocks = {p: block_norms(u, p) for p in dict.fromkeys((*grad_p, 2.0, 4.0))}
+    for u, row in zip(corpus.fields, table):
+        blocks = {p: b for p, (_, b) in row.items()}
+        missing = [p for p in grad_p if p not in blocks]
+        blocks.update(zip(missing, block_norms(u, missing)))
         grads = gradient(u)
-        for p in grad_p:
-            grad_blocks = [block_norms(d, p) for d in grads]
-            for s in (-0.5, 0.0):
-                num = sum(sobolev_norm(d, SpaceSpec("Hdot", s=s, p=p)) for d in grads)
-                den = sobolev_norm(u, SpaceSpec("Hdot", s=s + 1.0, p=p))
+        grad_blocks = [block_norms(d, grad_p) for d in grads]
+        for s in (-0.5, 0.0):
+            nums = [sobolev_norms(d, SpaceSpec("Hdot", s=s), grad_p) for d in grads]
+            dens = sobolev_norms(u, SpaceSpec("Hdot", s=s + 1.0), grad_p)
+            for k, p in enumerate(grad_p):
+                num, den = sum(n[k] for n in nums), dens[k]
                 worst_c = max(worst_c, num / den, den / num)
-                bnum = sum(seq_norm(b, s, 2.0) for b in grad_blocks)
+                bnum = sum(seq_norm(b[k], s, 2.0) for b in grad_blocks)
                 bden = seq_norm(blocks[p], s + 1.0, 2.0)
                 worst_c = max(worst_c, bnum / bden, bden / bnum)
-        for p in (2.0, 4.0):
+        low, lebesgue = (lp_norm(v, (2.0, 4.0)) for v in (delta_inhom(u, -1, fam), u))
+        for k, p in enumerate((2.0, 4.0)):
             # B's blocks k >= 0 are Bdot's blocks j >= 0; only the low-pass k = -1 is new
-            inhom = {-1: lp_norm(delta_inhom(u, -1, fam), p),
-                     **{k: b for k, b in blocks[p].items() if k >= 0}}
-            lebesgue = lp_norm(u, p)
+            inhom = {-1: low[k], **{j: b for j, b in blocks[p].items() if j >= 0}}
             for s in (0.7, 1.2):
                 num = seq_norm(inhom, s, 2.0)
-                den = lebesgue + seq_norm(blocks[p], s, 2.0)
+                den = lebesgue[k] + seq_norm(blocks[p], s, 2.0)
                 worst = max(worst, num / den, den / num)
     rep.constants["gradient_equivalence"] = worst_c
     rep.add_case("gradient_equivalence", worst_c, 10.0)

@@ -236,7 +236,11 @@ def norm_on_grid(u, p, domain, M, s_values=None):
         fam = get_family(u.lattice)
         parts = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
                  for j in fam.j_range]
-    return rectangle_rule(parts, p, np.arange(M // 2) if domain == "halfspace" else None, M)
+    out = rectangle_rule(parts, p, np.arange(M // 2) if domain == "halfspace" else None, M)
+    if s_values is None:
+        return out
+    # with rows of weights the rule pairs the norms with each block's own
+    return [norms for norms, _ in out] if np.ndim(p) else out[0]
 
 
 def sup_reference(u, rows, M):

@@ -37,7 +37,9 @@ from fsx.norms import (
     rectangle_rule,
     seq_norm,
     sobolev_norm,
+    sobolev_norms,
     space_norm,
+    square_function,
     triebel_fubini_l2,
     triebel_norm,
     triebel_norms,
@@ -397,15 +399,43 @@ class TestStreamedRule:
     def test_norm_equiv_takes_each_triebel_grid_once(self, monkeypatch):
         cfg = SuiteConfig(bandlimit=16, corpus_size=2)  # the coarse side is K = 8
         calls = []
-        triebel = fsx_suites.triebel_norms
+        square = fsx_suites.square_function
 
         def counted(u, s_values, p, *args):
-            calls.append((u.coef.tobytes(), p))
-            return triebel(u, s_values, p, *args)
+            calls.append((u.coef.tobytes(), tuple(p)))
+            return square(u, s_values, p, *args)
 
-        monkeypatch.setattr(fsx_suites, "triebel_norms", counted)
+        monkeypatch.setattr(fsx_suites, "square_function", counted)
         suite_norm_equiv(cfg)
-        assert len(calls) == len(set(calls)) == 2 * 2 * 3  # two corpora of two, three p
+        assert len(calls) == len(set(calls)) == 2 * 2  # two corpora of two, one pass each
+        assert all(p == fsx_suites.TRIEBEL_P for _, p in calls)
+
+    def test_norm_equiv_grid_count(self, monkeypatch):
+        """At the desk config every field is sampled once for all its exponents:
+        535 grids before, when each p sampled on its own grid."""
+        sizes = grid_sizes(monkeypatch)
+        suite_norm_equiv(SuiteConfig())
+        assert len(sizes) <= 240
+
+    def test_mixed_p_share_the_largest_grid(self, monkeypatch):
+        u = random_field(make_lattice(2, 16), 14)
+        sizes = grid_sizes(monkeypatch)
+        both = lp_norm(u, (4.0 / 3.0, 4.0))
+        assert sizes == [default_oversample(u.lattice)]
+        assert both[0] == lp_norm(u, 4.0 / 3.0)
+        assert abs(both[1] / lp_norm(u, 4.0) - 1.0) <= 1e-14
+
+    def test_square_function_over_several_p_holds_no_whole_grid(self):
+        """As test_square_function_holds_no_whole_grid, with the blocks' own norms
+        at three p reduced in the same pass."""
+        lat = make_lattice(2, 64)
+        u = random_field(lat, 12)
+        u.coef[(lat.K,) * lat.n] = 0.0
+        M, fam = default_oversample(lat), get_family(lat)
+        rows = sum(16 * M * occupied(delta_dot(u, j, fam)).lattice.modes_per_axis
+                   for j in fam.j_range)
+        peak = traced_peak(lambda: triebel_norms(u, (-0.5, 0.0, 0.7), (4.0 / 3.0, 2.0, 4.0)))
+        assert peak < rows + 16 * M**2
 
 
 class TestSeqNorm:
@@ -604,6 +634,48 @@ class TestBlocksOnce:
             monkeypatch.setattr(fsx_norms, name, counted)
         triebel_norms(u, (-0.5, 0.0, 0.7), p, domain)
         assert sorted(read) == sorted(b.coef.tobytes() for b in blocks)
+
+    @pytest.mark.parametrize("n, K", [(2, 16), (3, 6)])
+    @pytest.mark.parametrize("domain", ["whole", "halfspace"])
+    def test_several_p_equal_one_p_at_a_time(self, n, K, domain):
+        """block_norms, triebel_norms and sobolev_norms over several p against one p
+        at a time: bitwise at the p whose rule does not move, and to 1e-14 at
+        the even p that move from their own exact grid to the shared one, and
+        at p = 2 on the strip, which samples with other p and reads strip_rows
+        alone."""
+        u, _ = random_zero_dc(make_lattice(n, K), 15, count=40)
+        ps = (4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
+
+        def close(got, want, p):
+            moves = p == 2.0 or (p == 4.0 and domain == "whole")
+            assert got == want if not moves else got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+        for p, blocks in zip(ps, block_norms(u, ps, domain)):
+            want = block_norms(u, p, domain)
+            assert blocks.keys() == want.keys()
+            for j in want:
+                close(blocks[j], want[j], p)
+        for p, norms in zip(ps, triebel_norms(u, (-0.5, 0.7), ps, domain)):
+            for got, want in zip(norms, triebel_norms(u, (-0.5, 0.7), p, domain)):
+                close(got, want, p)
+        spec = SpaceSpec("Hdot", s=0.7, domain=domain)
+        for p, got in zip(ps, sobolev_norms(u, spec, ps)):
+            close(got, sobolev_norm(u, SpaceSpec("Hdot", s=0.7, p=p, domain=domain)), p)
+
+    @pytest.mark.parametrize("n, K", [(2, 16), (2, 32), (3, 6)])
+    def test_square_function_reads_the_block_norms(self, n, K):
+        """The blocks' own norms from the square function's pass are the blocks'
+        norms by the rule on one part: to the bit at p = 4/3 and inf, on the
+        same grid, and to 1e-14 at p = 4, which block_norms takes on each
+        block's own exact grid."""
+        u, _ = random_zero_dc(make_lattice(n, K), 16, count=60)
+        ps = (4.0 / 3.0, 4.0, math.inf)
+        for p, (_, blocks) in zip(ps, square_function(u, (0.0,), ps)):
+            want = block_norms(u, p)
+            if p == 4.0:
+                assert blocks == pytest.approx(want, rel=1e-14, abs=0.0)
+            else:
+                assert blocks == want
 
     def test_interp_besov_ratios_sample_no_block_twice(self, monkeypatch):
         cfg = SuiteConfig(bandlimit=8, corpus_size=2)
