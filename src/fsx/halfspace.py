@@ -27,7 +27,10 @@ solving a Vandermonde system.  Parity reflections and the zero-boundary
 projection are other tables; a witness-set estimator for the quotient
 (restriction) norm uses the reflections.  The sharp indicator needs no table
 and no grid: its product is the Toeplitz convolution of the columns with the
-closed-form half-period weights, exact.  Sups are norms.rectangle_rule at
+closed-form half-period weights, exact, and it is computed as its column block
+(indicator_columns), the input's horizontal modes times the vertical modes
+|a| <= 4K.  The dense field of bandlimit 4K, zero off that block, is only
+indicator_multiply's output format.  Sups are norms.rectangle_rule at
 p = inf on only the grid rows they cover; a HalfField's far-face leakage is
 one, taken on its first read.
 """
@@ -157,12 +160,11 @@ def _apply_columns(u: Field, kept: np.ndarray, tail: np.ndarray) -> tuple[Field,
     return out, (math.sqrt(lost_sq / (lost_sq + kept_sq)) if lost_sq > 0.0 else 0.0)
 
 
-def _split_rows(spectral: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only rows |q| <= K, in mode order, of a built operator, and the rest."""
-    M = spectral.shape[0]
-    kept = np.concatenate([spectral[M - K :], spectral[: K + 1]])
+def _kept_rows(spectral: np.ndarray, K: int) -> np.ndarray:
+    """The read-only rows |q| <= K, in mode order, of a built operator."""
+    kept = np.concatenate([spectral[spectral.shape[0] - K :], spectral[: K + 1]])
     kept.flags.writeable = False
-    return kept, spectral[K + 1 : M - K]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +172,15 @@ def _split_rows(spectral: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _mirror_table(K: int, coeffs: Sequence[float], rows: np.ndarray, M: int) -> np.ndarray:
-    """sum_j coeffs[j] exp(i xi_k x) at the mirror points x = -r L/(M(j+1)) of the
-    heights r L/M: one row per integer r in rows, one column per mode k."""
-    return sum(a * exact_phases(K, -rows, M * (j + 1)) for j, a in enumerate(coeffs))
+def _mirror_table(K: int, coeffs: Sequence[float], rows: np.ndarray, M: int,
+                  out: np.ndarray) -> None:
+    """Add sum_j coeffs[j] exp(i xi_k x) at the mirror points x = -r L/(M(j+1)) of
+    the heights r L/M into out, in place: one row per integer r in rows, one
+    column per mode k."""
+    for j, a in enumerate(coeffs):
+        term = exact_phases(K, -rows, M * (j + 1))
+        term *= a
+        out += term
 
 
 _ODD, _EVEN = (-1.0,), (1.0,)  # mirror coefficients of the odd and even reflections
@@ -188,13 +195,14 @@ def _operator(lat: Lattice, coeffs: tuple[float, ...],
     M = default_oversample(lat)
     half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2]
     below = np.arange(half, M) - M  # the others at (j - M) L/M < 0
-    table = np.empty((M, lat.modes_per_axis), dtype=complex)
+    table = np.zeros((M, lat.modes_per_axis), dtype=complex)
     table[:half] = exact_phases(lat.K, np.arange(half), M)
-    table[half:] = _mirror_table(lat.K, coeffs, below, M)
+    _mirror_table(lat.K, coeffs, below, M, table[half:])
     if window:  # 1 within L/8 of the boundary plane, 0 from 2L/9 on
         table[half:] *= smooth_cut((6.0 / lat.L) * np.abs(below * (lat.L / M)))[:, None]
-    kept, tail = _split_rows(np.fft.fft(table, axis=0, norm="forward"), lat.K)
-    return kept, energy_factor(tail)
+    np.fft.fft(table, axis=0, norm="forward", out=table)
+    tail = energy_factor(table[lat.K + 1 : M - lat.K])  # before the kept rows' copy: a lower peak
+    return _kept_rows(table, lat.K), tail
 
 
 def extend_reflect(u: HalfField, m: int) -> tuple[Field, float]:
@@ -238,8 +246,9 @@ def _zero_operator(lat: Lattice, m: int) -> np.ndarray:
     M = default_oversample(lat)
     upper = np.arange(M // 2 + 1)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, alpha, upper, M)
-    return _split_rows(np.fft.fft(table, axis=0, norm="forward"), lat.K)[0]
+    _mirror_table(lat.K, -alpha, upper, M, table[: M // 2 + 1])  # the data less the mirror sum
+    table[: M // 2 + 1] += exact_phases(lat.K, upper, M)
+    return _kept_rows(np.fft.fft(table, axis=0, norm="forward", out=table), lat.K)
 
 
 def lower_half_defect(p0u: Field) -> float:
@@ -248,29 +257,44 @@ def lower_half_defect(p0u: Field) -> float:
     return rectangle_rule([(1.0, occupied(p0u))], math.inf, np.arange(M // 2 + 1, M), M)
 
 
-def indicator_multiply(u: Field) -> tuple[Field, float]:
-    """Multiply by the sharp indicator of {0 <= x_n < L/2}, exactly.
+def indicator_columns(u: Field) -> tuple[np.ndarray, float]:
+    """Multiply by the sharp indicator of {0 <= x_n < L/2}, exactly: the product's
+    column block, and the residual.
 
-    The product's vertical modes are the Toeplitz convolution
+    The cut only acts along x_n, so the product's horizontal modes stay those
+    of u, |k'| <= K, and its vertical modes are the Toeplitz convolution
     out[k', a] = sum_b h(a - b) c[k', b] with the half_period_weights h, kept
-    on the enlarged lattice of bandlimit 4K for the slowly decaying tail the
-    cut creates.  The cut only acts along x_n, so the output's horizontal
-    modes stay those of u, |k'| <= K.  The residual is the relative l2 size
-    of the discarded tail, exact by Parseval: the strip energy
+    to |a| <= 4K for the slowly decaying tail the cut creates.  The block has
+    shape u.coef.shape[:-1] + (8K+1,), and its shells are
+    lattice.column_shells(lat, 4K).  The residual is the relative l2 size of
+    the discarded tail, exact by Parseval: the strip energy
     sum conj(c_b) h(b - b2) c_b2 of the columns less the kept energy.
     """
     lat = u.lattice
-    big = Lattice(lat.n, 4 * lat.K, lat.L)
     h = half_period_weights(5 * lat.K)
-    i, j = np.arange(big.modes_per_axis), np.arange(lat.modes_per_axis)
+    i, j = np.arange(8 * lat.K + 1), np.arange(lat.modes_per_axis)
     columns = u.coef.reshape(-1, lat.modes_per_axis)
     coef = columns @ h[i[None, :] - j[:, None] + 2 * lat.K]
     strip = float(np.vdot(columns, columns @ h[j[None, :] - j[:, None] + 5 * lat.K]).real)
     kept = float(np.vdot(coef, coef).real)
+    residual = math.sqrt(max(strip - kept, 0.0) / strip) if strip > 0.0 else 0.0
+    return coef.reshape(u.coef.shape[:-1] + (i.size,)), residual
+
+
+def indicator_multiply(u: Field) -> tuple[Field, float]:
+    """The sharp cut of indicator_columns as a Field on the lattice of bandlimit 4K.
+
+    The cut is computed as its column block; the dense field, zero outside
+    the block's horizontal modes |k'| <= K, is only this function's output
+    format.
+    """
+    lat = u.lattice
+    big = Lattice(lat.n, 4 * lat.K, lat.L)
+    block, residual = indicator_columns(u)
     out = np.zeros(big.mode_shape, dtype=complex)
     inner = slice(big.K - lat.K, big.K + lat.K + 1)
-    out[(inner,) * (lat.n - 1)] = coef.reshape(u.coef.shape[:-1] + (big.modes_per_axis,))
-    return Field(big, out), (math.sqrt(max(strip - kept, 0.0) / strip) if strip > 0.0 else 0.0)
+    out[(inner,) * (lat.n - 1)] = block
+    return Field(big, out), residual
 
 
 # ---------------------------------------------------------------------------

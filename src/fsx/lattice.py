@@ -123,7 +123,19 @@ def xi_axes(lat: Lattice) -> tuple[np.ndarray, ...]:
 def shells(lat: Lattice) -> np.ndarray:
     """The integer |k|^2 on the full mode grid: the shell of each mode, on which
     every radial symbol is constant."""
-    total = reduce(np.add.outer, [k_axis(lat.K) ** 2] * lat.n)
+    return _outer_shells([lat.K] * lat.n)
+
+
+@lru_cache(maxsize=16)
+def column_shells(lat: Lattice, Kn: int) -> np.ndarray:
+    """The integer |k'|^2 + a^2 over lat's horizontal modes k' and the vertical
+    modes |a| <= Kn: the shells of a block of columns reaching vertical bandlimit
+    Kn, such as halfspace.indicator_columns' at Kn = 4K."""
+    return _outer_shells([lat.K] * (lat.n - 1) + [Kn])
+
+
+def _outer_shells(bandlimits: list[int]) -> np.ndarray:
+    total = reduce(np.add.outer, [k_axis(K) ** 2 for K in bandlimits])
     total.flags.writeable = False
     return total
 

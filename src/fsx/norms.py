@@ -6,7 +6,8 @@ read once and binned by the integer shell |k|^2, and a weight of |xi|^2 is
 evaluated on the occupied shells only.  Lp, the
 Hdot/H potential norms, the Besov blocks (rows psi_j^2 of shell_blocks, one
 table per lattice), the Fubini form of the square function, the exact
-Hilbert K-curve and the p = 2 semigroup norm are its cases.
+Hilbert K-curve and the p = 2 semigroup norm are its cases.  Its core,
+shell_sum, also bins the sharp cut's column block on that block's shells.
 
 Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
 one-part case, square_function its case over the weighted dyadic blocks, and
@@ -144,9 +145,19 @@ def mode_sum(u: Field, weight) -> float | np.ndarray:
     occupied shells only, or a table over the shells 0..nK^2.  Either may
     give rows, one norm each.
     """
-    lat = u.lattice
-    coef = u.coef.ravel()
-    mass = np.bincount(shells(lat).ravel(), weights=coef.real**2 + coef.imag**2)
+    return shell_sum(u.lattice, u.coef, shells(u.lattice), weight)
+
+
+def shell_sum(lat: Lattice, coef: np.ndarray, table: np.ndarray, weight) -> float | np.ndarray:
+    """mode_sum of the coefficients coef, whose integer shells |k|^2 are table (of
+    coef's shape), on a lattice of lat's dimension and period.  A field passes its
+    coefficients and lattice.shells; the sharp cut passes its column block
+    (halfspace.indicator_columns) and lattice.column_shells, and reads the norms of
+    the dense field it stands for, bit for bit, since that field's other modes are
+    zero."""
+    sq = np.square(coef.real)
+    sq += np.square(coef.imag)
+    mass = np.bincount(table.ravel(), weights=sq.ravel())
     hit = (mass > 0.0).nonzero()[0]
     if isinstance(weight, np.ndarray):
         w = weight[..., hit]

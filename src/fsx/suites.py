@@ -42,7 +42,7 @@ from .halfspace import (
     HalfField,
     extend_reflect,
     far_band_rows,
-    indicator_multiply,
+    indicator_columns,
     lower_half_defect,
     project_zero,
     reflect_parity,
@@ -54,6 +54,7 @@ from .lattice import (
     Field,
     TWO_PI,
     Lattice,
+    column_shells,
     default_oversample,
     dilate,
     field_from_modes,
@@ -77,6 +78,7 @@ from .norms import (
     potential_sq,
     rectangle_rule,
     seq_norm,
+    shell_sum,
     sobolev_norm,
     sobolev_norms,
     square_function,
@@ -534,17 +536,25 @@ INDICATOR_GROWTH_BOUND = 1.5
 
 
 def indicator_ratios(fields: list[Field], target: Lattice) -> dict[float, float]:
-    """Per s, largest Hdot^s norm of the sharp cut of u over that of u, u embedded in target."""
+    """Per s, largest Hdot^s norm of the sharp cut of u over that of u, u embedded in target.
+
+    The cut's norms are read from its column block, on the shells of the
+    bandlimit 4K that indicator_multiply's dense field would have."""
     worst = dict.fromkeys(INDICATOR_BOUNDED + (INDICATOR_BEYOND,), 0.0)
     # the Hdot^s_2 norms at every s, of the field less its mean (the weight is 0 at xi = 0)
     weights = [potential_sq(s) for s in worst]
+
+    def rows(rsq):
+        return [w(rsq) for w in weights]
+
+    cut_shells = column_shells(target, 4 * target.K)
     for u in fields:
         emb = zero_field(target)
         emb.coef[(slice(target.K - u.lattice.K, target.K + u.lattice.K + 1),) * target.n] = u.coef
-        cut, _ = indicator_multiply(emb)
-        norms = [mode_sum(v, lambda rsq: [w(rsq) for w in weights]) for v in (cut, emb)]
-        for s, num, den in zip(worst, *norms):
-            worst[s] = max(worst[s], num / den)
+        # the cut is not bound to a name, so it is freed before the next is built
+        cut_norms = shell_sum(target, indicator_columns(emb)[0], cut_shells, rows)
+        for s, ratio in zip(worst, cut_norms / mode_sum(emb, rows)):
+            worst[s] = max(worst[s], ratio)
     return worst
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from fsx.dyadic import delta_dot, smooth_cut
 from fsx.errors import AliasingRisk
-from fsx.halfspace import _mirror_table, reflection_coefficients
+from fsx.halfspace import reflection_coefficients
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -107,6 +107,12 @@ def sample_slices(u, xn_values, M):
     return horizontal_samples(np.moveaxis(columns, -1, 0), u.lattice, M)
 
 
+def mirror_sum(K, coeffs, rows, M):
+    """sum_j coeffs[j] exp(i xi_k x) at the mirror points x = -r L/(M(j+1)) of the
+    heights r L/M, one row per r in rows, as one sum of fresh tables."""
+    return sum(a * exact_phases(K, -rows, M * (j + 1)) for j, a in enumerate(coeffs))
+
+
 def extension_per_call(u, coeffs, window=False):
     """The reflection of the HalfField u with mirror coefficients coeffs by the
     per-call route: build the table of the upper half and the mirror sum below,
@@ -118,7 +124,7 @@ def extension_per_call(u, coeffs, window=False):
     below = np.arange(half, M) - M
     table = np.empty((M, lat.modes_per_axis), dtype=complex)
     table[:half] = exact_phases(lat.K, np.arange(half), M)
-    table[half:] = _mirror_table(lat.K, coeffs, below, M)
+    table[half:] = mirror_sum(lat.K, coeffs, below, M)
     if window:
         table[half:] *= smooth_cut((6.0 / lat.L) * np.abs(below * (lat.L / M)))[:, None]
     spectral = np.fft.fft(table, axis=0, norm="forward")
@@ -142,7 +148,7 @@ def project_zero_per_call(u, m):
     upper = np.arange(M // 2 + 1)
     alpha = reflection_coefficients(m).alpha
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - _mirror_table(lat.K, alpha, upper, M)
+    table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - mirror_sum(lat.K, alpha, upper, M)
     spectral = np.fft.fft(table, axis=0, norm="forward")
     kept, _ = project_columns(spectral @ u.coef.reshape(-1, lat.modes_per_axis).T, lat.K)
     return Field(lat, kept.reshape(u.coef.shape))

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import os
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from fsx.dyadic import smooth_cut
 from fsx.errors import AliasingRisk, IllConditioned, InvalidParameter
 from fsx.halfspace import (
     extend_reflect,
+    indicator_columns,
     indicator_multiply,
     lower_half_defect,
     make_half_field,
@@ -30,6 +32,7 @@ from fsx.halfspace import (
 from fsx.lattice import (
     Field,
     Lattice,
+    column_shells,
     default_oversample,
     evaluate,
     field_from_modes,
@@ -38,7 +41,18 @@ from fsx.lattice import (
     zero_field,
 )
 from fsx.multipliers import derivative
-from fsx.norms import SpaceSpec, halfspace_product_integral, lp_norm, sobolev_norm, triebel_norm
+from fsx.norms import (
+    SpaceSpec,
+    half_period_weights,
+    halfspace_product_integral,
+    lp_norm,
+    mode_sum,
+    potential_sq,
+    shell_sum,
+    sobolev_norm,
+    triebel_norm,
+)
+from fsx.suites import SuiteConfig, run_suite
 from fsx.poisson import PoissonField, materialize_poisson
 from grid_reference import (
     bilinear_strip_integral,
@@ -602,6 +616,22 @@ def toeplitz_cut(u):
     return out
 
 
+def dense_toeplitz_cut(u):
+    """The cut as one (8K+1) x (2K+1) Toeplitz matrix of the half_period_weights
+    applied to u's columns and written into the dense modes of bandlimit 4K, and
+    its residual from the columns' strip energy less the kept energy."""
+    K, n = u.lattice.K, u.lattice.n
+    h = half_period_weights(5 * K)
+    a, b = np.arange(8 * K + 1), np.arange(2 * K + 1)
+    columns = u.coef.reshape(-1, 2 * K + 1)
+    block = columns @ h[a[None, :] - b[:, None] + 2 * K]
+    strip = float(np.vdot(columns, columns @ h[b[None, :] - b[:, None] + 5 * K]).real)
+    kept = float(np.vdot(block, block).real)
+    out = np.zeros((8 * K + 1,) * n, dtype=complex)
+    out[(slice(3 * K, 5 * K + 1),) * (n - 1)] = block.reshape(u.coef.shape[:-1] + (8 * K + 1,))
+    return out, (math.sqrt(max(strip - kept, 0.0) / strip) if strip > 0.0 else 0.0)
+
+
 def residual_between(kept, tail, rest):
     """The bounds sqrt(t / (kept + t)) on a residual whose tail energy t lies in
     [tail, tail + rest]: the function is increasing in t."""
@@ -664,6 +694,26 @@ class TestExactKernels:
         want = toeplitz_cut(u)
         assert np.linalg.norm(got.coef[inner] - want) <= 1e-13 * np.linalg.norm(want)
         assert np.linalg.norm(got.coef) == pytest.approx(np.linalg.norm(want), rel=1e-13)
+
+    @COLUMN_SETTINGS
+    @given(random_fields(max_K=4))
+    def test_cut_norms_from_the_column_block_equal_the_dense_field(self, u):
+        # strichartz_indicator reads the cut's Hdot^s_2 norms from the block on
+        # its own shells: bit for bit mode_sum of indicator_multiply's dense field,
+        # which is the dense Toeplitz product, unchanged
+        lat = u.lattice
+        block, res = indicator_columns(u)
+        dense, dense_res = indicator_multiply(u)
+        want, want_res = dense_toeplitz_cut(u)
+        assert dense.lattice == Lattice(lat.n, 4 * lat.K, lat.L)
+        assert dense.coef.tobytes() == want.tobytes() and dense_res == want_res == res
+        weights = [potential_sq(s) for s in fsx_suites.INDICATOR_BOUNDED + (0.9,)]
+
+        def rows(rsq):
+            return [w(rsq) for w in weights]
+
+        got = shell_sum(lat, block, column_shells(lat, 4 * lat.K), rows)
+        assert got.tobytes() == mode_sum(dense, rows).tobytes()
 
     @COLUMN_SETTINGS
     @given(random_fields(max_n=2))
@@ -868,3 +918,45 @@ class TestNoWholeGrid:
         lat = make_lattice(2, 8)
         with pytest.raises(AliasingRisk):
             norm_on_grid(field_from_modes(lat, {(1, lat.K): 1.0}), 2.0, "halfspace", 2 * lat.K)
+
+
+def traced_cold_peak(call, *modules):
+    """The peak of memory traced while call() runs, after every lru cache of
+    the fsx modules given is emptied, so the call builds what it reads."""
+    for mod in modules:
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
+                obj.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestColumnMemory:
+    """The half-space operators hold their columns and tables, never a dense
+    lattice of the sharp cut, and transform their tables in place."""
+
+    def test_strichartz_indicator_holds_no_dense_cut(self):
+        # at n=3, K=8 the suite cuts fields embedded at bandlimit 16, whose dense
+        # cut on the lattice of bandlimit 64 is 129^3 complex values (34 MB);
+        # a suite that builds it traces over 90 MB, the column block 8 MB
+        cfg = SuiteConfig(dim=3, bandlimit=8)
+        dense_cut_bytes = 16 * (8 * 2 * cfg.bandlimit + 1) ** 3
+        peak = traced_cold_peak(lambda: run_suite("strichartz_indicator", cfg),
+                                fsx_lattice, fsx_norms, fsx_halfspace)
+        assert peak < dense_cut_bytes / 2
+
+    @pytest.mark.parametrize("build", [
+        lambda lat: fsx_halfspace._operator(lat, (-1.0,), False),
+        lambda lat: fsx_halfspace._operator(lat, tuple(reflection_coefficients(2).alpha), True),
+        lambda lat: fsx_halfspace._zero_operator(lat, 1),
+    ], ids=["odd", "E2w", "zero_m1"])
+    def test_cold_operator_build_transforms_its_table_in_place(self, build):
+        # the M x (2K+1) table at n=2, K=64 is 512 x 129 complex (1.06 MB): a
+        # copy for the DFT's output takes a cold build over 3.1 MB; in place it
+        # traces 2.4 MB
+        lat = make_lattice(2, 64)
+        assert traced_cold_peak(lambda: build(lat), fsx_lattice, fsx_halfspace) < 2.6e6
