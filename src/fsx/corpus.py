@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +45,11 @@ def _rng(seed: int, index: int) -> np.random.Generator:
 DECAY = 2.0
 
 
+@lru_cache(maxsize=16)
 def _decay_weights(lat: Lattice) -> np.ndarray:
-    return (1.0 + xi_norm(lat) / lat.freq_scale) ** (-DECAY)
+    weights = (1.0 + xi_norm(lat) / lat.freq_scale) ** (-DECAY)
+    weights.flags.writeable = False
+    return weights
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:

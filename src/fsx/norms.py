@@ -1,38 +1,31 @@
 """Norm functionals: Lebesgue, Besov, Sobolev (potential), Triebel-type, and
 the frequency-block duality pairing.
 
-Every whole-torus norm at p = 2 is one Plancherel sum, mode_sum: |c|^2 is
-read once and binned by the integer shell |k|^2, and a weight of |xi|^2 is
-evaluated on the occupied shells only.  Lp, the
-Hdot/H potential norms, the Besov blocks (rows psi_j^2 of shell_blocks, one
-table per lattice), the Fubini form of the square function, the exact
-Hilbert K-curve and the p = 2 semigroup norm are its cases.  Its core,
-shell_sum, also bins the sharp cut's column block on that block's shells.
+Every p = 2 norm is a Parseval sum of coefficients, on both domains.  On the
+whole torus it is mode_sum: |c|^2 is binned once by the integer shell |k|^2
+and weighted on the occupied shells only; Lp, Hdot/H, the Besov blocks (rows
+psi_j^2 of shell_blocks), the square function (Fubini rows sum_j 4^{js}
+psi_j^2), the Hilbert K-curve and the p = 2 semigroup norm are its cases, and
+its core, shell_sum, also bins the sharp cut's column block.  On the strip
+0 <= x_n < L/2 it is the rule's value with no sample taken (_strip_l2):
+strip_rows reads each column's sum of squares at the M/2 heights as ||R a||^2,
+R the QR factor of their phases.
 
-Every grid norm is rectangle_rule, the one quadrature: lp_norm is its
-one-part case, square_function its case over the weighted dyadic blocks, and
-the half-space sups its p = inf case.  It streams: the samples come from
-lattice.grid_slabs (or, on the strip, from columns a run of heights at a
-time) in slabs of about lattice.SLAB values, and each slab is reduced in
-place for every weight, every p and each part's own |v|^p, by the closed
-form of each power where there is one, so no M^n array of samples is held.
-At p = inf the value is the largest |g| at the nodes, a lower bound on the
-sup that no grid makes exact.  The norms choose their grids by exactness,
-and no caller picks one: for even integer p on the whole torus g^p has band
-pK' for the band K' that u occupies (lattice.occupied), so every grid with
-M > pK' is exact; every other p, and the strip 0 <= x_n < L/2, keep the
-oversampled grid of u's own lattice, the one approximate quadrature.  Each
-field is sampled once for every p asked of it, on the largest grid any of
-them needs.  On the strip at p = 2 it is a factor norm: strip_rows reads each
-column's sum of squares at the M/2 heights as ||R a||^2, for R the
-triangular QR factor of their phases.  Exact strip integrals (pairings of
-band-limited products) use closed-form half-period weights on the vertical
-mode pairs instead.
+Every other norm is rectangle_rule, the one quadrature, over the parts of
+lp_norm (u), square_function (weighted_blocks) or the half-space sups, its
+p = inf case.  It streams slabs of about lattice.SLAB samples, from
+grid_slabs or on the strip from columns; at p = inf the value is the largest
+|g| at the nodes, a lower bound on the sup.
+The norms choose grids by exactness: for even integer p on the whole torus
+g^p has band pK' for the band K' that u occupies (lattice.occupied), so every
+M > pK' is exact; every other p, and the strip, keep the oversampled grid of
+u's lattice.  Each field is sampled once for every p asked of it.  Exact
+strip integrals of band-limited products use half-period weights instead.
 
 s and q only reweight values that depend on (u, p) alone, so each dyadic
-block is sampled once and reduced for every s, q and p: square_function's
-one pass gives the square-function norms and the block L^p norms that
-seq_norm turns into any Besov norm (block_norms, on their own).
+block is sampled once for every s, q and p: square_function's one pass
+gives the square-function norms and the block norms that seq_norm turns into
+any Besov norm (block_norms, on their own).
 """
 
 from __future__ import annotations
@@ -154,16 +147,15 @@ def shell_sum(lat: Lattice, coef: np.ndarray, table: np.ndarray, weight) -> floa
     coefficients and lattice.shells; the sharp cut passes its column block
     (halfspace.indicator_columns) and lattice.column_shells, and reads the norms of
     the dense field it stands for, bit for bit, since that field's other modes are
-    zero."""
+    zero.  weight may also be a list of weights, one result each from one binning."""
     sq = np.square(coef.real)
     sq += np.square(coef.imag)
     mass = np.bincount(table.ravel(), weights=sq.ravel())
     hit = (mass > 0.0).nonzero()[0]
-    if isinstance(weight, np.ndarray):
-        w = weight[..., hit]
-    else:
-        w = np.asarray(weight(lat.freq_scale**2 * hit))
-    return np.sqrt(lat.L**lat.n * (w @ mass[hit]))
+    rows = [w[..., hit] if isinstance(w, np.ndarray) else np.asarray(w(lat.freq_scale**2 * hit))
+            for w in (weight if isinstance(weight, list) else [weight])]
+    sums = [np.sqrt(lat.L**lat.n * (w @ mass[hit])) for w in rows]
+    return sums if isinstance(weight, list) else sums[0]
 
 
 @lru_cache(maxsize=64)
@@ -219,6 +211,20 @@ def strip_rows(v: Field, M: int) -> np.ndarray:
     return np.einsum("ij,ij->i", b, b)
 
 
+def _strip_cell(lat: Lattice, M: int) -> float:
+    """The rule's cell (L/M)^n times the M^(n-1) that Parseval takes off strip_rows."""
+    return (lat.L / M) ** lat.n * float(M) ** (lat.n - 1)
+
+
+def _strip_l2(u: Field, parts: list[tuple]) -> tuple[list, list]:
+    """rectangle_rule at p = 2 for parts (w, v) of u on lp_norm's strip grid, by
+    strip_rows one part at a time: the norms per column of weights, and each part's."""
+    M = default_oversample(u.lattice)
+    own, cell = np.array([strip_rows(v, M).sum() for _, v in parts]), _strip_cell(u.lattice, M)
+    norms = np.sqrt(cell * sum(np.asarray(w) * x for (w, _), x in zip(parts, own)))
+    return norms.tolist(), np.sqrt(cell * own).tolist()
+
+
 def strip_derivative_norms(u: Field, order: int) -> list[float]:
     """Strip L^2 norms, on lp_norm's grid, of u's derivative tensors of orders
     0..order (u, its gradient, its n^2 second derivatives, ...), no derivative
@@ -226,7 +232,7 @@ def strip_derivative_norms(u: Field, order: int) -> list[float]:
     strip_rows of xi_n^e u and h = |xi'|^2, order j is sum_e C(j, e) h^(j-e) q_e."""
     lat, M = u.lattice, default_oversample(u.lattice)
     q = [strip_rows(Field(lat, u.coef * xi_axes(lat)[-1] ** e), M) for e in range(order + 1)]
-    h, cell = xi_norm_sq(lat)[..., lat.K].ravel(), (lat.L / M) ** lat.n * float(M) ** (lat.n - 1)
+    h, cell = xi_norm_sq(lat)[..., lat.K].ravel(), _strip_cell(lat, M)
     return [math.sqrt(cell * float(np.sum(sum(math.comb(j, e) * h ** (j - e) * q[e]
                                               for e in range(j + 1))))) for j in range(order + 1)]
 
@@ -294,10 +300,9 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     sqrt(max m), the same as max g since sqrt is monotone and correctly
     rounded.  With rows None the nodes are the whole M^n grid (grid_slabs).
     Otherwise they are the horizontal M^(n-1) grid at the heights r L/M of
-    the integers r in rows, where each part is read as its columns there: on
-    the strip's rows r < M/2 at p = 2 the horizontal sum of |v|^2 is M^(n-1)
-    times the columns' sum of squares by Parseval, read by strip_rows, and
-    others sample.
+    the integers r in rows, where each part is read as its columns there.
+    The norms never bring p = 2 here (mode_sum, _strip_l2): a check of those
+    sums against samples calls the rule itself.
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
@@ -308,34 +313,29 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     # per p, the sum (or for p = inf the sup) of m^(p/2) per column of weights and of a^p per part
     reduced, own = np.zeros((len(exponents), S)), np.zeros((len(exponents), len(parts)))
     folds = [np.maximum if math.isinf(q) else np.add for q in exponents]
-    if all(q == 2.0 for q in exponents) and np.array_equal(rows, np.arange(M // 2)):
-        cell *= float(M) ** (lat.n - 1)
-        own[:] = [strip_rows(v, M).sum() for _, v in parts]
-        reduced[:] = sum(w * x for w, x in zip(weights, own[0]))
-    else:
-        plane = M ** (lat.n - 1)
-        size = per_slab(plane, M) * M if rows is None else per_slab(len(rows), plane) * plane
-        buffer = np.empty((M, size // M), dtype=complex) if rows is None else None
-        streams = [(k, w, _samples(v, rows, M, buffer))
-                   for k, (w, (_, v)) in enumerate(zip(weights, parts)) if v.coef.any()]
-        mags, work = np.empty(size), np.empty(S * size)
-        squares = None if single else np.empty(S * size)
-        for slab in streams[0][2] if streams else ():
-            count = slab.size
-            tmp = work[: S * count].reshape(S, count)
+    plane = M ** (lat.n - 1)
+    size = per_slab(plane, M) * M if rows is None else per_slab(len(rows), plane) * plane
+    buffer = np.empty((M, size // M), dtype=complex) if rows is None else None
+    streams = [(k, w, _samples(v, rows, M, buffer))
+               for k, (w, (_, v)) in enumerate(zip(weights, parts)) if v.coef.any()]
+    mags, work = np.empty(size), np.empty(S * size)
+    squares = None if single else np.empty(S * size)
+    for slab in streams[0][2] if streams else ():
+        count = slab.size
+        tmp = work[: S * count].reshape(S, count)
+        if not single:
+            m = squares[: S * count].reshape(S, count)
+            m.fill(0.0)
+        # each part's slab is reduced, and folded into m, before the next part's is drawn
+        for t, (k, w, stream) in enumerate(streams):
+            a, row = _magnitudes(slab if t == 0 else next(stream), mags), tmp[0]
+            for i, q in enumerate(exponents):
+                x = np.square(a, out=row) @ row if q == 4.0 else _power_sums(a, q, row)
+                own[i, k] = folds[i](own[i, k], x)
             if not single:
-                m = squares[: S * count].reshape(S, count)
-                m.fill(0.0)
-            # each part's slab is reduced, and folded into m, before the next part's is drawn
-            for t, (k, w, stream) in enumerate(streams):
-                a, row = _magnitudes(slab if t == 0 else next(stream), mags), tmp[0]
-                for i, q in enumerate(exponents):
-                    x = np.square(a, out=row) @ row if q == 4.0 else _power_sums(a, q, row)
-                    own[i, k] = folds[i](own[i, k], x)
-                if not single:
-                    m += np.multiply.outer(w, np.square(a, out=a), out=tmp)
-            for i, q in enumerate(() if single else exponents):
-                reduced[i] = folds[i](reduced[i], _power_sums(m, q / 2.0, tmp))
+                m += np.multiply.outer(w, np.square(a, out=a), out=tmp)
+        for i, q in enumerate(() if single else exponents):
+            reduced[i] = folds[i](reduced[i], _power_sums(m, q / 2.0, tmp))
     owns = [o if math.isinf(q) else (cell * o) ** (1.0 / q) for q, o in zip(exponents, own)]
     scale = np.sqrt(weights[0])
     norms = [scale * o for o in owns] if single else [
@@ -346,23 +346,18 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     return results if many else results[0]
 
 
-def _on_strip(domain: str) -> bool:
+def _each_p(p: float | Sequence[float], domain: str, exact, rule):
+    """One result per p of p (one result for a single p): exact(strip) at p = 2, on
+    the strip or not, and rule(ps, strip) for the other p, one sampling for all."""
     if domain not in DOMAINS:
         raise InvalidParameter(f"unknown domain {domain!r}")
-    return domain == "halfspace"
-
-
-def _each_p(p: float | Sequence[float], domain: str, plancherel, rule):
-    """One result per p of p (the one result for a single p): plancherel(),
-    when given, at p = 2 on the whole torus, where it is exact, and rule(ps),
-    one result each, for the other p, so that one sampling serves all of them."""
-    many = np.ndim(p) > 0
-    exponents, strip = list(p) if many else [p], _on_strip(domain)
+    many, strip = np.ndim(p) > 0, domain == "halfspace"
+    exponents = list(p) if many else [p]
     for q in exponents:
         _check_exponent(q, "p")
-    out = {2.0: plancherel()} if plancherel and 2.0 in exponents and not strip else {}
+    out = {2.0: exact(strip)} if 2.0 in exponents else {}
     rest = [q for q in exponents if q not in out]
-    out.update(zip(rest, rule(rest)) if rest else ())
+    out.update(zip(rest, rule(rest, strip)) if rest else ())
     return [out[q] for q in exponents] if many else out[p]
 
 
@@ -371,19 +366,17 @@ def lp_norm(u: Field, p: float | Sequence[float],
     """L^p norm over the torus or the strip 0 <= x_n < L/2; one per p when p is
     a sequence, every p reduced from one sampling of u.
 
-    On the whole torus, p = 2 is the Plancherel sum L^(n/2) sqrt(sum |c_k|^2),
-    mode_sum of the weight 1.  Every other case is rectangle_rule of the one
-    part u on M samples per axis: the whole M^n grid, or on the strip the M/2
-    grid heights j L/M < L/2.  M is the largest grid any p needs: exact_grid
-    of u's occupied band for even integer p on the whole torus, where the rule
-    is exact (on that grid and any larger one), and of u's lattice otherwise
-    (oversampled, and even).  At p = inf the value is the largest |u| at the
-    nodes of that grid, which bounds the sup from below.  A field whose
-    coefficients are all zero gives 0.0 and is not sampled.  A caller that
-    needs the rule on another grid calls rectangle_rule itself.
+    p = 2 is a Parseval sum (mode_sum of the weight 1 on the torus, _strip_l2
+    on the strip) and never reaches the rule.  Every other p is rectangle_rule
+    of the one part u, read from its band, on the largest grid any p needs
+    (_nodes): exact for even integer p on the whole torus, and otherwise the
+    oversampled grid of u's lattice, whose largest |u| bounds the sup from
+    below at p = inf.  A field whose coefficients are all zero gives 0.0 and
+    is not sampled.  A caller that wants the rule on another grid, or at
+    p = 2, calls rectangle_rule itself.
     """
-    return _each_p(p, domain, lambda: float(mode_sum(u, np.ones_like)),
-                   lambda ps: _lp_rule(u, ps, _on_strip(domain)))
+    return _each_p(p, domain, lambda strip: _strip_l2(u, [(1.0, occupied(u))])[1][0] if strip
+                   else float(mode_sum(u, np.ones_like)), lambda ps, strip: _lp_rule(u, ps, strip))
 
 
 def _lp_rule(u: Field, ps: list[float], strip: bool) -> list[float]:
@@ -449,25 +442,27 @@ def block_norms(u: Field, p: float | Sequence[float], domain: str = "whole",
     norm of u at this p and domain reweights by its s and q: the annular
     blocks j of the family (Bdot), or with inhomogeneous the low-pass block
     k = -1 and the annular blocks k >= 0 (B).  One dict per p when p is a
-    sequence: each block is sampled once for every p (as lp_norm).  On the whole
-    torus at p = 2 they are one mode_sum over the rows of shell_blocks."""
+    sequence: each block is sampled once for every p (as lp_norm).  At p = 2
+    they are one mode_sum over the rows of shell_blocks on the whole torus."""
     fam = get_family(u.lattice)
     keys = range(-1, fam.j_max + 1) if inhomogeneous else fam.j_range
     if not inhomogeneous:
         require_zero_mean(u, "homogeneous Besov norm")
+    blocks = lambda: ((delta_inhom if inhomogeneous else delta_dot)(u, k, fam) for k in keys)
 
-    def plancherel():
+    def exact(strip):
+        if strip:
+            return dict(zip(keys, _strip_l2(u, [(1.0, occupied(b)) for b in blocks()])[1]))
         *rows, low = mode_sum(u, shell_blocks(u.lattice)).tolist()
         annular = dict(zip(fam.j_range, rows))
         # psi_k vanishes on the lattice for the k >= 0 below the family's range
         return {k: low if inhomogeneous and k == -1 else annular.get(k, 0.0) for k in keys}
 
-    def rule(ps):
-        block = delta_inhom if inhomogeneous else delta_dot
-        norms = [_lp_rule(block(u, k, fam), ps, _on_strip(domain)) for k in keys]
+    def rule(ps, strip):
+        norms = [_lp_rule(b, ps, strip) for b in blocks()]
         return [dict(zip(keys, column)) for column in zip(*norms)]
 
-    return _each_p(p, domain, plancherel, rule)
+    return _each_p(p, domain, exact, rule)
 
 
 def besov_norm(u: Field, spec: SpaceSpec) -> float:
@@ -481,19 +476,17 @@ def besov_norm(u: Field, spec: SpaceSpec) -> float:
 def sobolev_norms(u: Field, spec: SpaceSpec, p: float | Sequence[float]) -> float | list[float]:
     """Potential-norm Sobolev at spec's family, s and domain and at p, one per p
     when p is a sequence: Riesz (Hdot) or Bessel (H) multiplier then L^p, the
-    potential sampled once for every p (as lp_norm); on the whole torus at p = 2,
-    mode_sum with the squared multiplier."""
+    potential sampled once for every p (as lp_norm); at p = 2 on the whole
+    torus, mode_sum with the squared multiplier."""
     if spec.family not in ("H", "Hdot"):
         raise InvalidParameter(f"sobolev_norm got family {spec.family!r}")
     bessel = spec.family == "H"
     if not bessel:
         require_zero_mean(u, "homogeneous Sobolev norm")
-
-    def rule(rest):
-        potential = bessel_potential(u, spec.s) if bessel else fractional_laplacian(u, spec.s)
-        return _lp_rule(potential, rest, _on_strip(spec.domain))
-
-    return _each_p(p, spec.domain, lambda: float(mode_sum(u, potential_sq(spec.s, bessel))), rule)
+    potential = lambda: bessel_potential(u, spec.s) if bessel else fractional_laplacian(u, spec.s)
+    return _each_p(p, spec.domain, lambda strip: _strip_l2(u, [(1.0, occupied(potential()))])[1][0]
+                   if strip else float(mode_sum(u, potential_sq(spec.s, bessel))),
+                   lambda ps, strip: _lp_rule(potential(), ps, strip))
 
 
 def sobolev_norm(u: Field, spec: SpaceSpec) -> float:
@@ -507,22 +500,36 @@ def square_function(u: Field, s_values: Sequence[float], p: float | Sequence[flo
     scales of 2^{js} blocks, then L^p), paired with the block norms
     {j: ||Delta_j u||_p}; one pair per p when p is a sequence.
 
-    One rectangle_rule pass over the blocks, each read from its own band with
-    its row of weights 4^{js}, on lp_norm's grid for all of p: every block is
-    sampled once for all s and p, and its own norm is read from the same
-    samples (the rule's also at p = 2, where block_norms takes mode_sum).  On
-    the strip at p = 2 alone the rule sums the blocks' columns, so no grid is
-    sampled.
+    p = 2 never reaches the rule: each norm is the mode_sum of its Fubini row
+    sum_j 4^{js} psi_j^2 on the whole torus, each row summed on its own, and
+    _strip_l2 of the weighted blocks on the strip.  Every other p is one
+    rectangle_rule pass over the weighted blocks on lp_norm's grid, which also
+    gives each block's own norm.
     """
-    def rule(ps):
-        require_zero_mean(u, "square-function norm")
-        fam = get_family(u.lattice)
-        blocks = [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
-                  for j in fam.j_range]
-        return [(norms, dict(zip(fam.j_range, own))) for norms, own in
-                rectangle_rule(blocks, ps, *_nodes(u, occupied(u), ps, _on_strip(domain)))]
+    require_zero_mean(u, "square-function norm")
+    fam = get_family(u.lattice)
 
-    return _each_p(p, domain, None, rule)
+    def exact(strip):
+        if strip:
+            norms, own = _strip_l2(u, weighted_blocks(u, s_values))
+            return norms, dict(zip(fam.j_range, own))
+        table = shell_blocks(u.lattice)  # with block_norms' rows, so their norms are its bits
+        *norms, own = mode_sum(u, [[4.0 ** (j * s) for j in fam.j_range] @ table[:-1]
+                                   for s in s_values] + [table])
+        return [float(x) for x in norms], dict(zip(fam.j_range, own[:-1].tolist()))
+
+    def rule(ps, strip):
+        pairs = rectangle_rule(weighted_blocks(u, s_values), ps, *_nodes(u, occupied(u), ps, strip))
+        return [(norms, dict(zip(fam.j_range, own))) for norms, own in pairs]
+
+    return _each_p(p, domain, exact, rule)
+
+
+def weighted_blocks(u: Field, s_values: Sequence[float]) -> list[tuple[list[float], Field]]:
+    """square_function's parts: u's dyadic blocks on their own bands, each with 4^{js} per s."""
+    fam = get_family(u.lattice)
+    return [([4.0 ** (j * s) for s in s_values], occupied(delta_dot(u, j, fam)))
+            for j in fam.j_range]
 
 
 def triebel_norms(u: Field, s_values: Sequence[float], p: float | Sequence[float],
@@ -536,13 +543,6 @@ def triebel_norms(u: Field, s_values: Sequence[float], p: float | Sequence[float
 def triebel_norm(u: Field, s: float, p: float, domain: str = "whole") -> float:
     """Square-function norm at one s: triebel_norms' one-s case."""
     return triebel_norms(u, (s,), p, domain)[0]
-
-
-def triebel_fubini_l2(u: Field, s: float) -> float:
-    """Exchange-of-sums form of the p = 2 square-function norm: the mode_sum of
-    sum_j 4^{js} psi_j^2."""
-    scales = [4.0 ** (j * s) for j in get_family(u.lattice).j_range]
-    return float(mode_sum(u, scales @ shell_blocks(u.lattice)[:-1]))
 
 
 def _mode_pair(u: Field, v: Field) -> complex:

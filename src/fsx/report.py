@@ -1,14 +1,15 @@
 """Structured verification reports with canonical, diff-friendly serialization.
 
 Floats are always rendered as %.12e and keys are sorted, so two runs with the
-same seed produce byte-identical files except for the wall_time field.
+same seed produce byte-identical files except for the wall_time field; it and
+roundoff_cases, the cases whose value is round-off itself, stay out of report_digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .errors import IoError
 
@@ -23,14 +24,17 @@ class Report:
     constants: dict = dc_field(default_factory=dict)
     verifies: list[str] = dc_field(default_factory=list)
     wall_time: float = 0.0
+    roundoff_cases: list[str] = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return all(bool(c.get("passed", False)) for c in self.cases)
 
     def add_case(self, case_id: str, value: float, bound: float,
-                 passed: bool | None = None, digest: str = "") -> None:
+                 passed: bool | None = None, digest: str = "", roundoff: bool = False) -> None:
         """Record a case; it passes when value <= bound, unless passed says otherwise."""
+        if roundoff:
+            self.roundoff_cases.append(case_id)
         self.cases.append(
             {
                 "case": case_id,
@@ -42,16 +46,7 @@ class Report:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "suite": self.suite,
-            "params": self.params,
-            "cases": self.cases,
-            "constants": self.constants,
-            "verifies": self.verifies,
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self), "passed": self.passed}
 
 
 def _canon(value) -> str:
@@ -82,8 +77,8 @@ def canonical_json(data: dict) -> str:
 
 
 def report_digest(r: Report) -> str:
-    """Content digest with the timing field masked out."""
-    data = r.to_dict()
+    """Content digest with the timing field masked out and no round-off case list."""
+    data = {key: value for key, value in r.to_dict().items() if key != "roundoff_cases"}
     data["wall_time"] = 0.0
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()
 

@@ -27,13 +27,14 @@ which reads the strip from columns; the tests check it against the rule on
 the whole sampled grid, cut to the heights it covers (lp_norm_reference,
 triebel_norm_reference, sup_reference).  The norms pick their own grids;
 the tests take them on a grid of their choosing by the rule (norm_on_grid).
-At p = 2 on the strip the rule reads each column's sum of squares from a
-triangular factor (norms.strip_rows); the tests check it against the columns
-formed at the M/2 heights and summed (strip_rows_by_columns,
-strip_l2_by_columns), and
-the derivative norms of the resolvent estimate against the derivative
-fields built one by one (hessian, resolvent_estimate_by_fields).  The tests read the rule's sup of a half field over the
-upper half as the scale of its leakage and residuals (half_peak).
+At p = 2 on the strip the norms read each column's sum of squares from a
+triangular factor (norms.strip_rows), not the rule; the tests check it
+against the columns formed at the M/2 heights and summed
+(strip_rows_by_columns, strip_l2_by_columns), and the derivative norms of
+the resolvent estimate against the derivative fields built one by one
+(hessian, resolvent_estimate_by_fields).  The tests read the rule's sup of a
+half field over the upper half as the scale of its leakage and residuals
+(half_peak).
 """
 
 import math

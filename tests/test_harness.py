@@ -19,7 +19,7 @@ import fsx.lattice
 import fsx.norms
 import fsx.suites
 from fsx.cli import main as cli_main, parse_lambda
-from fsx.corpus import generate_corpus
+from fsx.corpus import _decay_weights, generate_corpus
 from fsx.errors import ConfigError, InvalidParameter, UnknownSuite
 from fsx.lattice import (
     field_from_modes,
@@ -70,6 +70,13 @@ class TestCorpus:
             hf = make_half_field(u)
             assert hf.leakage <= 1e-8 * half_peak(hf)
 
+    def test_decay_weights_drawn_once_per_lattice(self, lat):
+        weights = _decay_weights(lat)
+        assert _decay_weights(lat) is weights and not weights.flags.writeable
+        warm = generate_corpus(42, "random_bandlimited", 3, lat).digest()
+        _decay_weights.cache_clear()
+        assert generate_corpus(42, "random_bandlimited", 3, lat).digest() == warm
+
     def test_invalid_inputs(self, lat):
         with pytest.raises(InvalidParameter):
             generate_corpus(1, "random_bandlimited", 0, lat)
@@ -106,6 +113,20 @@ class TestReport:
         d1 = report_digest(rep)
         rep.wall_time = 99.0
         assert report_digest(rep) == d1
+
+    def test_roundoff_cases_listed_outside_the_digest(self):
+        rep, flagged = self._sample(), self._sample()
+        rep.add_case("gamma", 2e-16, 1e-12)
+        flagged.add_case("gamma", 2e-16, 1e-12, roundoff=True)
+        assert (rep.roundoff_cases, flagged.roundoff_cases) == ([], ["gamma"])
+        assert flagged.to_dict()["roundoff_cases"] == ["gamma"]
+        assert report_digest(flagged) == report_digest(rep)
+
+    def test_suites_flag_their_roundoff_cases(self):
+        rep = run_suite("plancherel", SuiteConfig(bandlimit=8, corpus_size=2))
+        s_list = SuiteConfig().s_list
+        assert rep.roundoff_cases == [f"{name}_s{s:g}" for s in s_list
+                                      for name in ("plancherel", "gradient_identity")]
 
     def test_write_read_roundtrip(self, tmp_path):
         rep = self._sample()

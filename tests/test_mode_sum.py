@@ -30,7 +30,7 @@ from fsx.norms import (
     lp_norm,
     mode_sum,
     sobolev_norm,
-    triebel_fubini_l2,
+    triebel_norm,
 )
 from fsx.poisson import poisson_besov_norm
 from grid_reference import norm_on_grid
@@ -91,7 +91,7 @@ class TestAgainstPerModePath:
         fam = get_family(lat)
         want = math.sqrt(sum(4.0 ** (j * s) * plancherel(delta_dot(u, j, fam)) ** 2
                              for j in fam.j_range))
-        assert triebel_fubini_l2(u, s) == pytest.approx(want, rel=REL)
+        assert triebel_norm(u, s, 2.0) == pytest.approx(want, rel=REL)
 
     @pytest.mark.parametrize("x0, x1", [(SpaceSpec("Hdot", s=-0.5), SpaceSpec("Hdot", s=0.7)),
                                         (SpaceSpec("Lp"), SpaceSpec("H", s=1.0))])
@@ -200,7 +200,7 @@ def layer_norms(u):
         sobolev_norm(u, SpaceSpec("H", s=-1.2)),
         *block_norms(u, 2.0).values(),
         *block_norms(u, 2.0, inhomogeneous=True).values(),
-        triebel_fubini_l2(u, 0.4),
+        triebel_norm(u, 0.4, 2.0),
         *k_curve_exact_hilbert(u, couple).values,
     ])
 

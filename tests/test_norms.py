@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ import fsx.lattice as fsx_lattice
 import fsx.norms as fsx_norms
 import fsx.suites as fsx_suites
 from fsx.corpus import generate_corpus
-from fsx.dyadic import annulus_values, delta_dot
+from fsx.dyadic import annulus_values, delta_dot, delta_inhom
 from fsx.errors import AliasingRisk, HomogeneousDCViolation, InvalidExponent, InvalidParameter
 from fsx.halfspace import far_band_rows
+from fsx.multipliers import bessel_potential, fractional_laplacian
 from fsx.lattice import (
     Field,
     default_oversample,
@@ -40,7 +43,6 @@ from fsx.norms import (
     sobolev_norms,
     space_norm,
     square_function,
-    triebel_fubini_l2,
     triebel_norm,
     triebel_norms,
 )
@@ -206,12 +208,60 @@ class TestOccupiedBand:
             assert triebel_norm(u, s, 2.0, "halfspace") == pytest.approx(want, rel=1e-12)
         assert not calls
 
-    def test_whole_p2_square_function_samples_a_grid(self, monkeypatch):
-        lat = make_lattice(2, 16)
-        u, _ = random_zero_dc(lat, 4, count=40)
-        sizes = grid_sizes(monkeypatch)
-        assert triebel_norm(u, 0.7, 2.0) == pytest.approx(triebel_fubini_l2(u, 0.7), rel=1e-12)
-        assert sizes and set(sizes) == {exact_grid(lat, 2.0)}
+
+
+@st.composite
+def p2_fields(draw):
+    """A dense zero-mean field with n <= 3, K <= 8."""
+    lat = make_lattice(draw(st.integers(1, 3)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coef = rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape)
+    coef[(lat.K,) * lat.n] = 0.0
+    return Field(lat, coef)
+
+
+class TestP2FromCoefficients:
+    """At p = 2 the norms are Parseval sums of coefficients on both domains:
+    they sample no grid, and they equal the sampled rule on lp_norm's grid,
+    which on the torus is exact and on the strip takes the same heights."""
+
+    @settings(max_examples=30)
+    @given(p2_fields(), st.sampled_from(["whole", "halfspace"]), st.sampled_from([-0.5, 0.7]))
+    def test_p2_norms_sample_nothing_and_match_the_rule(self, u, domain, s):
+        lat, M = u.lattice, default_oversample(u.lattice)
+        fam = get_family(lat)
+        hdot, bessel = SpaceSpec("Hdot", s=s, domain=domain), SpaceSpec("H", s=s, domain=domain)
+        want = [norm_on_grid(u, 2.0, domain, M),
+                norm_on_grid(fractional_laplacian(u, s), 2.0, domain, M),
+                norm_on_grid(bessel_potential(u, s), 2.0, domain, M),
+                *(norm_on_grid(delta_dot(u, j, fam), 2.0, domain, M) for j in fam.j_range),
+                *(norm_on_grid(delta_inhom(u, k, fam), 2.0, domain, M)
+                  for k in range(-1, fam.j_max + 1)),
+                *norm_on_grid(u, 2.0, domain, M, (s, 0.0))]
+        with mock.patch.object(fsx_norms, "grid_slabs", side_effect=AssertionError), \
+                mock.patch.object(fsx_norms, "horizontal_samples", side_effect=AssertionError):
+            norms, blocks = square_function(u, (s, 0.0), 2.0, domain)
+            got = [lp_norm(u, 2.0, domain), sobolev_norms(u, hdot, 2.0),
+                   sobolev_norms(u, bessel, 2.0), *block_norms(u, 2.0, domain).values(),
+                   *block_norms(u, 2.0, domain, inhomogeneous=True).values(), *norms]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert blocks == block_norms(u, 2.0, domain)
+
+    def test_p2_suites_sample_only_their_checks(self, monkeypatch):
+        """plancherel and norm_equiv at the golden config (corpus 3) sample these
+        grids and no others: each sampled p = 2 check on its exact grid, M = 72 at
+        K = 32, once per field (and per block), and no norm brings p = 2 to the rule."""
+        sizes, exponents = grid_sizes(monkeypatch), []
+        rule = fsx_norms.rectangle_rule
+        monkeypatch.setattr(fsx_norms, "rectangle_rule",
+                            lambda parts, p, *nodes: exponents.append(p) or rule(parts, p, *nodes))
+        cfg = SuiteConfig(corpus_size=3)
+        fsx_suites.suite_plancherel(cfg)
+        assert Counter(sizes) == {72: 12}
+        sizes.clear()
+        fsx_suites.suite_norm_equiv(cfg)
+        assert Counter(sizes) == {5: 3, 72: 21, 128: 27, 135: 3, 256: 90}
+        assert exponents and not any(2.0 in np.atleast_1d(p) for p in exponents)
 
 
 @st.composite
@@ -562,7 +612,7 @@ class TestTriebelNorm:
         u, _ = random_zero_dc(lat, 5, count=25)
         for s in (-0.5, 0.0, 0.7):
             a = triebel_norm(u, s, 2.0)
-            b = triebel_fubini_l2(u, s)
+            b = norm_on_grid(u, 2.0, "whole", exact_grid(lat, 2.0), (s,))[0]
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_zero(self):
@@ -639,15 +689,14 @@ class TestBlocksOnce:
     @pytest.mark.parametrize("domain", ["whole", "halfspace"])
     def test_several_p_equal_one_p_at_a_time(self, n, K, domain):
         """block_norms, triebel_norms and sobolev_norms over several p against one p
-        at a time: bitwise at the p whose rule does not move, and to 1e-14 at
-        the even p that move from their own exact grid to the shared one, and
-        at p = 2 on the strip, which samples with other p and reads strip_rows
-        alone."""
+        at a time: bitwise at the p whose rule does not move and at p = 2, a
+        Parseval sum on both domains however many p are asked, and to 1e-14 at
+        the even p that move from their own exact grid to the shared one."""
         u, _ = random_zero_dc(make_lattice(n, K), 15, count=40)
         ps = (4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
 
         def close(got, want, p):
-            moves = p == 2.0 or (p == 4.0 and domain == "whole")
+            moves = p == 4.0 and domain == "whole"
             assert got == want if not moves else got == pytest.approx(want, rel=1e-14, abs=0.0)
 
         for p, blocks in zip(ps, block_norms(u, ps, domain)):
