@@ -3,7 +3,9 @@
 The continuum is modeled by the torus [0, L)^n with default L = 2*pi, so mode
 k carries the frequency xi = (2*pi/L) * k and every Fourier multiplier acts
 exactly on the finitely many stored modes.  Quadrature error only enters via
-sampled grids, and only where no grid is exact (see exact_grid).
+sampled grids, and only where no grid is exact (see exact_grid).  Every
+sampled value comes from one sampler, grid_slabs, on the torus and on the
+strip alike: one pruned transform along x_n, then whole heights in slabs.
 """
 
 from __future__ import annotations
@@ -71,14 +73,16 @@ def default_oversample(lat: Lattice) -> int:
 
 
 def exact_grid(lat: Lattice, p: float, whole: bool = True) -> int:
-    """Samples per axis for the rectangle rule of the integral of |u|^p.
+    """Samples per axis for the rectangle rule of the integral of |u|^p: the M
+    that grid_slabs, the one sampler, is asked for on either domain.
 
     For even integer p on the whole torus, |u|^p = (u conj(u))^(p/2) is
     band-limited at pK, so the rectangle rule is exact on every M > pK; this
     returns the smallest 2*3*5-smooth such M that is also at least 2K+2, the
     floor of grid_slabs; for a field on a smaller band, pass occupied(u)'s
     lattice.  Every other exponent, and the strip's half interval
-    (whole=False), has no exact grid and gets default_oversample.
+    (whole=False, the heights below M/2), has no exact grid and gets
+    default_oversample.
     """
     if not has_exact_grid(p, whole):
         return default_oversample(lat)
@@ -303,42 +307,41 @@ def exact_phases(K: int, r: np.ndarray, N: int) -> np.ndarray:
     return _unit_roots(N).take(np.multiply.outer(r, k_axis(K)), mode="wrap")
 
 
-def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int) -> np.ndarray:
-    """Values on the x'-grid of size M^(n-1) of horizontal mode arrays.
+def horizontal_samples(sliced: np.ndarray, lat: Lattice, M: int,
+                       buffer: np.ndarray | None = None) -> np.ndarray:
+    """Values on the x'-grid of size M^(n-1) of horizontal mode arrays: the
+    horizontal stage of grid_slabs.
 
     sliced has shape (T, modes'), one horizontal mode array of the lattice
-    per height; the output has shape (T, M, ..., M), or (T,) when n = 1.
+    per height; the output has shape (T, M, ..., M), or (T,) when n = 1.  The
+    last and largest pass runs along the contiguous last axis, in the front
+    of buffer when one is given.
     """
-    if lat.n == 1:
-        return sliced.reshape(-1)
-    return _padded_passes(sliced, lat.K, M, range(1, lat.n))
+    return _padded_passes(sliced, lat.K, M, range(1, lat.n), buffer)
 
 
-def _padded_passes(modes: np.ndarray, K: int, M: int, axes) -> np.ndarray:
+def _padded_passes(modes: np.ndarray, K: int, M: int, axes, buffer=None) -> np.ndarray:
     """The sums sum_k modes_k exp(2 pi i j k / M) of modes zero-padded to M along
     axes: the inverse DFT in its forward normalisation, which divides by nothing,
     so the values are the field's own and no scale pass follows.
 
-    Pruned (Markel 1971): axes are padded and transformed one at a time, last
-    first as np.fft.ifftn orders them, so in the pass over axis a the axes
-    before it still hold only 2K+1 modes: (2K+1)^a M^(n-1-a) rows, not
-    M^(n-1).  Each pass transforms its padded array in place.
+    Pruned (Markel 1971): axes are padded and transformed one at a time, in
+    order, so in the pass over axis a the axes after it still hold only 2K+1
+    modes.  Each pass writes the modes k to the rows k mod M of its padded
+    array, as two slice copies, zeros the rest and transforms it in place;
+    the last pass pads in the front of buffer when one is given.
     """
     if M < 2 * K + 2:
         raise AliasingRisk(f"M={M} < 2K+2={2 * K + 2}")
-    for a in reversed(axes):
-        padded = np.zeros(modes.shape[:a] + (M,) + modes.shape[a + 1:], dtype=complex)
-        _place(padded, modes, K, a)
+    for a in axes:
+        head, shape = (slice(None),) * a, modes.shape[:a] + (M,) + modes.shape[a + 1:]
+        last = buffer is not None and a == axes[-1]
+        padded = buffer[: math.prod(shape)].reshape(shape) if last else np.empty(shape, complex)
+        padded[head + (slice(None, K + 1),)] = modes[head + (slice(K, None),)]
+        padded[head + (slice(K + 1, M - K),)] = 0.0
+        padded[head + (slice(M - K, None),)] = modes[head + (slice(None, K),)]
         modes = np.fft.ifftn(padded, axes=(a,), norm="forward", out=padded)
     return modes
-
-
-def _place(out: np.ndarray, modes: np.ndarray, K: int, axis: int) -> None:
-    """Write the modes k = -K..K of modes along axis to the rows k mod M of out
-    there, as two slice copies: k >= 0 to the front, k < 0 to the back."""
-    head = (slice(None),) * axis
-    out[head + (slice(None, K + 1),)] = modes[head + (slice(K, None),)]
-    out[head + (slice(-K, None),)] = modes[head + (slice(None, K),)]
 
 
 # Samples per slab of a streamed grid: 512 KiB of complex values.
@@ -351,26 +354,28 @@ def per_slab(count: int, size: int) -> int:
     return min(max(SLAB // size, 1), count)
 
 
-def grid_slabs(u: Field, M: int, buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """u's values on the M^n grid x = (L/M) j, exact, streamed in slabs: the one sampler.
+def grid_slabs(u: Field, M: int, rows: np.ndarray | None = None,
+               buffer: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """u's values on the M^n grid x = (L/M) j, exact, at the heights j_n of rows,
+    a run of consecutive heights (all M when None), streamed in slabs of whole
+    heights: the one sampler, of the torus and of the strip alike.
 
-    The grid is read as an M x M^(n-1) matrix, and a slab is a block of
-    w = per_slab(M^(n-1), M) of its columns.  The pruned passes over axes
-    n-1, ..., 1 run once; the last, over axis 0, runs per slab in place in
-    buffer (M x w, made when None), so a slab is valid until the next is
-    drawn, fields can share a buffer, and no M^n array is held.  Every pass
-    is forward-normalised (_padded_passes), so a slab holds u's values as the
+    One pruned pass along x_n, the last and contiguous axis, gives every
+    column at all M heights; the heights of rows are a slice of them, no
+    copy.  They are read per_slab(len(rows), M^(n-1)) at a time, and each
+    run's horizontal passes (horizontal_samples) run in the front of buffer,
+    or in a new array when buffer is None.  A slab has shape (t, M, ..., M),
+    its heights first; it is valid until the next is drawn, so fields can
+    share a buffer, and no M^n array is held.  Every pass is
+    forward-normalised (_padded_passes), so a slab holds u's values as the
     transform leaves them, with no pass to scale them.
     """
-    K = u.lattice.K
-    rows = _padded_passes(u.coef, K, M, range(1, u.lattice.n)).reshape(2 * K + 1, -1)
-    width = per_slab(rows.shape[1], M)
-    buffer = np.empty((M, width), dtype=complex) if buffer is None else buffer
-    for start in range(0, rows.shape[1], width):
-        slab = buffer[:, : min(width, rows.shape[1] - start)]
-        slab[K + 1 : M - K] = 0.0
-        _place(slab, rows[:, start : start + width], K, 0)
-        yield np.fft.ifftn(slab, axes=(0,), norm="forward", out=slab)
+    lat, rows = u.lattice, range(M) if rows is None else rows
+    columns = _padded_passes(u.coef, lat.K, M, (lat.n - 1,)).transpose(-1, *range(lat.n - 1))
+    columns = columns[rows[0] : rows[-1] + 1]
+    step = per_slab(len(columns), M ** (lat.n - 1))
+    for start in range(0, len(columns), step):
+        yield horizontal_samples(columns[start : start + step], lat, M, buffer)
 
 
 def energy_factor(rows: np.ndarray) -> np.ndarray:

@@ -13,9 +13,10 @@ R the QR factor of their phases.
 
 Every other norm is rectangle_rule, the one quadrature, over the parts of
 lp_norm (u), square_function (weighted_blocks) or the half-space sups, its
-p = inf case.  It streams slabs of about lattice.SLAB samples, from
-grid_slabs or on the strip from columns; at p = inf the value is the largest
-|g| at the nodes, a lower bound on the sup.
+p = inf case.  Its nodes are the M^n grid, or on the strip its heights below
+M/2, and on both domains it reads them from lattice.grid_slabs, the one
+sampler, in slabs of whole heights of about lattice.SLAB samples; at p = inf
+the value is the largest |g| at the nodes, a lower bound on the sup.
 The norms choose grids by exactness: for even integer p on the whole torus
 g^p has band pK' for the band K' that u occupies (lattice.occupied), so every
 M > pK' is exact; every other p, and the strip, keep the oversampled grid of
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .lattice import (
     exact_phases,
     grid_slabs,
     has_exact_grid,
-    horizontal_samples,
     occupied,
     shells,
     per_slab,
@@ -191,11 +191,6 @@ def _nodes(u: Field, band: Field, ps: Sequence[float], strip: bool) -> tuple:
     return (np.arange(M // 2) if strip else None), M
 
 
-def _columns(v: Field, rows: np.ndarray, M: int) -> np.ndarray:
-    """v's column of each horizontal mode at the heights r L/M of the integers r in rows."""
-    return v.coef @ exact_phases(v.lattice.K, rows, M).T
-
-
 @lru_cache(maxsize=64)
 def _strip_factor(K: int, M: int) -> np.ndarray:
     """energy_factor of the column phases at the strip's heights r L/M, r < M/2."""
@@ -237,19 +232,6 @@ def strip_derivative_norms(u: Field, order: int) -> list[float]:
                                               for e in range(j + 1))))) for j in range(order + 1)]
 
 
-def _samples(v: Field, rows: np.ndarray | None, M: int,
-             buffer: np.ndarray) -> Iterator[np.ndarray]:
-    """v's values at the rule's nodes, in slabs of about lattice.SLAB samples:
-    the whole grid from grid_slabs, in buffer, or the horizontal grids at the
-    heights of rows, a run of heights at a time, from v's columns there."""
-    if rows is None:
-        return grid_slabs(v, M, buffer)
-    columns = np.moveaxis(_columns(v, rows, M), -1, 0)
-    step = per_slab(len(rows), M ** (v.lattice.n - 1))
-    return (horizontal_samples(columns[i : i + step], v.lattice, M)
-            for i in range(0, len(rows), step))
-
-
 def _power_sums(m: np.ndarray, e: float, work: np.ndarray):
     """The sum of m^e over the last axis of m >= 0, or for e = inf its max, by the
     closed form of e where it has one (none for e = 1, a square root for 1/2, a
@@ -288,8 +270,10 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     from its band.  A weight may instead be a row of S weights, the same S
     for every part, and the rule then returns a pair: the S norms, one per
     column of weights, and the rule for each part's own norm ||v||_p.  p may
-    be a sequence, for one result per p.  The parts stream in step, slab by
-    slab (_samples), through one shared buffer, and each slab is reduced in
+    be a sequence, for one result per p.  The nodes are the M^n grid at the
+    heights r L/M of the integers r in rows, a run of consecutive heights (all
+    M with rows None).  The parts stream in step, slab by slab (grid_slabs,
+    on either domain), through one shared buffer, and each slab is reduced in
     place, in work arrays made once per call, into one sum or sup per (p, S)
     and per (p, part): every part is sampled once for all S and p, no whole
     grid of samples is held, and a part whose coefficients are all zero adds
@@ -298,11 +282,8 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     by sqrt(w) at the end; several go on to accumulate m from a^2 and reduce
     m^(p/2), so g itself is never formed (_power_sums): the sup is
     sqrt(max m), the same as max g since sqrt is monotone and correctly
-    rounded.  With rows None the nodes are the whole M^n grid (grid_slabs).
-    Otherwise they are the horizontal M^(n-1) grid at the heights r L/M of
-    the integers r in rows, where each part is read as its columns there.
-    The norms never bring p = 2 here (mode_sum, _strip_l2): a check of those
-    sums against samples calls the rule itself.
+    rounded.  The norms never bring p = 2 here (mode_sum, _strip_l2): a check
+    of those sums against samples calls the rule itself.
     """
     lat = parts[0][1].lattice
     cell = (lat.L / M) ** lat.n
@@ -314,11 +295,10 @@ def rectangle_rule(parts: list[tuple[float | Sequence[float], Field]], p: float 
     reduced, own = np.zeros((len(exponents), S)), np.zeros((len(exponents), len(parts)))
     folds = [np.maximum if math.isinf(q) else np.add for q in exponents]
     plane = M ** (lat.n - 1)
-    size = per_slab(plane, M) * M if rows is None else per_slab(len(rows), plane) * plane
-    buffer = np.empty((M, size // M), dtype=complex) if rows is None else None
-    streams = [(k, w, _samples(v, rows, M, buffer))
+    size = per_slab(M if rows is None else len(rows), plane) * plane
+    buffer, mags, work = np.empty(size, complex), np.empty(size), np.empty(S * size)
+    streams = [(k, w, grid_slabs(v, M, rows, buffer))
                for k, (w, (_, v)) in enumerate(zip(weights, parts)) if v.coef.any()]
-    mags, work = np.empty(size), np.empty(S * size)
     squares = None if single else np.empty(S * size)
     for slab in streams[0][2] if streams else ():
         count = slab.size

@@ -5,10 +5,11 @@ The tests check those kernels against the sample, overwrite and project
 round trip on the M^n grid, whose sampling and projection steps live here
 (sample_grid_reference, project_bandlimited), and the per-call routes below
 against the projection of whole columns of DFT bins (project_columns).
-fsx has one sampler, lattice.grid_slabs: a pruned transform, one axis at a
-time, streamed in slabs; the tests assemble its slabs into the whole grid
-(slab_grid) and check it against the one-shot transform of the fully padded
-array (sample_grid_reference).  fsx reads its
+fsx has one sampler on both domains, lattice.grid_slabs: a pruned transform
+along x_n, then the horizontal passes of whole heights streamed in slabs;
+the tests assemble its slabs into the whole grid (slab_grid) and check it,
+and its slabs at any run of heights, against the one-shot transform of the
+fully padded array (sample_grid_reference).  fsx reads its
 column tables as exact roots of unity at rational heights
 (lattice.exact_phases); the tests check them against cosines and sines at
 arbitrary heights (vertical_phases, sample_slices), and project_columns
@@ -23,10 +24,11 @@ residual from the M - 2K - 1 discarded rows (extension_per_call,
 parity_per_call, witnesses_per_call), and likewise the zero-boundary
 projection (project_zero_per_call).
 fsx evaluates every grid norm and sup by one rule (norms.rectangle_rule),
-which reads the strip from columns; the tests check it against the rule on
-the whole sampled grid, cut to the heights it covers (lp_norm_reference,
-triebel_norm_reference, sup_reference).  The norms pick their own grids;
-the tests take them on a grid of their choosing by the rule (norm_on_grid).
+which samples the strip's heights by grid_slabs too; the tests check it
+against the rule on the whole sampled grid, cut to the heights it covers
+(lp_norm_reference, triebel_norm_reference, sup_reference).  The norms pick
+their own grids; the tests take them on a grid of their choosing by the rule
+(norm_on_grid).
 At p = 2 on the strip the norms read each column's sum of squares from a
 triangular factor (norms.strip_rows), not the rule; the tests check it
 against the columns formed at the M/2 heights and summed
@@ -68,9 +70,9 @@ def sample_grid_reference(u, M):
 
 
 def slab_grid(u, M):
-    """u's values on the M^n grid, lattice.grid_slabs's slabs assembled."""
-    slabs = [slab.copy() for slab in grid_slabs(u, M)]
-    return np.concatenate(slabs, axis=1).reshape((M,) * u.lattice.n)
+    """u's values on the M^n grid, lattice.grid_slabs's slabs assembled: joined on
+    their height axis, the first, which then moves to the last, x_n's."""
+    return np.moveaxis(np.concatenate([slab.copy() for slab in grid_slabs(u, M)]), 0, -1)
 
 
 def project_bandlimited(values, target):

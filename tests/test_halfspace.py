@@ -853,7 +853,9 @@ class TestProductIntegralMatchesGrid:
 
 class TestNoWholeGrid:
     """The column operators sample no M^n grid and transform none, and their
-    tables are exact roots of unity, so they take no cosine of a table."""
+    tables are exact roots of unity, so they take no cosine of a table.  The
+    strip's norms and sups sample by grid_slabs, but only at the heights of
+    the upper half, at most M/2 + 1 of them."""
 
     @pytest.fixture
     def grid_calls(self, monkeypatch):
@@ -870,10 +872,27 @@ class TestNoWholeGrid:
         monkeypatch.setattr(np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
         monkeypatch.setattr(np, "cos", counted("cos", np.cos))
         monkeypatch.setattr(np, "sin", counted("sin", np.sin))
+
+        def sampler(fn):
+            def wrapper(u, M, rows=None, *args):
+                calls.append(("grid_slabs", (M, M if rows is None else len(rows))))
+                return fn(u, M, rows, *args)
+
+            return wrapper
+
         for mod in (fsx_lattice, fsx_norms, fsx_halfspace, fsx_poisson, fsx_suites):
             if hasattr(mod, "grid_slabs"):
-                monkeypatch.setattr(mod, "grid_slabs", counted("grid_slabs", mod.grid_slabs))
+                monkeypatch.setattr(mod, "grid_slabs", sampler(mod.grid_slabs))
         return calls
+
+    @staticmethod
+    def assert_upper_half_only(calls, n, M):
+        """No fftn and no (M,)*n transform; every grid_slabs call takes at most
+        M/2 + 1 heights of the grid of M it samples, and there is one."""
+        sampled = [shape for name, shape in calls if name == "grid_slabs"]
+        assert sampled and all(heights <= size // 2 + 1 for size, heights in sampled)
+        assert not [c for c in calls if c[0] == "fftn"]
+        assert all(shape != (M,) * n for name, shape in calls if name != "grid_slabs")
 
     @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
     def test_operators_stay_on_columns(self, grid_calls, n, K):
@@ -896,9 +915,7 @@ class TestNoWholeGrid:
         restriction_norm(hf, SpaceSpec("Lp", p=2.0, domain="halfspace"))
         g = without_mean(Field(lat.boundary(), u.coef.sum(axis=-1)))
         materialize_poisson(PoissonField(g), lat)
-        M = default_oversample(lat)
-        assert not [c for c in grid_calls if c[0] in ("grid_slabs", "fftn")]
-        assert all(shape != (M,) * n for _, shape in grid_calls)
+        self.assert_upper_half_only(grid_calls, n, default_oversample(lat))
         assert not [c for c in grid_calls if c[0] in ("cos", "sin") and len(c[1]) >= 2]
 
     @pytest.mark.parametrize("n,K", [(2, 8), (3, 4)])
@@ -910,9 +927,7 @@ class TestNoWholeGrid:
             lp_norm(u, p, "halfspace")
             triebel_norm(u, 0.5, p, "halfspace")
         fsx_suites.restriction_excess(make_half_field(u))
-        M = default_oversample(lat)
-        assert not [c for c in grid_calls if c[0] in ("grid_slabs", "fftn")]
-        assert all(shape != (M,) * n for _, shape in grid_calls)
+        self.assert_upper_half_only(grid_calls, n, default_oversample(lat))
 
     def test_strip_l2_still_refuses_an_aliasing_grid(self):
         lat = make_lattice(2, 8)

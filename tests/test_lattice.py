@@ -1,14 +1,17 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsx.lattice as fsx_lattice
 from fsx.errors import AliasingRisk, BandlimitExceeded, InvalidParameter, IoError
 from fsx.dyadic import annulus_values, build_dyadic_family, delta_dot
+from fsx.halfspace import far_band_rows
 from fsx.lattice import (
     Field,
     chebyshev_radius,
@@ -20,6 +23,7 @@ from fsx.lattice import (
     field_from_dict,
     field_from_modes,
     field_to_dict,
+    grid_slabs,
     is_homogeneous_admissible,
     k_axis,
     make_lattice,
@@ -176,6 +180,25 @@ class TestPrunedTransform:
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.abs(want).max(), 1e-300)
         band = slab_grid(occupied(u), M)
         assert np.max(np.abs(band - want)) <= 1e-13 * max(np.abs(want).max(), 1e-300)
+
+    @settings(max_examples=60)
+    @given(grid_cases(), st.sampled_from([1 << 15, 1000, 64]))
+    def test_rows_are_the_one_shot_grid_at_their_heights(self, case, slab):
+        """grid_slabs(u, M, rows) at each run of heights the rule reads (all,
+        [0, M/2), [0, M/2], (M/2, M) and the far band) is the one-shot grid at
+        those heights, and no slab of whole heights exceeds max(SLAB, M^(n-1))."""
+        u, M = case
+        n = u.lattice.n
+        want = sample_grid_reference(u, M)
+        scale = max(np.abs(want).max(), 1e-300)
+        for rows in (np.arange(M), np.arange((M + 1) // 2), np.arange(M // 2 + 1),
+                     np.arange(M // 2 + 1, M), far_band_rows(M)):
+            with mock.patch.object(fsx_lattice, "SLAB", slab):
+                slabs = [s.copy() for s in grid_slabs(u, M, rows=rows)]
+            assert all(s.size <= max(slab, M ** (n - 1)) for s in slabs)
+            got = np.moveaxis(np.concatenate(slabs), 0, -1)
+            assert got.shape == (M,) * (n - 1) + (len(rows),)
+            assert np.max(np.abs(got - want[..., rows])) <= 1e-13 * scale
 
 
 class TestOccupied:

@@ -239,7 +239,7 @@ class TestP2FromCoefficients:
                   for k in range(-1, fam.j_max + 1)),
                 *norm_on_grid(u, 2.0, domain, M, (s, 0.0))]
         with mock.patch.object(fsx_norms, "grid_slabs", side_effect=AssertionError), \
-                mock.patch.object(fsx_norms, "horizontal_samples", side_effect=AssertionError):
+                mock.patch.object(fsx_lattice, "horizontal_samples", side_effect=AssertionError):
             norms, blocks = square_function(u, (s, 0.0), 2.0, domain)
             got = [lp_norm(u, 2.0, domain), sobolev_norms(u, hdot, 2.0),
                    sobolev_norms(u, bessel, 2.0), *block_norms(u, 2.0, domain).values(),
@@ -281,7 +281,7 @@ RULE_SETTINGS = settings(max_examples=60)
 
 
 class TestOneRule:
-    """rectangle_rule, which reads the strip from columns, against the rule on
+    """rectangle_rule, which samples the strip by grid_slabs too, against the rule on
     the whole sampled grid cut to the heights it covers."""
 
     @RULE_SETTINGS
@@ -333,14 +333,14 @@ def traced_peak(norm):
 STREAM_EXPONENTS = (1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, math.inf)
 STREAM_GRIDS = pytest.mark.parametrize("n, K, M, slab", [
     (1, 8, 40, None), (2, 8, 50, 7 * 50), (2, 8, 45, 7 * 45), (2, 32, 200, None),
-    (3, 4, 20, 30 * 20), (3, 6, 26, None)])
+    (3, 4, 20, 3 * 20 * 20), (3, 6, 26, None)])
 
 
 def small_slabs(monkeypatch, n, M, slab):
-    """Set SLAB to slab, when given, and check that the last slab is partial."""
+    """Set SLAB to slab, when given, and check that the last run of heights is partial."""
     if slab:
         monkeypatch.setattr(fsx_lattice, "SLAB", slab)
-        assert (M ** (n - 1)) % fsx_lattice.per_slab(M ** (n - 1), M) != 0
+        assert M % fsx_lattice.per_slab(M, M ** (n - 1)) != 0
 
 
 def assert_rule_values(got, want, p):
@@ -352,8 +352,8 @@ def assert_rule_values(got, want, p):
 class TestStreamedRule:
     """rectangle_rule reduces the slabs of grid_slabs as they stream; the values
     are those of the rule on the whole assembled grid: sups to the bit, sums to
-    1e-14.  A small SLAB makes many slabs, the last one partial; one grid has
-    an odd M."""
+    1e-14.  A small SLAB makes many slabs of whole heights, the last run of
+    heights partial; one grid has an odd M."""
 
     @STREAM_GRIDS
     def test_matches_a_reduction_of_sample_grid(self, monkeypatch, n, K, M, slab):
@@ -416,14 +416,30 @@ class TestStreamedRule:
         peak = traced_peak(lambda: triebel_norms(u, (-0.5, 0.0, 0.7), 4.0 / 3.0))
         assert peak < rows + 16 * M**2
 
+    def test_whole_grid_passes_run_on_the_contiguous_axis(self, monkeypatch):
+        """At n = 2 every transform of a whole-grid rule, the first pass along
+        x_n and each slab's horizontal pass, runs along the last axis of a
+        C-contiguous array: no pass strides across the slab buffer."""
+        u = random_field(make_lattice(2, 16), 14)
+        u.coef[(16, 16)] = 0.0
+        passes, ifftn = [], np.fft.ifftn
+
+        def recorded(a, *args, **kwargs):
+            passes.append((a.flags.c_contiguous, kwargs["axes"] == (a.ndim - 1,)))
+            return ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", recorded)
+        lp_norm(u, (4.0 / 3.0, 4.0, math.inf))
+        triebel_norms(u, (-0.5, 0.7), 4.0 / 3.0)
+        assert len(passes) > 2 and all(c and last for c, last in passes)
+
     def test_zero_field_samples_nothing(self, monkeypatch):
         lat = make_lattice(2, 16)
 
         def refuse(*args):
             raise AssertionError("a zero field was sampled")
 
-        for name in ("grid_slabs", "_columns"):
-            monkeypatch.setattr(fsx_norms, name, refuse)
+        monkeypatch.setattr(fsx_norms, "grid_slabs", refuse)  # the one sampler, on both domains
         exponents = (1.0, 4.0 / 3.0, 4.0, math.inf)
         for domain in ("whole", "halfspace"):
             assert lp_norm(zero_field(lat), exponents, domain) == [0.0] * len(exponents)
@@ -675,13 +691,12 @@ class TestBlocksOnce:
         blocks = [occupied(delta_dot(u, j, fam)) for j in fam.j_range]
         assert all(b.peak() > 0.0 for b in blocks)
         read = grid_coefficients(monkeypatch)
-        # the strip reads each block as its columns, or at p = 2 its strip_rows
-        for name in ("_columns", "strip_rows"):
-            def counted(v, *args, fn=getattr(fsx_norms, name)):
-                read.append(v.coef.tobytes())
-                return fn(v, *args)
+        # the strip samples each block by grid_slabs too, or at p = 2 reads its strip_rows
+        def counted(v, *args, fn=fsx_norms.strip_rows):
+            read.append(v.coef.tobytes())
+            return fn(v, *args)
 
-            monkeypatch.setattr(fsx_norms, name, counted)
+        monkeypatch.setattr(fsx_norms, "strip_rows", counted)
         triebel_norms(u, (-0.5, 0.0, 0.7), p, domain)
         assert sorted(read) == sorted(b.coef.tobytes() for b in blocks)
 
