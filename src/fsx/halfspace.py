@@ -11,10 +11,11 @@ one product of its kept rows |q| <= K with the columns, and the relative l2
 size of the product of its discarded rows' triangular factor
 (lattice.energy_factor) is the audited projection residual (_apply_columns).
 This is the sample, overwrite and project round trip on the M^n grid, less
-the horizontal transforms, which cancel.  One cache, _operator, keeps every
-reflection's kept rows and factor, keyed on the lattice, mirror coefficients
-and window; the parities, extensions and witnesses share it.  _zero_operator
-keeps the zero projection's kept rows per order.
+the horizontal transforms, which cancel.  Every table is a mirror sum of the
+data on one half: a reflection writes it on the lower half and keeps the
+upper one; the zero projection adds it, with the coefficients -alpha, to the
+upper half and zeroes the lower one.  So one builder and cache, _operator,
+keyed on the lattice, mirror coefficients, window and half, serves them all.
 
 Every height a table reads is a rational multiple of L: a grid height r L/M,
 or its mirror point -r L/(M(j+1)) of order j.  So every entry is an exact
@@ -23,8 +24,8 @@ at the integer index r k mod N: no angle is rounded and no cosine taken.
 
 Higher-order reflection extensions write, on the lower half, the data at
 the rescaled mirror points -x_n/(j+1) combined with moment coefficients
-solving a Vandermonde system.  Parity reflections and the zero-boundary
-projection are other tables; a witness-set estimator for the quotient
+solving a Vandermonde system.  The parity reflections are the one-term sums
+with coefficient -1 or 1; a witness-set estimator for the quotient
 (restriction) norm uses the reflections.  The sharp indicator needs no table
 and no grid: its product is the Toeplitz convolution of the columns with the
 closed-form half-period weights, exact, and it is computed as its column block
@@ -57,37 +58,28 @@ from .lattice import (
 )
 from .norms import SpaceSpec, half_period_weights, lp_norm, norm_ignoring_mean, rectangle_rule
 
-MAX_REFLECTION_ORDER = 8
+MAX_REFLECTION_ORDER = 6
 MOMENT_TOL = 1e-9
 
 # Far-boundary band width as a fraction of the period.
 LEAKAGE_BAND = 1.0 / 16.0
 
 
-@dataclass(frozen=True)
-class ReflectionCoeffs:
-    """Coefficients alpha_j of the order-m reflection extension."""
-
-    m: int
-    alpha: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.array([-1.0 / (j + 1) for j in range(self.m + 1)])
-
-    def moment_residual(self) -> float:
-        x = self.nodes
-        return max(
-            abs(float(np.sum(self.alpha * x**kappa)) - 1.0) for kappa in range(self.m + 1)
-        )
+def moment_residual(alpha: Sequence[float]) -> float:
+    """Largest |sum_j alpha_j (-1/(j+1))^kappa - 1| over kappa < len(alpha)."""
+    x = np.array([-1.0 / (j + 1) for j in range(len(alpha))])
+    return max(abs(float(np.sum(np.multiply(alpha, x**kappa))) - 1.0) for kappa in range(x.size))
 
 
-def reflection_coefficients(m: int) -> ReflectionCoeffs:
-    """Solve the moment system sum_j alpha_j (-1/(j+1))^kappa = 1, kappa <= m.
+def reflection_coefficients(m: int) -> tuple[float, ...]:
+    """The coefficients alpha_j, j <= m, of the order-m reflection extension, which
+    solve the moment system sum_j alpha_j (-1/(j+1))^kappa = 1, kappa <= m.
 
-    The solution is the Lagrange basis for the nodes -1/(j+1) evaluated at 1,
-    which stays well-conditioned through m = 8.  It depends on m alone, so it
-    is solved once per order, and its alpha is read-only.
+    The solution is the Lagrange basis for the nodes -1/(j+1) evaluated at 1.
+    Its moment residual reads 1.2e-10 at m = 6 but 1.9e-8 at m = 7 and 4.8e-7
+    at m = 8, over MOMENT_TOL, so orders above 6 are refused before any solve.
+    It depends on m alone, so it is solved once per order; the read-only tuple
+    is the mirror coefficients of the column operator's cache key.
     """
     m = whole_order(m, "reflection order")
     if m > MAX_REFLECTION_ORDER:
@@ -96,18 +88,14 @@ def reflection_coefficients(m: int) -> ReflectionCoeffs:
 
 
 @lru_cache(maxsize=MAX_REFLECTION_ORDER + 1)
-def _solve_reflection(m: int) -> ReflectionCoeffs:
+def _solve_reflection(m: int) -> tuple[float, ...]:
     x = np.array([-1.0 / (j + 1) for j in range(m + 1)])
-    alpha = np.empty(m + 1)
-    for j in range(m + 1):
-        others = np.delete(x, j)
-        alpha[j] = np.prod(1.0 - others) / np.prod(x[j] - others)
-    alpha.flags.writeable = False
-    rc = ReflectionCoeffs(m, alpha)
-    res = rc.moment_residual()
+    alpha = tuple(float(np.prod(1.0 - np.delete(x, j)) / np.prod(x[j] - np.delete(x, j)))
+                  for j in range(m + 1))
+    res = moment_residual(alpha)
     if res > MOMENT_TOL:
         raise IllConditioned(f"moment residual {res} exceeds {MOMENT_TOL}")
-    return rc
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -160,49 +148,40 @@ def _apply_columns(u: Field, kept: np.ndarray, tail: np.ndarray) -> tuple[Field,
     return out, (math.sqrt(lost_sq / (lost_sq + kept_sq)) if lost_sq > 0.0 else 0.0)
 
 
-def _kept_rows(spectral: np.ndarray, K: int) -> np.ndarray:
-    """The read-only rows |q| <= K, in mode order, of a built operator."""
-    kept = np.concatenate([spectral[spectral.shape[0] - K :], spectral[: K + 1]])
-    kept.flags.writeable = False
-    return kept
-
-
 # ---------------------------------------------------------------------------
-# Reflection extensions
+# Column operators: the reflections and the zero projection
 # ---------------------------------------------------------------------------
-
-
-def _mirror_table(K: int, coeffs: Sequence[float], rows: np.ndarray, M: int,
-                  out: np.ndarray) -> None:
-    """Add sum_j coeffs[j] exp(i xi_k x) at the mirror points x = -r L/(M(j+1)) of
-    the heights r L/M into out, in place: one row per integer r in rows, one
-    column per mode k."""
-    for j, a in enumerate(coeffs):
-        term = exact_phases(K, -rows, M * (j + 1))
-        term *= a
-        out += term
 
 
 _ODD, _EVEN = (-1.0,), (1.0,)  # mirror coefficients of the odd and even reflections
 
 
-@lru_cache(maxsize=16)  # halfspace_solves' three lattices, five operators each
-def _operator(lat: Lattice, coeffs: tuple[float, ...],
-              window: bool, /) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the upper half, write the mirror sum of coeffs on the lower half,
-    windowed or not: the operator's read-only kept rows and the energy_factor of
-    the rest.  Positional only, so that one operator has one cache key."""
+@lru_cache(maxsize=24)  # halfspace_solves' three lattices, five reflections, two projections
+def _operator(lat: Lattice, coeffs: tuple[float, ...], window: bool,
+              onto_upper: bool, /) -> tuple[np.ndarray, np.ndarray | None]:
+    """The read-only kept rows of the operator that writes sum_j coeffs[j] u(-x_n/(j+1)),
+    windowed or not, on the lower half (a reflection) or, onto_upper, adds it to the
+    upper half and zeroes the lower one; and a reflection's energy_factor of the rest.
+    Positional only and with no defaults, so that one operator has one cache key."""
     M = default_oversample(lat)
-    half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2]
-    below = np.arange(half, M) - M  # the others at (j - M) L/M < 0
+    half = M // 2 + 1  # rows j <= M/2 sit at j L/M in [0, L/2], the others at (j - M) L/M < 0
+    rows = np.arange(half) if onto_upper else np.arange(half, M) - M
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    table[:half] = exact_phases(lat.K, np.arange(half), M)
-    _mirror_table(lat.K, coeffs, below, M, table[half:])
+    mirror = table[:half] if onto_upper else table[half:]
+    for j, a in enumerate(coeffs):  # the values at the mirror points -r L/(M(j+1))
+        term = exact_phases(lat.K, -rows, M * (j + 1))
+        term *= a
+        mirror += term
+    del term  # a lower peak
     if window:  # 1 within L/8 of the boundary plane, 0 from 2L/9 on
-        table[half:] *= smooth_cut((6.0 / lat.L) * np.abs(below * (lat.L / M)))[:, None]
+        mirror *= smooth_cut((6.0 / lat.L) * np.abs(rows * (lat.L / M)))[:, None]
+    table[:half] += exact_phases(lat.K, np.arange(half), M)
     np.fft.fft(table, axis=0, norm="forward", out=table)
-    tail = energy_factor(table[lat.K + 1 : M - lat.K])  # before the kept rows' copy: a lower peak
-    return _kept_rows(table, lat.K), tail
+    # the tail's factor before the kept rows' copy: a lower peak
+    tail = None if onto_upper else energy_factor(table[lat.K + 1 : M - lat.K])
+    kept = np.concatenate([table[M - lat.K :], table[: lat.K + 1]])
+    kept.flags.writeable = False
+    return kept, tail
 
 
 def extend_reflect(u: HalfField, m: int) -> tuple[Field, float]:
@@ -213,8 +192,8 @@ def extend_reflect(u: HalfField, m: int) -> tuple[Field, float]:
     which suppresses the periodic seam: for m <= 2 the witness Emw.
     Returns the projected field and the projection residual.
     """
-    coeffs = tuple(reflection_coefficients(m).alpha)
-    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, True))
+    coeffs = reflection_coefficients(m)
+    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, True, False))
 
 
 def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
@@ -226,7 +205,7 @@ def reflect_parity(u: HalfField, parity: str) -> tuple[Field, float]:
     if parity not in ("odd", "even"):
         raise InvalidParameter(f"parity must be 'odd' or 'even', got {parity!r}")
     coeffs = _ODD if parity == "odd" else _EVEN
-    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, False))
+    return _apply_columns(u.field, *_operator(u.field.lattice, coeffs, False, False))
 
 
 def project_zero(u: Field, m: int) -> Field:
@@ -236,19 +215,8 @@ def project_zero(u: Field, m: int) -> Field:
     exact zero on the lower half at the sample level, idempotent as an
     operator on sampled functions, band-limited by one final projection.
     """
-    return _columns_through(u, _zero_operator(u.lattice, reflection_coefficients(m).m))
-
-
-@lru_cache(maxsize=8)  # halfspace_solves' three lattices, m = 0 and 1 each
-def _zero_operator(lat: Lattice, m: int) -> np.ndarray:
-    """The read-only kept rows of project_zero's operator of order m on lat."""
-    alpha = reflection_coefficients(m).alpha
-    M = default_oversample(lat)
-    upper = np.arange(M // 2 + 1)
-    table = np.zeros((M, lat.modes_per_axis), dtype=complex)
-    _mirror_table(lat.K, -alpha, upper, M, table[: M // 2 + 1])  # the data less the mirror sum
-    table[: M // 2 + 1] += exact_phases(lat.K, upper, M)
-    return _kept_rows(np.fft.fft(table, axis=0, norm="forward", out=table), lat.K)
+    coeffs = tuple(-a for a in reflection_coefficients(m))
+    return _columns_through(u, _operator(u.lattice, coeffs, False, True)[0])
 
 
 def lower_half_defect(p0u: Field) -> float:
@@ -302,11 +270,11 @@ def indicator_multiply(u: Field) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 
-# Each witness's _operator key (mirror coefficients, window), in the order the
-# minimum breaks ties: E0 is the even reflection, ED the odd one.
-WITNESSES = {"E0": (_EVEN, False),
-             **{f"E{m}w": (tuple(reflection_coefficients(m).alpha), True) for m in range(3)},
-             "ED": (_ODD, False)}
+# Each witness's _operator key after the lattice, in the order the minimum
+# breaks ties: E0 is the even reflection, ED the odd one.
+WITNESSES = {"E0": (_EVEN, False, False),
+             **{f"E{m}w": (reflection_coefficients(m), True, False) for m in range(3)},
+             "ED": (_ODD, False, False)}
 
 
 def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:
@@ -325,8 +293,8 @@ def restriction_norm(u: HalfField, spec: SpaceSpec) -> tuple[float, str]:
         raise InvalidParameter("restriction_norm needs a halfspace-domain spec")
     whole = replace(spec, domain="whole")
     best, witness = math.inf, ""
-    for name, (coeffs, window) in WITNESSES.items():
-        cand = _columns_through(u.field, _operator(u.field.lattice, coeffs, window)[0])
+    for name, key in WITNESSES.items():
+        cand = _columns_through(u.field, _operator(u.field.lattice, *key)[0])
         val = norm_ignoring_mean(cand, whole)
         if val < best:
             best, witness = val, name

@@ -15,14 +15,14 @@ column tables as exact roots of unity at rational heights
 arbitrary heights (vertical_phases, sample_slices), and project_columns
 against the copy-and-mask projection it replaced.  fsx's strip integral is
 sesquilinear; the bilinear one, u v with no conjugate, is
-bilinear_strip_integral.  fsx builds the column
-operator of each reflection once per lattice, mirror coefficients and window
-(halfspace._operator), shared by the parities, the extensions and the
-restriction norm's witnesses; the tests check it against the per-call route,
-which builds the M-row table, transforms it and applies it on every call,
-residual from the M - 2K - 1 discarded rows (extension_per_call,
-parity_per_call, witnesses_per_call), and likewise the zero-boundary
-projection (project_zero_per_call).
+bilinear_strip_integral.  fsx builds each column
+operator once per lattice, mirror coefficients, window and half written
+(halfspace._operator), shared by the parities, the extensions, the
+restriction norm's witnesses and the zero-boundary projection; the tests
+check it against the per-call route, which builds the M-row table,
+transforms it and applies it on every call, with the residual from the
+M - 2K - 1 discarded rows (extension_per_call, parity_per_call,
+witnesses_per_call, project_zero_per_call).
 fsx evaluates every grid norm and sup by one rule (norms.rectangle_rule),
 which samples the strip's heights by grid_slabs too; the tests check it
 against the rule on the whole sampled grid, cut to the heights it covers
@@ -149,7 +149,7 @@ def project_zero_per_call(u, m):
     lat = u.lattice
     M = default_oversample(lat)
     upper = np.arange(M // 2 + 1)
-    alpha = reflection_coefficients(m).alpha
+    alpha = reflection_coefficients(m)
     table = np.zeros((M, lat.modes_per_axis), dtype=complex)
     table[: M // 2 + 1] = exact_phases(lat.K, upper, M) - mirror_sum(lat.K, alpha, upper, M)
     spectral = np.fft.fft(table, axis=0, norm="forward")
@@ -161,7 +161,7 @@ def witnesses_per_call(u):
     """The restriction norm's witnesses of the HalfField u as (name, field), in
     its order, each built and applied whole on this call: the even reflection
     E0, the windowed extensions of orders 0-2, then the odd reflection ED."""
-    alpha = {m: reflection_coefficients(m).alpha for m in (1, 2)}
+    alpha = {m: reflection_coefficients(m) for m in (1, 2)}
     keys = [("E0", [1.0], False), ("E0w", [1.0], True), ("E1w", alpha[1], True),
             ("E2w", alpha[2], True), ("ED", [-1.0], False)]
     return [(name, extension_per_call(u, coeffs, window)[0]) for name, coeffs, window in keys]

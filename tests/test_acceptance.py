@@ -19,7 +19,7 @@ from fsx.dyadic import PARTITION_TOL, build_dyadic_family
 from fsx.halfspace import make_half_field
 from fsx.lattice import field_from_modes, make_lattice
 from fsx.report import report_digest
-from fsx.suites import SuiteConfig, run_all
+from fsx.suites import SUITES, SuiteConfig, run_suite
 
 SEED = 42
 LAT = make_lattice(2, 32)
@@ -242,9 +242,9 @@ def _golden_mismatches(reports) -> list[str]:
 
 def test_criterion_16_determinism():
     cfg = SuiteConfig(corpus_size=3)
-    reports = run_all(cfg)
+    reports = [run_suite(name, cfg) for name in SUITES]
     first = [report_digest(r) for r in reports]
-    second = [report_digest(r) for r in run_all(cfg)]
+    second = [report_digest(run_suite(name, cfg)) for name in SUITES]
     bad = _golden_mismatches(reports)
     ok = first == second and not bad
     _announce(16, "identical seeds give identical reports", ok,

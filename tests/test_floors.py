@@ -18,7 +18,7 @@ import pytest
 import fsx
 from fsx.cli import main as cli_main
 from fsx.errors import ConfigError, FsxError, UnknownSuite
-from fsx.suites import FLOORS, SUITES, SuiteConfig, require_floors, run_all, run_suite
+from fsx.suites import FLOORS, SUITES, SuiteConfig, require_floors, run_suite
 
 SRC = os.path.dirname(os.path.dirname(fsx.__file__))
 
@@ -45,11 +45,11 @@ def test_each_floor_is_where_the_premises_start_to_hold(name):
     assert rep.suite == name and rep.cases
 
 
-def test_run_suite_and_run_all_refuse_below_the_floor():
+def test_run_suite_and_require_floors_refuse_below_the_floor():
     with pytest.raises(ConfigError, match="suite trace needs dim >= 2 and bandlimit >= 3"):
         run_suite("trace", SuiteConfig(bandlimit=2, corpus_size=1))
     with pytest.raises(ConfigError, match="suite poisson"):
-        run_all(SuiteConfig(bandlimit=3, corpus_size=1))
+        require_floors(SUITES, SuiteConfig(bandlimit=3, corpus_size=1))
     with pytest.raises(UnknownSuite):
         require_floors(["nope"], SuiteConfig())
 

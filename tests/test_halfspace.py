@@ -24,6 +24,7 @@ from fsx.halfspace import (
     indicator_multiply,
     lower_half_defect,
     make_half_field,
+    moment_residual,
     project_zero,
     reflect_parity,
     reflection_coefficients,
@@ -86,7 +87,7 @@ def cosine_mode(lat, m=1, kx=1, amp=1.0):
 def unwindowed_extension(u, m):
     """The order-m reflection of the HalfField u with no window: the cached
     table the witnesses E0 and ED read with their own mirror coefficients."""
-    key = (tuple(reflection_coefficients(m).alpha), False)
+    key = (reflection_coefficients(m), False, False)
     return fsx_halfspace._apply_columns(u.field, *fsx_halfspace._operator(u.field.lattice, *key))
 
 
@@ -116,24 +117,33 @@ def restriction_error(field_out, field_in, M=None):
 
 class TestReflectionCoefficients:
     def test_order_zero(self):
-        rc = reflection_coefficients(0)
-        assert np.allclose(rc.alpha, [1.0], atol=0)
+        assert np.allclose(reflection_coefficients(0), [1.0], atol=0)
 
     def test_order_one(self):
-        rc = reflection_coefficients(1)
-        assert np.allclose(rc.alpha, [-3.0, 4.0], atol=1e-12)
+        assert np.allclose(reflection_coefficients(1), [-3.0, 4.0], atol=1e-12)
 
     def test_order_two(self):
-        rc = reflection_coefficients(2)
-        assert np.allclose(rc.alpha, [6.0, -32.0, 27.0], atol=1e-9)
+        assert np.allclose(reflection_coefficients(2), [6.0, -32.0, 27.0], atol=1e-9)
 
     @pytest.mark.parametrize("m", range(7))
     def test_moment_residuals(self, m):
-        assert reflection_coefficients(m).moment_residual() <= 1e-9
+        assert moment_residual(reflection_coefficients(m)) <= 1e-9
 
     def test_conditioning_guard(self):
         with pytest.raises(IllConditioned):
             reflection_coefficients(9)
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_orders_above_six_refused_before_any_solve(self, m):
+        # their moment residuals, 1.9e-8 and 4.8e-7, exceed MOMENT_TOL
+        misses = fsx_halfspace._solve_reflection.cache_info().misses
+        with pytest.raises(IllConditioned, match=f"reflection order {m} > 6"):
+            reflection_coefficients(m)
+        assert fsx_halfspace._solve_reflection.cache_info().misses == misses
+
+    def test_order_six_is_solved(self):
+        alpha = reflection_coefficients(6)
+        assert len(alpha) == 7 and moment_residual(alpha) <= fsx_halfspace.MOMENT_TOL
 
     @pytest.mark.parametrize("m", [math.nan, math.inf, -1, 1.5])
     def test_bad_order_refused(self, m):
@@ -144,8 +154,8 @@ class TestReflectionCoefficients:
         rc = reflection_coefficients(2)
         assert reflection_coefficients(2.0) is rc
         assert reflection_coefficients(3) is not rc
-        with pytest.raises(ValueError):
-            rc.alpha[0] = 0.0
+        with pytest.raises(TypeError):
+            rc[0] = 0.0
 
 
 class TestHalfField:
@@ -193,14 +203,14 @@ class TestExtendReflect:
         # one-sided second differences across the boundary agree to O(h):
         # the extension formula is evaluated exactly on both sides
         u = make_half_field(cosine_mode(lat))
-        rc = reflection_coefficients(2)
+        alpha = reflection_coefficients(2)
 
         def value(x1, xn):
             if xn >= 0:
                 return evaluate(u.field, (x1, xn))
             return sum(
                 a * evaluate(u.field, (x1, -xn / (j + 1)))
-                for j, a in enumerate(rc.alpha)
+                for j, a in enumerate(alpha)
             )
 
         x1 = 0.37
@@ -292,11 +302,10 @@ class TestProjectZero:
 
         u = Field(lat, coef)
         m = 1
-        rc = reflection_coefficients(m)
         p1 = project_zero(u, m)
         p2 = project_zero(p1, m)
         defect = lower_half_defect(p1)
-        amplification = 1.0 + float(np.sum(np.abs(rc.alpha)))
+        amplification = 1.0 + float(np.sum(np.abs(reflection_coefficients(m))))
         bound = 1e-8 * u.peak() + 2.0 * amplification * defect
         assert np.max(np.abs(p2.coef - p1.coef)) <= bound
 
@@ -486,7 +495,7 @@ def grid_project_zero(u, m):
     values = sample_grid_reference(u, M)
     sn = signed_heights(M, lat.L)
     upper = np.nonzero(sn >= 0.0)[0]
-    values[..., upper] -= grid_mirror_sum(u, reflection_coefficients(m).alpha, sn[upper], M)
+    values[..., upper] -= grid_mirror_sum(u, reflection_coefficients(m), sn[upper], M)
     values[..., sn < 0.0] = 0.0
     return project_bandlimited(values, lat)[0]
 
@@ -556,7 +565,7 @@ class TestColumnKernelsMatchGrid:
     @COLUMN_SETTINGS
     @given(random_fields(), st.integers(0, 4), st.booleans())
     def test_extend_reflect(self, u, m, window):
-        alpha = reflection_coefficients(m).alpha
+        alpha = reflection_coefficients(m)
         got, res = extension(make_half_field(u), m, window)
         want, want_res = grid_extend(u, alpha, window)
         assert_same_field(got, want, u, (res, want_res), weight_growth(alpha))
@@ -571,7 +580,7 @@ class TestColumnKernelsMatchGrid:
     @COLUMN_SETTINGS
     @given(random_fields(), st.integers(0, 4))
     def test_project_zero(self, u, m):
-        growth = weight_growth(reflection_coefficients(m).alpha)
+        growth = weight_growth(reflection_coefficients(m))
         assert_same_field(project_zero(u, m), grid_project_zero(u, m), u, growth=growth)
 
     @COLUMN_SETTINGS
@@ -825,7 +834,7 @@ class TestExtendedPrecision:
         lat = make_lattice(1, 2)
         rng = np.random.default_rng(seed)
         u = Field(lat, rng.standard_normal(lat.mode_shape) + 1j * rng.standard_normal(lat.mode_shape))
-        alpha = reflection_coefficients(4).alpha
+        alpha = reflection_coefficients(4)
         got, res = extension(make_half_field(u), 4, window)
         coef, want_res = extended_precision_extension(u, alpha, window)
         growth = weight_growth(alpha)
@@ -965,9 +974,10 @@ class TestColumnMemory:
         assert peak < dense_cut_bytes / 2
 
     @pytest.mark.parametrize("build", [
-        lambda lat: fsx_halfspace._operator(lat, (-1.0,), False),
-        lambda lat: fsx_halfspace._operator(lat, tuple(reflection_coefficients(2).alpha), True),
-        lambda lat: fsx_halfspace._zero_operator(lat, 1),
+        lambda lat: fsx_halfspace._operator(lat, (-1.0,), False, False),
+        lambda lat: fsx_halfspace._operator(lat, reflection_coefficients(2), True, False),
+        lambda lat: fsx_halfspace._operator(lat, tuple(-a for a in reflection_coefficients(1)),
+                                            False, True),
     ], ids=["odd", "E2w", "zero_m1"])
     def test_cold_operator_build_transforms_its_table_in_place(self, build):
         # the M x (2K+1) table at n=2, K=64 is 512 x 129 complex (1.06 MB): a

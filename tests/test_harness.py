@@ -416,8 +416,8 @@ def test_benchmark_sweep_empties_the_witness_operators(monkeypatch):
 
 
 @pytest.mark.parametrize("cache, args", [
-    ("halfspace._operator", (make_lattice(2, 4), (-1.0,), False)),
-    ("halfspace._zero_operator", (make_lattice(2, 4), 1)),
+    ("halfspace._operator", (make_lattice(2, 4), (-1.0,), False, False)),
+    ("halfspace._operator", (make_lattice(2, 4), (-1.0,), False, True)),  # project_zero, m = 0
     ("norms._strip_factor", (4, 32)),
 ])
 def test_benchmark_sweep_empties_the_column_caches(monkeypatch, cache, args):
@@ -435,6 +435,41 @@ def test_benchmark_sweep_empties_the_column_caches(monkeypatch, cache, args):
     for clear in desk.caches:
         clear()
     assert cached.cache_info().currsize == 0
+
+
+def test_halfspace_solves_builds_each_column_operator_once(monkeypatch):
+    """After halfspace_solves' set-up and one round, a second round builds no
+    column operator: the five reflections and two zero projections of each of
+    its three lattices, 21 operators, fit the one cache, each under one key."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+    monkeypatch.syspath_prepend(bench)
+    work = importlib.import_module("workloads").HalfspaceSolves(42)
+    work.load()
+    work.prepare()
+    fsx.halfspace._operator.cache_clear()
+    first = work.round(None)
+    misses = fsx.halfspace._operator.cache_info().misses
+    second = work.round(None)
+    info = fsx.halfspace._operator.cache_info()
+    assert (info.misses - misses, info.currsize) == (0, 21)
+    assert not any(o.failed for o in first.outcomes + second.outcomes)
+
+
+def test_report_values_dump_diffed_against_itself_reports_nothing(tmp_path, capsys):
+    import report_values
+
+    config = [(2, 8, 1, 42)]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert report_values.main([str(first)], config) == 0
+    assert report_values.main([str(second), "--against", str(first)], config) == 0
+    dumped = json.loads(first.read_text())
+    assert capsys.readouterr().out == f"no difference in {len(dumped)} reports\n"
+    # a moved value, constant or digest is listed
+    key = next(iter(dumped))
+    moved = json.loads(first.read_text())
+    moved[key]["cases"][0][1] = "0.5"
+    moved[key]["digest"] = "0" * 64
+    assert len(report_values.differences(moved, dumped)) == 2
 
 
 CACHE_DECORATORS = ("lru_cache", "cache")

@@ -1,8 +1,9 @@
 """The parity reflections' column operators, built once per lattice.
 
 reflect_parity reads the kept rows of each (lattice, parity), and the
-triangular factor of its discarded rows, from the reflections' one cache,
-halfspace._operator, under the key (lattice, (-1.0,) or (1.0,), False).
+triangular factor of its discarded rows, from the column operators' one
+cache, halfspace._operator, under the key (lattice, (-1.0,) or (1.0,), False,
+False).
 Every coefficient array must be bitwise what the per-call route gives
 (grid_reference.parity_per_call), with the cache cold and warm; a projection
 residual, read from the factor instead of the discarded rows, agrees to
@@ -28,7 +29,7 @@ from grid_reference import parity_per_call
 
 
 # the _operator arguments after the lattice of each parity reflection
-PARITY_KEYS = {"odd": ((-1.0,), False), "even": ((1.0,), False)}
+PARITY_KEYS = {"odd": ((-1.0,), False, False), "even": ((1.0,), False, False)}
 
 
 def same_bits(a, b):

@@ -24,7 +24,7 @@ import fsx.norms as fsx_norms
 from fsx.corpus import bump_field, generate_corpus
 from fsx.dyadic import delta_dot
 from fsx.errors import FsxError
-from fsx.halfspace import make_half_field, project_zero
+from fsx.halfspace import make_half_field, project_zero, reflection_coefficients
 from fsx.lattice import Field, energy_factor, exact_phases, make_lattice
 from fsx.multipliers import gradient
 from fsx.norms import lp_norm, strip_derivative_norms, strip_rows, triebel_norms
@@ -173,9 +173,9 @@ class TestZeroProjectionOperator:
     def test_equals_the_per_call_route_cold_and_warm(self, case):
         u, m = case
         want = project_zero_per_call(u, m)
-        fsx_halfspace._zero_operator.cache_clear()
+        fsx_halfspace._operator.cache_clear()
         cold, warm = project_zero(u, m), project_zero(u, m)
-        assert fsx_halfspace._zero_operator.cache_info().misses == 1
+        assert fsx_halfspace._operator.cache_info().misses == 1
         assert same_bits(cold.coef, want.coef) and same_bits(warm.coef, want.coef)
 
     def test_desk_lattice_equals_the_per_call_route(self):
@@ -186,15 +186,16 @@ class TestZeroProjectionOperator:
                 assert same_bits(project_zero(u, m).coef, project_zero_per_call(u, m).coef)
 
     def test_cached_operator_is_read_only_and_square(self):
-        kept = fsx_halfspace._zero_operator(make_lattice(2, 4), 1)
-        assert kept.shape == (9, 9)
+        minus_alpha = tuple(-a for a in reflection_coefficients(1))
+        kept, tail = fsx_halfspace._operator(make_lattice(2, 4), minus_alpha, False, True)
+        assert kept.shape == (9, 9) and tail is None
         with pytest.raises(ValueError):
             kept[0, 0] = 1.0
 
     def test_bad_order_builds_nothing(self):
-        fsx_halfspace._zero_operator.cache_clear()
+        fsx_halfspace._operator.cache_clear()
         u = generate_corpus(7, "sine_strip", 1, make_lattice(2, 4)).fields[0]
         for m in (-1, 1.5, 9):
             with pytest.raises(FsxError):
                 project_zero(u, m)
-        assert fsx_halfspace._zero_operator.cache_info().currsize == 0
+        assert fsx_halfspace._operator.cache_info().currsize == 0

@@ -1,8 +1,9 @@
 """The restriction norm's witness operators, built once per lattice.
 
 restriction_norm takes the five witnesses of WITNESSES one at a time, each
-one product with the kept rows of its operator in the reflections' one cache,
-halfspace._operator, which the parities and extend_reflect share: E0 is the
+one product with the kept rows of its operator in the column operators' one
+cache, halfspace._operator, which the parities, extend_reflect and
+project_zero share: E0 is the
 even reflection, ED the odd one, and E0w, E1w and E2w are extend_reflect(u, m)
 for m = 0, 1, 2.  Every witness and every (value, witness)
 must be bitwise what the per-call route gives
@@ -134,8 +135,8 @@ class TestWitnessOperators:
 
 
 class TestOneOperatorCache:
-    """The parities, the extensions and the witnesses read one cache, so an
-    operator two of them share is built once."""
+    """The parities, the extensions, the witnesses and the zero projection read
+    one cache, so an operator two of them share is built once."""
 
     def test_cold_reflection_suite_builds_five_operators_per_lattice(self):
         # the desk reflection suite reads the five witnesses at K=32 and K=64 and
@@ -166,7 +167,7 @@ class TestOneOperatorCache:
         restriction_norm(hf, SPECS[1])
         info = fsx_halfspace._operator.cache_info()
         assert (info.misses, info.hits, info.currsize) == (5, 1, 5)
-        order_zero = fsx_halfspace._operator(lat, tuple(reflection_coefficients(0).alpha), False)
+        order_zero = fsx_halfspace._operator(lat, reflection_coefficients(0), False, False)
         assert same_bits(fsx_halfspace._columns_through(hf.field, order_zero[0]).coef, even.coef)
         assert same_bits(dict(witnesses(hf))["E0"].coef, even.coef)
         assert fsx_halfspace._operator.cache_info().misses == 5
